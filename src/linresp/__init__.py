@@ -18,7 +18,7 @@ from .fourier import (DEFAULT_ORDER, FourierSeries, GridFunction, SobolevWeights
                       sup_norm, zeros)
 from .maps import (CircleDiffeo, CircleMap, NotExpandingError, PerturbedFamily,
                    PreimageError, doubling_map)
-from .response import (ResponseProblem, derivative_operator,
+from .response import (ResponseProblem, UnderResolvedError, derivative_operator,
                        finite_difference_response_check, forward_response)
 from .transfer import (SpectralGapError, TransferMatrix, apply_transfer,
                        apply_transfer_pointwise, build_conjugate,
@@ -33,6 +33,7 @@ __all__ = [
     "DoublingControl", "FourierSeries", "GridFunction", "InfeasibleTargetError",
     "NotExpandingError", "PerturbedFamily", "PreimageError", "ResponseProblem",
     "SobolevWeights", "SpectralGapError", "TransferMatrix", "UlamModel",
+    "UnderResolvedError",
     "antiderivative", "apply_transfer", "apply_transfer_pointwise",
     "bin_averages", "build_conjugate", "compare_l1", "constant", "cosine",
     "derivative_operator", "dft", "differentiate", "doubling_map",

@@ -25,8 +25,7 @@ from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, cosine,
                       idft, next_pow2, sine, sup_norm)
 from .maps import CircleMap, PerturbedFamily, PreimageError
 from .response import ResponseProblem, forward_response
-from .transfer import (SpectralGapError, fixed_point_residual, galerkin_matrix,
-                       invariant_density)
+from .transfer import SpectralGapError, invariant_density
 from .verify import compare_l1, fd_response
 
 EXIT_OK = 0
@@ -199,12 +198,11 @@ def _series_csv(path: Path, series: FourierSeries, grid: int) -> None:
 
 
 def _problem(config: JobConfig) -> tuple[ResponseProblem, float]:
-    matrix = galerkin_matrix(config.map, config.order)
-    rho = invariant_density(config.map, config.order, matrix=matrix)
-    residual = float(np.max(np.abs(matrix.entries @ rho.coeffs - rho.coeffs)))
-    problem = ResponseProblem(config.map, rho, config.order)
-    problem.__dict__["matrix"] = matrix
-    return problem, residual
+    """The configured problem and its Galerkin residual sup |M rho - rho|."""
+    problem = ResponseProblem.for_map(config.map, config.order,
+                                      density_solver=invariant_density)
+    rho = problem.density.coeffs
+    return problem, float(np.max(np.abs(problem.matrix.entries @ rho - rho)))
 
 
 def cmd_density(config: JobConfig, out: Path) -> int:
@@ -214,7 +212,7 @@ def cmd_density(config: JobConfig, out: Path) -> int:
         "config_sha256": config.sha256,
         "N": config.order,
         "residual": residual,
-        "pointwise_residual": fixed_point_residual(config.map, problem.density),
+        "pointwise_residual": problem.pointwise_residual,
         "density": problem.density.to_dict(),
     }
     _write_json(out / "density.json", payload)
@@ -252,7 +250,8 @@ def cmd_control(config: JobConfig, out: Path) -> int:
     two_step = solve_control(problem, config.target, config.weights)
     minimal = minimal_norm_control(problem, config.target, config.weights)
     roundtrip = sup_norm(forward_response(problem, minimal.epsilon) - config.target)
-    report = minimal_norm_truncation_report(problem, config.target, config.weights)
+    report = minimal_norm_truncation_report(problem, config.target, config.weights,
+                                            low=minimal)
     payload = {
         "command": "control",
         "config_sha256": config.sha256,
@@ -353,14 +352,7 @@ def main(argv=None) -> int:
             config.grid = next_pow2(args.grid)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[args.command](config, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InfeasibleTargetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

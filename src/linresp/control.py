@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import (FourierSeries, GridFunction, SobolevWeights,
-                      antiderivative, dft, differentiate, next_pow2,
+                      antiderivative, dft, differentiate, idft, next_pow2,
                       sobolev_norm, sup_norm)
-from .response import ResponseProblem, derivative_operator, forward_response
-from .transfer import _galerkin_entries, apply_transfer, apply_transfer_pointwise
+from .response import ResponseProblem, derivative_operator
+from .transfer import (_galerkin_entries, apply_transfer, apply_transfer_pointwise,
+                       solve_zero_mean)
 
 PSEUDOINVERSE_CUTOFF = 1e-10
 FEASIBILITY_TOL = 1e-8
@@ -138,26 +139,22 @@ def _constraint_rhs(problem: ResponseProblem, target: FourierSeries,
 def constraint_matrix(problem: ResponseProblem, order: int) -> np.ndarray:
     """Matrix A mapping eps coefficients to those of L0(-(eps*rho/T')').
 
-    Assembled as (-Galerkin) x (derivative) x (multiplication by rho/T'),
-    each factor exact up to spectral quadrature; one column equals one
-    forward application of the compact-form operator to a basis mode.
+    With m the order-``order`` truncation of rho/T', integration by parts
+    against the Galerkin test functions z^j = e^{-2 pi i j T} gives
+    A[j, n] = -integral (e_n m)' z^j = -2 pi i j integral e_n m T' z^j: one
+    Galerkin block weighted by m T', exact up to spectral quadrature.
     """
     circle_map, rho = problem.map, problem.density
     size = next_pow2(max(8 * order, 256))
     x = np.arange(size) / size
     mult = dft(GridFunction(rho.evaluate(x) / circle_map.evaluate(x, 1)), order)
 
-    wide = 2 * order  # products of order-N data with the order-N multiplier
-    k = np.arange(-wide, wide + 1)
-    n = np.arange(-order, order + 1)
-    offset = k[:, None] - n[None, :]
-    conv = np.where(np.abs(offset) <= mult.order,
-                    mult.coeffs[np.clip(offset + mult.order, 0, 2 * mult.order)],
-                    0.0)
-    deriv_conv = (2j * np.pi * k)[:, None] * conv
-    quad = next_pow2(max(8 * wide, 256))
-    galerkin = _galerkin_entries(circle_map, order, wide, quad)
-    matrix = -(galerkin @ deriv_conv)
+    # Quadrature for products of order-N data with the order-N multiplier.
+    quad = next_pow2(max(16 * order, 256))
+    weight = idft(mult, quad).samples * circle_map.evaluate(np.arange(quad) / quad, 1)
+    j = np.arange(-order, order + 1)
+    matrix = (-2j * np.pi * j)[:, None] * _galerkin_entries(circle_map, order, order,
+                                                             quad, weight)
     matrix[np.abs(matrix) < ASSEMBLY_NOISE_FLOOR * np.max(np.abs(matrix))] = 0.0
     return matrix
 
@@ -205,11 +202,11 @@ def solve_control(problem: ResponseProblem, target: FourierSeries,
     """
     g = step1_g(problem, target)
     eps = step2_epsilon(problem, g)
-    realized = forward_response(problem, eps)
+    drho = derivative_operator(problem, eps, problem.density)
+    realized = solve_zero_mean(problem.map, drho, problem.order, matrix=problem.matrix)
     gap = sup_norm(realized - target)
     if gap > ROUNDTRIP_TOL:
         raise RuntimeError(f"two-step round trip error {gap:.3e} > 1e-6")
-    drho = derivative_operator(problem, eps, problem.density, check=False)
     residual = float(np.linalg.norm(
         drho.coeffs - _constraint_rhs(problem, target, problem.order)))
     if residual > FEASIBILITY_TOL:
@@ -256,11 +253,15 @@ def kernel_directions(problem: ResponseProblem, order: int | None = None,
 
 def minimal_norm_truncation_report(problem: ResponseProblem, target: FourierSeries,
                                    weights: SobolevWeights = SobolevWeights(),
-                                   order: int | None = None) -> dict:
-    """Minimal norms at truncations (N, 2N) and their difference."""
+                                   order: int | None = None,
+                                   low: ControlSolution | None = None) -> dict:
+    """Minimal norms at truncations (N, 2N) and their difference.
+
+    ``low``, the order-N minimal-norm solution, is reused when given."""
     if order is None:
         order = problem.order
-    low = minimal_norm_control(problem, target, weights, order)
+    if low is None:
+        low = minimal_norm_control(problem, target, weights, order)
     high = minimal_norm_control(problem, target, weights, 2 * order)
     return {"order": order, "norm": low.norm,
             "order_doubled": 2 * order, "norm_doubled": high.norm,

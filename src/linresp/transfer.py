@@ -5,7 +5,7 @@ densities forward, preserves the integral, and on the zero-mean subspace
 I - L is invertible (spectral gap), which is what the response and control
 solvers exploit.  The Galerkin matrix in the Fourier basis is assembled via
 the duality  integral (L w) phi = integral w (phi o T), so no preimages are
-needed for matrix entries.
+needed for matrix entries; each row is one FFT.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ class TransferMatrix:
 
     @cached_property
     def restricted_condition(self) -> float:
-        """Condition number of I - M restricted to the nonzero modes."""
-        return float(np.linalg.cond(self._restricted_system()))
+        """1-norm condition number of I - M restricted to the nonzero modes."""
+        return float(np.linalg.norm(self._restricted_system, 1)
+                     * np.linalg.norm(self._restricted_inverse, 1))
 
     def to_dict(self) -> dict:
         """Row-major debug serialization."""
@@ -64,21 +65,32 @@ class TransferMatrix:
                 "entries": [[[float(v.real), float(v.imag)] for v in row]
                             for row in self.entries]}
 
+    @cached_property
     def _restricted_system(self) -> np.ndarray:
         mid = self.order
         sys = np.eye(2 * self.order + 1, dtype=complex) - self.entries
         return np.delete(np.delete(sys, mid, axis=0), mid, axis=1)
 
+    @cached_property
+    def _restricted_inverse(self) -> np.ndarray:
+        # Factored once: every zero-mean solve with this matrix is a product.
+        return np.linalg.inv(self._restricted_system)
+
 
 def _galerkin_entries(circle_map: CircleMap, row_order: int, col_order: int,
-                      quad_size: int) -> np.ndarray:
-    x = np.arange(quad_size) / quad_size
-    lift = circle_map.lift(x)
-    rows = np.arange(-row_order, row_order + 1)
-    cols = np.arange(-col_order, col_order + 1)
-    left = np.exp(-2j * np.pi * np.outer(rows, lift))
-    right = np.exp(2j * np.pi * np.outer(x, cols))
-    return (left @ right) / quad_size
+                      quad_size: int, weight=1.0) -> np.ndarray:
+    """Grid mean of w e^{-2 pi i j T} e^{2 pi i k x}, |j| <= row_order, |k| <= col_order.
+
+    Row j is the inverse FFT of w z^j, z = e^{-2 pi i T}, with the powers by
+    running product; rows j < 0 follow by conjugate symmetry for real w.
+    """
+    z = np.exp(-2j * np.pi * circle_map.lift(np.arange(quad_size) / quad_size))
+    powers = np.empty((row_order + 1, quad_size), dtype=complex)
+    powers[0] = weight
+    for j in range(1, row_order + 1):
+        np.multiply(powers[j - 1], z, out=powers[j])
+    upper = np.fft.ifft(powers, axis=1)[:, np.arange(-col_order, col_order + 1)]
+    return np.concatenate((np.conj(upper[:0:-1, ::-1]), upper))
 
 
 def galerkin_matrix(circle_map: CircleMap, order: int,
@@ -194,11 +206,10 @@ def solve_zero_mean(circle_map: CircleMap, rhs: FourierSeries,
             f"{CONDITION_LIMIT:.0e}: truncation under-resolved", RuntimeWarning)
     mid = order
     b = np.delete(rhs.with_order(order).coeffs, mid)
-    sol = np.linalg.solve(matrix._restricted_system(), b)
-    v = np.insert(sol, mid, 0.0)
-    result = FourierSeries(v).hermitian_symmetrized()
+    sol = matrix._restricted_inverse @ b
+    result = FourierSeries(np.insert(sol, mid, 0.0)).hermitian_symmetrized()
     residual = float(np.max(np.abs(
-        np.delete((np.eye(2 * order + 1) - matrix.entries) @ result.coeffs, mid) - b)))
+        matrix._restricted_system @ np.delete(result.coeffs, mid) - b)))
     if residual > 1e-10:
         raise SpectralGapError(f"zero-mean solve residual {residual:.3e} > 1e-10")
     return result

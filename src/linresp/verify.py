@@ -14,13 +14,16 @@ spectral path is the map's lift and its Newton inversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial import legendre
 
 from .fourier import FourierSeries
 from .maps import CircleMap, PerturbedFamily
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAXIT = 20_000
@@ -86,6 +89,8 @@ def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, ...]:
 
 
 def _transition_matrix(circle_map: CircleMap, bins: int, degree: int) -> sp.csc_matrix:
+    import scipy.sparse as sp  # here, so that commands that never verify skip it
+
     # _pieces frees its per-segment temporaries on return, so the assembly
     # below peaks no higher in memory than the Newton inversion inside it.
     piece_lo, length, source, image_edge = _pieces(circle_map, bins)

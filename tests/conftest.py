@@ -41,3 +41,16 @@ def random_series(rng, order, decay=0.5, zero_mean=False):
         c[order] = 0.0
         series = FourierSeries(c)
     return series
+
+
+def direct_galerkin_entries(circle_map, row_order, col_order, quad_size):
+    """Galerkin block by direct trapezoidal quadrature: the dense reference.
+
+    entries[j, k] = (1/Q) sum_x e^{-2 pi i j T(x)} e^{2 pi i k x}.
+    """
+    x = np.arange(quad_size) / quad_size
+    rows = np.arange(-row_order, row_order + 1)
+    cols = np.arange(-col_order, col_order + 1)
+    left = np.exp(-2j * np.pi * np.outer(rows, circle_map.lift(x)))
+    right = np.exp(2j * np.pi * np.outer(x, cols))
+    return (left @ right) / quad_size

@@ -10,6 +10,9 @@ from linresp.cli import JobConfig, canonical_json, main
 DOUBLING = {"degree": 2, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}
 WAVY = {"degree": 2,
         "periodic_part": {"N": 1, "coeffs": [[0.0, 0.05], [0.0, 0.0], [0.0, -0.05]]}}
+# 2x + 0.155 sin(2 pi x): at N=8 its density fails the pointwise fixed-point check.
+STEEP = {"degree": 2,
+         "periodic_part": {"N": 1, "coeffs": [[0.0, 0.0775], [0.0, 0.0], [0.0, -0.0775]]}}
 
 
 def write_config(tmp_path, name="job.json", **entries):
@@ -150,6 +153,20 @@ class TestControl:
         assert main(["control", "--config", str(path), "--out",
                      str(tmp_path / "o")]) == 3
 
+    def test_one_minimal_norm_solve_per_order(self, tmp_path, monkeypatch):
+        import linresp.control as control
+        orders = []
+        original = control.constraint_matrix
+
+        def counted(problem, order):
+            orders.append(order)
+            return original(problem, order)
+
+        monkeypatch.setattr(control, "constraint_matrix", counted)
+        path = write_config(tmp_path, map=WAVY, target="sin", N=16)
+        assert main(["control", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert orders == [16, 32]
+
     def test_modes_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, target="sin2", N=64)
         assert main(["control", "--config", str(path), "--out",
@@ -223,6 +240,14 @@ class TestDeterminism:
             (out2 / "control.json").read_bytes()
         assert (out1 / "epsilon_minimal_norm.csv").read_bytes() == \
             (out2 / "epsilon_minimal_norm.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["density", "respond"])
+    def test_under_resolved_truncation_is_solver_failure(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, map=STEEP, N=8, epsilon="sin")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and "fixed-point residual" in err
+        assert "Traceback" not in err
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch):
         from linresp import SpectralGapError

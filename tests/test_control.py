@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from linresp import (GridFunction, InfeasibleTargetError, SobolevWeights,
-                     apply_transfer_pointwise, constant, cosine, dft,
-                     differentiate, forward_response, kernel_directions,
-                     minimal_norm_control, minimal_norm_truncation_report,
-                     sine, sobolev_norm, solve_control, step1_g, step2_epsilon,
+from linresp import (CircleMap, GridFunction, InfeasibleTargetError,
+                     ResponseProblem, SobolevWeights, apply_transfer_pointwise,
+                     constant, cosine, dft, differentiate, forward_response,
+                     kernel_directions, minimal_norm_control,
+                     minimal_norm_truncation_report, next_pow2, sine,
+                     sobolev_norm, solve_control, step1_g, step2_epsilon,
                      sup_norm, weighted_inner_product, zeros)
+from linresp.control import constraint_matrix
 
-from conftest import random_series
+from conftest import direct_galerkin_entries, random_series
 
 TWO_PI = 2 * np.pi
 EPS0_COEFF = 1 / (4 * np.pi)  # cos(4 pi x)/(2 pi) has +-2 coefficients 1/(4 pi)
@@ -88,6 +90,42 @@ class TestSolveControl:
         sol = solve_control(wavy_problem, target)
         realized = forward_response(wavy_problem, sol.epsilon)
         assert sup_norm(realized - target) < 1e-6
+
+
+def product_form_constraint(problem, order):
+    """-G diag(2 pi i k) Toeplitz(m): the constraint matrix as a product of factors.
+
+    m is the order-``order`` truncation of rho/T', Toeplitz(m) multiplies an
+    order-``order`` series by it (giving order 2*order), the diagonal
+    differentiates, and G is the wide Galerkin block by direct quadrature.
+    """
+    circle_map, rho = problem.map, problem.density
+    size = next_pow2(max(8 * order, 256))
+    x = np.arange(size) / size
+    mult = dft(GridFunction(rho.evaluate(x) / circle_map.evaluate(x, 1)), order)
+    wide = 2 * order
+    k = np.arange(-wide, wide + 1)
+    offset = k[:, None] - np.arange(-order, order + 1)[None, :]
+    toeplitz = np.where(np.abs(offset) <= order,
+                        mult.coeffs[np.clip(offset + order, 0, 2 * order)], 0.0)
+    galerkin = direct_galerkin_entries(circle_map, order, wide,
+                                       next_pow2(max(8 * wide, 256)))
+    return -(galerkin @ ((2j * np.pi * k)[:, None] * toeplitz))
+
+
+@pytest.fixture(scope="module")
+def degree_three_problem():
+    return ResponseProblem.for_map(CircleMap(3, sine(1, 0.15) + cosine(2, 0.05)), 64)
+
+
+class TestConstraintMatrix:
+    @pytest.mark.parametrize("name", ["wavy_problem", "degree_three_problem"])
+    @pytest.mark.parametrize("order", [16, 32])
+    def test_matches_product_form(self, request, name, order):
+        problem = request.getfixturevalue(name)
+        reference = product_form_constraint(problem, order)
+        gap = np.max(np.abs(constraint_matrix(problem, order) - reference))
+        assert gap < 1e-12 * np.max(np.abs(reference))
 
 
 class TestMinimalNorm:

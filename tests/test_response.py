@@ -21,6 +21,13 @@ class TestResponseProblem:
         with pytest.raises(ValueError, match="residual"):
             ResponseProblem(wavy, constant(1.0), 64)
 
+    def test_under_resolved_computed_density(self):
+        from linresp import CircleMap, ResponseProblem, UnderResolvedError
+        steep = CircleMap(2, sine(1, 0.155))
+        with pytest.raises(UnderResolvedError, match="residual"):
+            ResponseProblem.for_map(steep, 8)
+        assert ResponseProblem.for_map(steep, 64).pointwise_residual < 1e-9
+
     def test_rejects_unnormalized_density(self, doubling):
         from linresp import ResponseProblem
         with pytest.raises(ValueError, match="mean"):

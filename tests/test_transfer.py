@@ -7,7 +7,7 @@ from linresp import (CircleDiffeo, GridFunction, apply_transfer,
                      invariant_density, sine, solve_zero_mean, sup_norm,
                      transfer_conjugacy_check, ulam_build, zeros)
 
-from conftest import random_series
+from conftest import direct_galerkin_entries, random_series
 
 
 class TestApplyTransfer:
@@ -83,6 +83,14 @@ class TestGalerkinMatrix:
         via_matrix = m.apply(w)
         via_points = apply_transfer(wavy, w, out_order=32)
         assert np.max(np.abs(via_matrix.coeffs - via_points.coeffs)) < 1e-8
+
+    @pytest.mark.parametrize("name", ["wavy", "triple"])
+    @pytest.mark.parametrize("order", [8, 32])
+    def test_fft_assembly_matches_direct_quadrature(self, request, name, order):
+        circle_map = request.getfixturevalue(name)
+        m = galerkin_matrix(circle_map, order)
+        reference = direct_galerkin_entries(circle_map, order, order, m.quad_size)
+        assert np.max(np.abs(m.entries - reference)) < 1e-13
 
     def test_quadrature_floor_enforced(self, doubling):
         with pytest.raises(ValueError, match="quadrature"):

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import linresp
 
 from linresp import (PerturbedFamily, bin_averages, compare_l1, constant, cosine,
                      fd_response, sine, ulam_build, zeros)
@@ -131,3 +138,14 @@ class TestCompareL1:
             (np.sin(5 * TWO_PI * edges[j + 1]) - np.sin(5 * TWO_PI * edges[j]))
             / (5 * TWO_PI / 4) for j in range(4)])
         np.testing.assert_allclose(vals, exact, atol=1e-14)
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    # Only the oracle needs scipy.sparse; commands that never verify skip it.
+    src = str(Path(linresp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, linresp; print('scipy.sparse' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
