@@ -7,8 +7,8 @@ eps realizing it.  Two routes:
   L0(g) = (I - L0) rho1 via the conjugacy closed form, then integrate the
   resulting first-order linear ODE in closed form ((eps*rho/T')' = -g);
 * the minimal solution in a derivative-weighted Sobolev norm, by
-  constrained least squares on the truncated constraint A eps = r with a
-  truncated-SVD pseudoinverse.
+  minimal-norm least squares on the truncated constraint A eps = r in real
+  cosine/sine coordinates, with a rank cutoff.
 """
 
 from __future__ import annotations
@@ -19,18 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import (FourierSeries, GridFunction, SobolevWeights,
-                      antiderivative, dft, differentiate, idft, next_pow2,
-                      sobolev_norm, sup_norm)
+                      antiderivative, dft, differentiate, from_real_basis, idft,
+                      next_pow2, sobolev_norm, sup_norm, to_real_basis,
+                      to_real_basis_matrix)
 from .response import ResponseProblem, derivative_operator
 from .transfer import (_galerkin_entries, apply_transfer, apply_transfer_pointwise,
-                       solve_zero_mean)
+                       quadrature_size, solve_zero_mean)
 
 PSEUDOINVERSE_CUTOFF = 1e-10
 FEASIBILITY_TOL = 1e-8
 ROUNDTRIP_TOL = 1e-6
 # Entries of the assembled constraint matrix below this (relative to its
 # largest entry) are quadrature round-off, not data; clearing them keeps the
-# weighted SVD's null space aligned with the operator's true kernel.
+# weighted solve's null space aligned with the operator's true kernel.
 ASSEMBLY_NOISE_FLOOR = 1e-13
 
 
@@ -44,12 +45,16 @@ class ControlSolution:
 
     residual is the Euclidean norm of the truncated constraint defect
     ||A eps - r||_2; norm is the Sobolev norm the solution was scored with.
+    rank is the numerical rank of the weighted constraint matrix kept by the
+    minimal-norm solve (None for the two-step scheme); it is diagnostic
+    only and not serialized.
     """
 
     epsilon: FourierSeries
     residual: float
     norm: float
     method: str
+    rank: int | None = None
 
     def to_dict(self) -> dict:
         return {"epsilon": self.epsilon.to_dict(), "residual": self.residual,
@@ -150,7 +155,7 @@ def constraint_matrix(problem: ResponseProblem, order: int) -> np.ndarray:
     mult = dft(GridFunction(rho.evaluate(x) / circle_map.evaluate(x, 1)), order)
 
     # Quadrature for products of order-N data with the order-N multiplier.
-    quad = next_pow2(max(16 * order, 256))
+    quad = quadrature_size(circle_map, order, max(16 * order, 256))
     weight = idft(mult, quad).samples * circle_map.evaluate(np.arange(quad) / quad, 1)
     j = np.arange(-order, order + 1)
     matrix = (-2j * np.pi * j)[:, None] * _galerkin_entries(circle_map, order, order,
@@ -159,11 +164,17 @@ def constraint_matrix(problem: ResponseProblem, order: int) -> np.ndarray:
     return matrix
 
 
-def _weighted_svd(problem: ResponseProblem, weights: SobolevWeights, order: int):
+def _weighted_real_system(problem: ResponseProblem, weights: SobolevWeights,
+                          order: int):
+    """A, the W^{-1/2} scaling in real coordinates, and Q^H A Q W^{-1/2}.
+
+    W(n) = W(-n), so W is diagonal in real coordinates too: a_n and b_n
+    both carry W(n).
+    """
     a = constraint_matrix(problem, order)
-    scale = 1.0 / np.sqrt(weights.mode_weights(order))
-    u, s, vh = np.linalg.svd(a * scale[None, :])
-    return a, scale, u, s, vh
+    w = weights.mode_weights(order)[order:]
+    scale = 1.0 / np.sqrt(np.concatenate((w, w[1:])))
+    return a, scale, to_real_basis_matrix(a) * scale[None, :]
 
 
 def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
@@ -171,26 +182,28 @@ def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
                          order: int | None = None) -> ControlSolution:
     """Minimal Sobolev-norm perturbation realizing the target.
 
-    Solves min ||eps||_W subject to A eps = r through the weighted normal
-    equations eps = W^{-1} A* (A W^{-1} A*)^+ r, realized as a truncated-SVD
-    pseudoinverse of A W^{-1/2} (singular values below 1e-10 of the largest
-    are treated as null space).  A constraint defect above 1e-8 means the
-    target is not realizable at this truncation.
+    Solves min ||eps||_W subject to A eps = r in the real coordinates of
+    ``to_real_basis``, where A is the real matrix Q^H A Q: eps = W^{-1/2} y
+    with y the minimal-norm least-squares solution of (Q^H A Q W^{-1/2}) y = Q^H r
+    (LAPACK dgelsd; singular values at or below 1e-10 of the largest are
+    treated as null space, and the rank kept is recorded).  A constraint
+    defect above 1e-8 means the target is not realizable at this truncation.
     """
     _require_zero_mean(target, "target density change")
     if order is None:
         order = problem.order
-    a, scale, u, s, vh = _weighted_svd(problem, weights, order)
+    a, scale, system = _weighted_real_system(problem, weights, order)
     r = _constraint_rhs(problem, target, order)
-    keep = s > PSEUDOINVERSE_CUTOFF * s[0]
-    coef = (vh[keep].conj().T) @ ((u[:, keep].conj().T @ r) / s[keep])
-    eps = FourierSeries(scale * coef).hermitian_symmetrized()
+    coords, _, rank, _ = np.linalg.lstsq(system, to_real_basis(r),
+                                         rcond=PSEUDOINVERSE_CUTOFF)
+    eps = from_real_basis(scale * coords)
     residual = float(np.linalg.norm(a @ eps.coeffs - r))
     if residual > FEASIBILITY_TOL:
         raise InfeasibleTargetError(
             f"constraint residual {residual:.3e} > {FEASIBILITY_TOL:.0e}: target not "
             f"realizable at truncation {order}; retry with a larger order")
-    return ControlSolution(eps, residual, sobolev_norm(eps, weights), "minimal_norm")
+    return ControlSolution(eps, residual, sobolev_norm(eps, weights), "minimal_norm",
+                           int(rank))
 
 
 def solve_control(problem: ResponseProblem, target: FourierSeries,
@@ -225,30 +238,19 @@ def kernel_directions(problem: ResponseProblem, order: int | None = None,
     """
     if order is None:
         order = problem.order
-    _, scale, _, s, vh = _weighted_svd(problem, weights, order)
-    null = vh[s <= PSEUDOINVERSE_CUTOFF * s[0]].conj().T
+    _, scale, system = _weighted_real_system(problem, weights, order)
+    _, s, vh = np.linalg.svd(system)
+    # Rows of vh are real and orthonormal, so eps = Q W^{-1/2} v is real and
+    # W-orthonormal; they come in decreasing singular value: a fixed order.
+    null = vh[s <= PSEUDOINVERSE_CUTOFF * s[0]]
     if null.size == 0:
         warnings.warn("no null directions at this truncation", RuntimeWarning)
         return []
-    # Real (Hermitian) combinations: the null space is conjugation symmetric,
-    # so split each vector into its J-invariant parts and re-orthonormalize.
-    flip = lambda v: np.conj(v[::-1])
-    candidates = []
-    for v in null.T:
-        candidates.append(0.5 * (v + flip(v)))
-        candidates.append((v - flip(v)) / 2j)
-    basis = np.array(candidates).T
-    gram = basis.conj().T @ basis
-    lam, q = np.linalg.eigh(gram.real)
-    keep = lam > 1e-12 * max(lam[-1], 1e-300)
-    ortho = basis @ (q[:, keep] / np.sqrt(lam[keep]))
-    ortho = ortho[:, ::-1]  # largest eigenvalue first: deterministic order
-    found = ortho.shape[1]
+    found = null.shape[0]
     if found < count:
         warnings.warn(f"only {found} null directions exist at truncation {order} "
                       f"(requested {count})", RuntimeWarning)
-    return [FourierSeries(scale * ortho[:, i]).hermitian_symmetrized()
-            for i in range(min(count, found))]
+    return [from_real_basis(scale * v) for v in null[:count]]
 
 
 def minimal_norm_truncation_report(problem: ResponseProblem, target: FourierSeries,

@@ -216,6 +216,45 @@ def _check_imag(values: np.ndarray, coeff_mass: float) -> None:
             "Hermitian symmetry is broken")
 
 
+def _real_rows(values: np.ndarray) -> np.ndarray:
+    """Q^H applied along axis 0, for the unitary Q of ``from_real_basis``."""
+    n = (values.shape[0] - 1) // 2
+    pos, neg = values[n + 1:], values[:n][::-1]
+    return np.concatenate((values[n:n + 1], (pos + neg) / np.sqrt(2),
+                           1j * (pos - neg) / np.sqrt(2)))
+
+
+def to_real_basis(coeffs: np.ndarray) -> np.ndarray:
+    """Orthonormal real coordinates (a_0, a_1..a_N, b_1..b_N) of Hermitian coefficients.
+
+    The function is a_0 + sqrt(2) sum_n (a_n cos 2 pi n x + b_n sin 2 pi n x),
+    so the map is an isometry from coefficients to coordinates.  Raises if
+    the coefficients are not Hermitian to rounding.
+    """
+    real = _real_rows(np.asarray(coeffs))
+    _check_imag(real, float(np.sum(np.abs(coeffs))))
+    return real.real
+
+
+def from_real_basis(coords: np.ndarray) -> FourierSeries:
+    """Inverse of ``to_real_basis``: the series c = Q u, exactly Hermitian."""
+    u = np.asarray(coords, dtype=float)
+    n = (u.size - 1) // 2
+    upper = (u[1:n + 1] - 1j * u[n + 1:]) / np.sqrt(2)
+    return FourierSeries(np.concatenate((np.conj(upper[::-1]), u[:1], upper)))
+
+
+def to_real_basis_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Q^H A Q for a matrix A on coefficients -N..N that maps real functions to real ones.
+
+    Such an A commutes with conjugation, so Q^H A Q is real; raises if the
+    discarded imaginary part exceeds rounding relative to max |A|.
+    """
+    real = _real_rows(_real_rows(matrix).conj().T).conj().T
+    _check_imag(real, float(np.max(np.abs(matrix))))
+    return real.real
+
+
 def zeros(order: int = 0) -> FourierSeries:
     return FourierSeries(np.zeros(2 * order + 1, dtype=complex))
 

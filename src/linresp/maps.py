@@ -96,6 +96,7 @@ class CircleMap:
         pvals = self.periodic_part.evaluate(x)
         pad = 1e-9 + 1e-3 * (float(np.max(pvals)) - float(np.min(pvals)))
         object.__setattr__(self, "_min_deriv", min_deriv)
+        object.__setattr__(self, "_max_deriv", float(np.max(deriv)))
         object.__setattr__(self, "_p_lo", float(np.min(pvals)) - pad)
         object.__setattr__(self, "_p_hi", float(np.max(pvals)) + pad)
         object.__setattr__(self, "_lift0", float(self.periodic_part.evaluate(0.0)))
@@ -108,6 +109,11 @@ class CircleMap:
     @property
     def min_derivative(self) -> float:
         return self._min_deriv
+
+    @property
+    def max_derivative(self) -> float:
+        """max T' on the validation grid; it sets the bandwidth of e^{2 pi i j T}."""
+        return self._max_deriv
 
     def lift(self, x):
         return self.degree * np.asarray(x, dtype=float) + self.periodic_part.evaluate(x)

@@ -93,11 +93,21 @@ def _galerkin_entries(circle_map: CircleMap, row_order: int, col_order: int,
     return np.concatenate((np.conj(upper[:0:-1, ::-1]), upper))
 
 
+def quadrature_size(circle_map: CircleMap, order: int, floor: int) -> int:
+    """Grid for integrands e^{-2 pi i j T} e^{2 pi i k x}, |j|, |k| <= order.
+
+    e^{-2 pi i j T} has a bandwidth of about j max T', so the grid covers
+    order (1 + max T') and never drops below ``floor``; a power of two.
+    """
+    return next_pow2(max(floor, int(np.ceil(order * (1.0 + circle_map.max_derivative)))))
+
+
 def galerkin_matrix(circle_map: CircleMap, order: int,
                     quad_size: int | None = None) -> TransferMatrix:
-    """Galerkin matrix at truncation ``order`` (quadrature >= 8*order)."""
+    """Galerkin matrix at truncation ``order`` (quadrature >= 8*order, sized by max T')."""
     if quad_size is None:
-        quad_size = next_pow2(max(QUADRATURE_FACTOR * order, 128))
+        quad_size = quadrature_size(circle_map, order,
+                                    max(QUADRATURE_FACTOR * order, 128))
     if quad_size < QUADRATURE_FACTOR * order:
         raise ValueError(f"quadrature size {quad_size} < {QUADRATURE_FACTOR}*order")
     entries = _galerkin_entries(circle_map, order, order, quad_size)

@@ -54,3 +54,22 @@ def direct_galerkin_entries(circle_map, row_order, col_order, quad_size):
     left = np.exp(-2j * np.pi * np.outer(rows, circle_map.lift(x)))
     right = np.exp(2j * np.pi * np.outer(x, cols))
     return (left @ right) / quad_size
+
+
+def complex_minimal_norm(problem, target, weights, order):
+    """Minimal-norm eps by a complex SVD pseudoinverse: the dense reference.
+
+    eps = W^{-1/2} (A W^{-1/2})^+ r with singular values at or below 1e-10 of
+    the largest dropped; returns the Hermitian-symmetrized coefficients and
+    the rank kept.
+    """
+    from linresp.control import _constraint_rhs, constraint_matrix
+
+    a = constraint_matrix(problem, order)
+    scale = 1.0 / np.sqrt(weights.mode_weights(order))
+    u, s, vh = np.linalg.svd(a * scale[None, :])
+    r = _constraint_rhs(problem, target, order)
+    keep = s > 1e-10 * s[0]
+    coef = vh[keep].conj().T @ ((u[:, keep].conj().T @ r) / s[keep])
+    eps = FourierSeries(scale * coef).hermitian_symmetrized()
+    return eps.coeffs, int(np.count_nonzero(keep))

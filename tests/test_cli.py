@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import linresp.cli as cli
-from linresp import FourierSeries, sine
+from linresp import FourierSeries, cosine, sine
 from linresp.cli import JobConfig, canonical_json, main
 
 DOUBLING = {"degree": 2, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}
@@ -84,6 +84,16 @@ class TestDensity:
                      "--grid", "256"]) == 0
         rows = (out / "density.csv").read_text().strip().splitlines()
         assert len(rows) == 256 + 1
+
+    def test_steep_degree_five_map_at_128_modes(self, tmp_path):
+        # max T' = 8.33; a fixed 8N quadrature grid left a residual of 0.27 here
+        steep = {"degree": 5, "periodic_part": (sine(1, 0.4) + cosine(7, 0.02)).to_dict()}
+        path = write_config(tmp_path, map=steep, N=64)
+        out = tmp_path / "out"
+        assert main(["density", "--config", str(path), "--out", str(out),
+                     "--modes", "128"]) == 0
+        payload = json.loads((out / "density.json").read_text())
+        assert payload["pointwise_residual"] <= 1e-9
 
 
 class TestRespond:

@@ -10,7 +10,7 @@ from linresp import (CircleMap, GridFunction, InfeasibleTargetError,
                      sup_norm, weighted_inner_product, zeros)
 from linresp.control import constraint_matrix
 
-from conftest import direct_galerkin_entries, random_series
+from conftest import complex_minimal_norm, direct_galerkin_entries, random_series
 
 TWO_PI = 2 * np.pi
 EPS0_COEFF = 1 / (4 * np.pi)  # cos(4 pi x)/(2 pi) has +-2 coefficients 1/(4 pi)
@@ -126,6 +126,47 @@ class TestConstraintMatrix:
         reference = product_form_constraint(problem, order)
         gap = np.max(np.abs(constraint_matrix(problem, order) - reference))
         assert gap < 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.fixture(scope="module")
+def triple_problem(triple):
+    return ResponseProblem.for_map(triple, 64)
+
+
+@pytest.fixture(scope="module")
+def seeded_degree_three_problem():
+    periodic = random_series(np.random.default_rng(109), 3, zero_mean=True)
+    periodic = periodic / (2 * sup_norm(differentiate(periodic)))  # 2.5 <= T' <= 3.5
+    return ResponseProblem.for_map(CircleMap(3, periodic), 64)
+
+
+class TestRealBasisSolve:
+    @pytest.mark.parametrize("name", ["wavy_problem", "triple_problem",
+                                      "seeded_degree_three_problem"])
+    @pytest.mark.parametrize("order", [16, 32])
+    def test_matches_complex_svd(self, request, name, order):
+        # Agreement to 1e-9 needs the smallest kept singular value well above
+        # the cutoff: near it, rounding-level changes to A move eps by up to ~1e-7.
+        problem = request.getfixturevalue(name)
+        target = sine(1)
+        weights = SobolevWeights(0.5, 0.0, 0.0, 1.0)
+        reference, rank = complex_minimal_norm(problem, target, weights, order)
+        sol = minimal_norm_control(problem, target, weights, order)
+        assert sol.rank == rank
+        assert sol.epsilon.hermitian_defect == 0.0
+        gap = np.max(np.abs(sol.epsilon.coeffs - reference))
+        assert gap <= 1e-9 * np.max(np.abs(reference))
+
+    def test_ranks_kept_at_benchmark_config(self, wavy):
+        # The control-n256 benchmark config; the smallest singular value kept
+        # at order 512 is 1.0048e-10 of the largest, next to the 1e-10 cutoff.
+        problem = ResponseProblem.for_map(wavy, 256)
+        target = cosine(1) + cosine(3, 0.5)
+        weights = SobolevWeights(0.5, 0.0, 0.0, 1.0)
+        ranks = [minimal_norm_control(problem, target, weights, order).rank
+                 for order in (256, 512)]
+        assert ranks == [306, 442]
+        assert solve_control(problem, target, weights).rank is None
 
 
 class TestMinimalNorm:

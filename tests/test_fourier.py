@@ -4,6 +4,7 @@ import pytest
 from linresp import (FourierSeries, GridFunction, SobolevWeights, antiderivative,
                      constant, cosine, dft, differentiate, idft, l2_norm,
                      multiply, sine, sobolev_norm, sup_norm, zeros)
+from linresp.fourier import from_real_basis, to_real_basis, to_real_basis_matrix
 
 from conftest import random_series
 
@@ -207,3 +208,45 @@ class TestSeriesBasics:
 
     def test_sup_norm(self):
         assert sup_norm(sine(1)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRealBasis:
+    def test_round_trip_is_isometry(self):
+        rng = np.random.default_rng(101)
+        f = random_series(rng, 7)
+        coords = to_real_basis(f.coeffs)
+        assert coords.dtype == float and coords.size == f.coeffs.size
+        np.testing.assert_allclose(from_real_basis(coords).coeffs, f.coeffs, atol=1e-15)
+        assert np.linalg.norm(coords) == pytest.approx(np.linalg.norm(f.coeffs), rel=1e-14)
+        u = rng.normal(size=15)
+        back = from_real_basis(u)
+        assert back.hermitian_defect == 0.0
+        np.testing.assert_allclose(to_real_basis(back.coeffs), u, atol=1e-15)
+
+    def test_cosine_and_sine_coordinates(self):
+        # f = a_0 + sqrt(2) sum (a_n cos + b_n sin), coordinates (a_0, a_1..a_3, b_1..b_3)
+        expected = np.zeros(7)
+        expected[2] = 0.6 / np.sqrt(2)
+        expected[3 + 2] = -0.4 / np.sqrt(2)
+        f = (cosine(2, 0.6) + sine(2, -0.4)).with_order(3)
+        np.testing.assert_allclose(to_real_basis(f.coeffs), expected, atol=1e-15)
+        assert to_real_basis(constant(1.5).coeffs)[0] == 1.5
+
+    def test_rejects_non_hermitian_coefficients(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            to_real_basis(np.array([1j, 0.0, 0.0]))
+
+    def test_matrix_matches_explicit_change_of_basis(self, wavy):
+        from linresp import galerkin_matrix
+        a = galerkin_matrix(wavy, 6).entries
+        q = np.array([from_real_basis(e).coeffs for e in np.eye(13)]).T
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(13), atol=1e-15)
+        explicit = q.conj().T @ a @ q
+        assert np.max(np.abs(explicit.imag)) < 1e-15
+        np.testing.assert_allclose(to_real_basis_matrix(a), explicit.real, atol=1e-15)
+
+    def test_matrix_must_commute_with_conjugation(self):
+        rng = np.random.default_rng(103)
+        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        with pytest.raises(ValueError, match="imaginary residue"):
+            to_real_basis_matrix(a)

@@ -28,6 +28,14 @@ class TestResponseProblem:
             ResponseProblem.for_map(steep, 8)
         assert ResponseProblem.for_map(steep, 64).pointwise_residual < 1e-9
 
+    def test_steep_degree_five_map_resolves(self):
+        # max T' = 8.33: e^{-2 pi i j T} outgrows a fixed 8N quadrature grid
+        from linresp import CircleMap, ResponseProblem
+        steep = CircleMap(5, sine(1, 0.4) + cosine(7, 0.02))
+        problem = ResponseProblem.for_map(steep, 128)
+        assert problem.matrix.quad_size == 2048
+        assert problem.pointwise_residual <= 1e-9
+
     def test_rejects_unnormalized_density(self, doubling):
         from linresp import ResponseProblem
         with pytest.raises(ValueError, match="mean"):

@@ -92,6 +92,21 @@ class TestGalerkinMatrix:
         reference = direct_galerkin_entries(circle_map, order, order, m.quad_size)
         assert np.max(np.abs(m.entries - reference)) < 1e-13
 
+    @pytest.mark.parametrize("order", [8, 64, 256])
+    def test_quadrature_floors_kept_for_mild_maps(self, wavy, order):
+        from linresp.transfer import quadrature_size
+        assert galerkin_matrix(wavy, order).quad_size == max(8 * order, 128)
+        assert quadrature_size(wavy, order, max(16 * order, 256)) == max(16 * order, 256)
+
+    def test_quadrature_grows_with_max_derivative(self):
+        from linresp import CircleMap
+        from linresp.transfer import quadrature_size
+        steep = CircleMap(5, sine(1, 0.4) + cosine(7, 0.02))
+        fine = np.arange(2**16) / 2**16
+        assert steep.max_derivative == pytest.approx(np.max(steep.evaluate(fine, 1)), rel=1e-6)
+        assert quadrature_size(steep, 128, 1024) == 2048
+        assert quadrature_size(steep, 128, 4096) == 4096
+
     def test_quadrature_floor_enforced(self, doubling):
         with pytest.raises(ValueError, match="quadrature"):
             galerkin_matrix(doubling, 16, quad_size=64)
