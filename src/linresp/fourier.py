@@ -180,16 +180,12 @@ class FourierSeries:
         return cls(np.array([complex(re, im) for re, im in pairs]))
 
 
-def horner_values(coeffs: np.ndarray, x: np.ndarray,
-                  z: np.ndarray | None = None) -> np.ndarray:
+def horner_values(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Complex series values by Horner recurrence on the unit circle.
 
-    ``z`` may carry a precomputed e^{2 pi i x} so callers evaluating several
-    series at the same points pay for the exponentials once.  Stable because
-    |z| == 1.
+    Stable because |e^{2 pi i x}| == 1.
     """
-    if z is None:
-        z = np.exp(2j * np.pi * x)
+    z = np.exp(2j * np.pi * x)
     acc = np.full(x.shape, coeffs[-1], dtype=complex)
     for k in range(coeffs.size - 2, -1, -1):
         acc *= z

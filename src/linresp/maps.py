@@ -2,7 +2,8 @@
 
 The periodic part p is a trigonometric polynomial, so derivatives to any
 order are exact and branch inverses can be found by Newton iteration on the
-strictly increasing lift.  One-parameter families T_delta = T0 + delta*eps
+strictly increasing lift, seeded by interpolating the lift's inverse from
+samples on a uniform grid.  One-parameter families T_delta = T0 + delta*eps
 model first-order perturbations of the dynamics.
 """
 
@@ -14,12 +15,13 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import (FourierSeries, antiderivative, constant, differentiate,
-                      horner_values, next_pow2, zeros)
+                      idft, next_pow2, zeros)
 
 EXPANSIVITY_MARGIN = 1e-9
 FAMILY_MARGIN = 0.05
 NEWTON_TOL = 1e-13
 NEWTON_MAXIT = 100
+PAIR_BLOCK = 16384  # points per Horner block; the (2, block) accumulator is 512 KB
 
 
 class NotExpandingError(ValueError):
@@ -33,6 +35,52 @@ class PreimageError(RuntimeError):
 def _validation_grid(order: int) -> np.ndarray:
     size = max(4096, next_pow2(8 * (order + 1)))
     return np.arange(size) / size
+
+
+def _half_spectrum(series: FourierSeries) -> np.ndarray:
+    """Rows (p, p') of modes 0..K of a real series, with mode 0 halved.
+
+    For the Hermitian coefficients c_n of p, p(y) = Re c_0 + 2 Re sum_{n>=1}
+    c_n z^n with z = e^{2 pi i y}, so both rows evaluate as 2 Re sum_{n>=0}.
+    """
+    upper = series.coeffs[series.order:]
+    rows = np.stack((upper, 2j * np.pi * np.arange(upper.size) * upper))
+    rows[:, 0] *= 0.5
+    return rows
+
+
+def _real_pair(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(p(y), p'(y)) from ``_half_spectrum`` rows in one Horner pass, stacked (2, n).
+
+    The points go through in blocks of PAIR_BLOCK, so that the accumulator
+    stays in cache across the pass over the modes.
+    """
+    out = np.empty((2, y.size))
+    for start in range(0, y.size, PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
+        z = np.exp(2j * np.pi * y[block])
+        acc = np.repeat(rows[:, -1:], z.size, axis=1)
+        for k in range(rows.shape[1] - 2, -1, -1):
+            acc *= z
+            acc += rows[:, k:k + 1]
+        out[:, block] = 2.0 * acc.real
+    return out
+
+
+def _seed_samples(series: FourierSeries) -> np.ndarray:
+    """p on a uniform grid sized from its order (never from the targets), by one FFT."""
+    return idft(series, next_pow2(max(16 * (series.order + 1), 4096))).samples
+
+
+def _interpolated_inverse(slope: float, samples: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Newton seed for y -> slope*y + p(y) = t, by linear interpolation of its inverse.
+
+    The inverse is (t - g(t)) / slope with g = p o inverse, which is
+    slope-periodic in t and known at the images of the grid nodes.
+    """
+    x = np.arange(samples.size) / samples.size
+    g = np.interp(targets, slope * x + samples, samples, period=slope)
+    return (targets - g) / slope
 
 
 def _solve_increasing(value_slope, target, seed, lo, hi,
@@ -131,11 +179,17 @@ class CircleMap:
     def __call__(self, x):
         return self.evaluate(x)
 
+    @cached_property
+    def _half(self) -> np.ndarray:
+        return _half_spectrum(self.periodic_part)
+
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        return _seed_samples(self.periodic_part)
+
     def _lift_pair(self, y):
-        """(L(y), L'(y)) with the unit-circle exponentials computed once."""
-        z = np.exp(2j * np.pi * y)
-        p = horner_values(self.periodic_part.coeffs, y, z).real
-        dp = horner_values(self._derivs[0].coeffs, y, z).real
+        """(L(y), L'(y)) from one real half-spectrum Horner pass."""
+        p, dp = _real_pair(self._half, y)
         return self.degree * y + p, self.degree + dp
 
     def invert_lift(self, targets):
@@ -143,9 +197,11 @@ class CircleMap:
         t = np.asarray(targets, dtype=float)
         scalar = t.ndim == 0
         tf = np.atleast_1d(t).ravel()
+        if tf.size == 0:
+            return np.zeros(t.shape)
         shift = np.floor((tf - self._lift0) / self.degree)
         base = tf - self.degree * shift  # now within [L(0), L(0)+d)
-        seed = (base - self._lift0) / self.degree
+        seed = _interpolated_inverse(self.degree, self._samples, base)
         lo = (base - self._p_hi) / self.degree
         hi = (base - self._p_lo) / self.degree
         y = _solve_increasing(self._lift_pair, base, seed, lo, hi) + shift
@@ -243,6 +299,14 @@ class CircleDiffeo:
     def _dq(self) -> FourierSeries:
         return differentiate(self.displacement)
 
+    @cached_property
+    def _half(self) -> np.ndarray:
+        return _half_spectrum(self.displacement)
+
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        return _seed_samples(self.displacement)
+
     def evaluate(self, x):
         return np.asarray(x, dtype=float) + self.displacement.evaluate(x)
 
@@ -250,9 +314,7 @@ class CircleDiffeo:
         return 1.0 + self._dq.evaluate(x)
 
     def _pair(self, y):
-        z = np.exp(2j * np.pi * y)
-        q = horner_values(self.displacement.coeffs, y, z).real
-        dq = horner_values(self._dq.coeffs, y, z).real
+        q, dq = _real_pair(self._half, y)
         return y + q, 1.0 + dq
 
     def invert(self, x):
@@ -260,7 +322,10 @@ class CircleDiffeo:
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
         flat = np.atleast_1d(xa).ravel()
-        y = _solve_increasing(self._pair, flat, flat,
+        if flat.size == 0:
+            return np.zeros(xa.shape)
+        y = _solve_increasing(self._pair, flat,
+                              _interpolated_inverse(1.0, self._samples, flat),
                               flat - self._q_hi, flat - self._q_lo)
         if scalar:
             return float(y[0])

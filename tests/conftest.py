@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from linresp import CircleMap, FourierSeries, ResponseProblem, doubling_map, sine
+from linresp import CircleMap, FourierSeries, ResponseProblem, cosine, doubling_map, sine
+from linresp.fourier import differentiate, horner_values
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +74,49 @@ def complex_minimal_norm(problem, target, weights, order):
     coef = vh[keep].conj().T @ ((u[:, keep].conj().T @ r) / s[keep])
     eps = FourierSeries(scale * coef).hermitian_symmetrized()
     return eps.coeffs, int(np.count_nonzero(keep))
+
+
+def steep_map():
+    """Degree 5 with min T' 1.67 and max T' 8.33: strong curvature for Newton."""
+    return CircleMap(5, sine(1, 0.4) + cosine(7, 0.02))
+
+
+def seeded_maps():
+    """Degree 2..6 maps with random_series periodic parts of order 3..7.
+
+    Each p is scaled so that max |p'| is a seeded fraction in [0.3, 0.9] of
+    d - 1, which keeps min T' above 1.
+    """
+    rng = np.random.default_rng(2024)
+    maps = []
+    for degree in range(2, 7):
+        periodic = random_series(rng, degree + 1, decay=0.3, zero_mean=True)
+        x = np.arange(4096) / 4096
+        slope = float(np.max(np.abs(differentiate(periodic).evaluate(x))))
+        maps.append(CircleMap(degree, periodic * (rng.uniform(0.3, 0.9) * (degree - 1) / slope)))
+    return maps
+
+
+def reference_invert_lift(circle_map, targets):
+    """Branch inversion by full-spectrum complex Horner pairs: the reference Newton.
+
+    Newton starts from the doubling-map seed (t - L(0))/d and shares only
+    ``_solve_increasing`` and its bracket with ``CircleMap.invert_lift``.
+    """
+    from linresp.maps import _solve_increasing
+
+    d = circle_map.degree
+    p = circle_map.periodic_part
+    dp = differentiate(p)
+
+    def lift_pair(y):
+        return (d * y + horner_values(p.coeffs, y).real,
+                d + horner_values(dp.coeffs, y).real)
+
+    t = np.asarray(targets, dtype=float)
+    lift0 = circle_map.lift(0.0)
+    shift = np.floor((t - lift0) / d)
+    base = t - d * shift
+    lo = (base - circle_map._p_hi) / d
+    hi = (base - circle_map._p_lo) / d
+    return _solve_increasing(lift_pair, base, (base - lift0) / d, lo, hi) + shift

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import random_series, reference_invert_lift, seeded_maps, steep_map
 from linresp import (CircleDiffeo, CircleMap, NotExpandingError, PerturbedFamily,
-                     constant, sine, zeros)
+                     PreimageError, SobolevWeights, constant, cosine, maps, sine, zeros)
+from linresp.control import minimal_norm_control
+from linresp.fourier import differentiate
 
 
 class TestCircleMap:
@@ -155,3 +158,131 @@ class TestCircleDiffeo:
     def test_from_density_requires_mean_one(self):
         with pytest.raises(ValueError, match="mean 1"):
             CircleDiffeo.from_density(constant(2.0))
+
+
+def _all_maps(doubling, wavy, triple):
+    shifted = CircleMap(3, cosine(1, 0.05).plus_constant(0.3))  # p has mean 0.3
+    return [doubling, wavy, triple, shifted, steep_map()] + seeded_maps()
+
+
+class TestEmptyInput:
+    def test_invert_lift(self, wavy):
+        assert wavy.invert_lift(np.array([])).shape == (0,)
+
+    def test_preimages(self, wavy, triple):
+        assert wavy.preimages(np.array([])).shape == (2, 0)
+        assert triple.preimages([]).shape == (3, 0)
+
+    def test_diffeo_invert(self):
+        h = CircleDiffeo(sine(1, 0.05))
+        assert h.invert(np.array([])).shape == (0,)
+
+
+class TestAgainstReference:
+    """The half-spectrum pair and interpolated seeds against the full-spectrum Newton."""
+
+    def test_invert_lift(self, doubling, wavy, triple):
+        rng = np.random.default_rng(31)
+        for circle_map in _all_maps(doubling, wavy, triple):
+            # several periods of the lift on either side of [L(0), L(0) + d)
+            t = rng.uniform(-2.0, circle_map.degree + 2.0, 500)
+            np.testing.assert_allclose(circle_map.invert_lift(t),
+                                       reference_invert_lift(circle_map, t),
+                                       rtol=0, atol=1e-13)
+
+    def test_preimages(self, doubling, wavy, triple):
+        rng = np.random.default_rng(32)
+        xs = rng.uniform(0, 1, 200)
+        for circle_map in _all_maps(doubling, wavy, triple):
+            kmin = np.ceil(circle_map.lift(0.0) - xs)
+            branches = np.arange(circle_map.degree)[:, None]
+            expected = reference_invert_lift(circle_map, xs + kmin + branches)
+            np.testing.assert_allclose(circle_map.preimages(xs), expected,
+                                       rtol=0, atol=1e-13)
+
+    def test_lift_pair(self, doubling, wavy, triple):
+        # two full Horner blocks and a partial one
+        x = np.linspace(-1.0, 2.0, 2 * maps.PAIR_BLOCK + 301)
+        for circle_map in _all_maps(doubling, wavy, triple):
+            value, slope = circle_map._lift_pair(x)
+            np.testing.assert_allclose(value, circle_map.lift(x), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(slope, circle_map.evaluate(x, 1), rtol=0, atol=1e-13)
+
+    def test_diffeo_round_trip(self, wavy_problem):
+        rng = np.random.default_rng(33)
+        q = random_series(rng, 6, zero_mean=True)
+        slope = float(np.max(np.abs(differentiate(q).evaluate(np.arange(4096) / 4096))))
+        x = np.linspace(-1.5, 2.5, 401)
+        for h in (CircleDiffeo(sine(1, 0.05 / (2 * np.pi))),
+                  CircleDiffeo(q * (0.8 / slope)),
+                  CircleDiffeo.from_density(wavy_problem.density)):
+            np.testing.assert_allclose(h.evaluate(h.invert(x)), x, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(h.invert(h.evaluate(x)), x, rtol=0, atol=1e-12)
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """Records the number of value_slope calls of every ``_solve_increasing`` run."""
+    calls = []
+    original = maps._solve_increasing
+
+    def counting(value_slope, *args, **kwargs):
+        count = [0]
+
+        def counted(y):
+            count[0] += 1
+            return value_slope(y)
+
+        try:
+            return original(counted, *args, **kwargs)
+        finally:
+            calls.append(count[0])
+
+    monkeypatch.setattr(maps, "_solve_increasing", counting)
+    return calls
+
+
+class TestNewtonSweeps:
+    """Interpolated seeds leave at most two Newton steps (three evaluations)."""
+
+    def _check(self, circle_map, calls):
+        calls.clear()
+        rng = np.random.default_rng(41)
+        circle_map.preimages(rng.uniform(0, 1, 1000))
+        circle_map.invert_lift(circle_map.lift(0.0)
+                               + np.linspace(0.0, circle_map.degree, 4097))
+        assert len(calls) == 2
+        assert max(calls) <= 3, calls
+
+    def test_perturbed_wavy(self, wavy, wavy_problem, newton_calls):
+        target = cosine(1) + cosine(3, 0.5)
+        eps = minimal_norm_control(wavy_problem, target,
+                                   SobolevWeights(a=0.5, d=1.0)).epsilon
+        self._check(PerturbedFamily(wavy, eps).member(1e-3), newton_calls)
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_seeded(self, index, newton_calls):
+        self._check(seeded_maps()[index], newton_calls)
+
+    def test_steep(self, newton_calls):
+        self._check(steep_map(), newton_calls)
+
+
+class TestNewtonFallback:
+    def test_bisection_meets_tolerance(self, newton_calls):
+        steep = steep_map()
+        base = steep.lift(0.0) + np.linspace(0.0, 5.0, 257)
+        lo = (base - steep._p_hi) / 5
+        hi = (base - steep._p_lo) / 5
+        seed = (base - steep.lift(0.0)) / 5
+        y = maps._solve_increasing(steep._lift_pair, base, seed, lo, hi, maxit=1)
+        assert newton_calls[-1] > 100  # the bisection sweeps ran
+        assert np.max(np.abs(steep._lift_pair(y)[0] - base)) < maps.NEWTON_TOL
+        np.testing.assert_allclose(y, steep.invert_lift(base), rtol=0, atol=1e-13)
+
+    def test_target_outside_bracket(self, wavy):
+        root = np.array([0.2, 0.6])
+        target = wavy.lift(root)
+        with pytest.raises(PreimageError, match="did not converge"):
+            maps._solve_increasing(wavy._lift_pair, target, root + 0.35,
+                                   root + 0.3, root + 0.4)
