@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import (FourierSeries, GridFunction, SobolevWeights,
-                      antiderivative, dft, differentiate, from_real_basis, idft,
-                      next_pow2, sobolev_norm, sup_norm, to_real_basis,
+                      antiderivative, dft, differentiate, from_real_basis,
+                      grid_values, next_pow2, sobolev_norm, sup_norm, to_real_basis,
                       to_real_basis_matrix)
 from .response import ResponseProblem, derivative_operator
 from .transfer import (_galerkin_entries, apply_transfer, apply_transfer_pointwise,
@@ -67,29 +67,27 @@ def _require_zero_mean(series: FourierSeries, what: str) -> None:
                          "integrate to 1, so the change must have zero mean")
 
 
-def step1_g(problem: ResponseProblem, target: FourierSeries,
-            out_order: int | None = None) -> FourierSeries:
+def step1_g(problem: ResponseProblem, target: FourierSeries) -> FourierSeries:
     """Solve L0(g) = (I - L0) rho1 in closed form.
 
     With f = (I - L0) rho1, the function g = (f o T0) * rho / (rho o T0)
     satisfies L0(g) = f exactly (the conjugacy to a Haar-preserving map,
     simplified so that no numerical inversion is needed).  Verified to
-    ||L0 g - f||_inf < 1e-9 and integral g = 0 within 1e-10.
+    ||L0 g - f||_inf < 1e-9 and integral g = 0 within 1e-10.  g is returned
+    at order (d+1) N, the bandwidth of f o T0.
     """
     _require_zero_mean(target, "target density change")
     circle_map, rho = problem.map, problem.density
     order = problem.order
-    if out_order is None:
-        out_order = (circle_map.degree + 1) * order
+    out_order = (circle_map.degree + 1) * order
     f = target.with_order(order) - apply_transfer(circle_map, target, out_order=order)
     size = next_pow2(max(4 * out_order, 512))
-    x = np.arange(size) / size
-    image = circle_map.lift(x)
-    values = f.evaluate(image) * rho.evaluate(x) / rho.evaluate(image)
+    image = circle_map.grid_values(size)
+    values = f.evaluate(image) * grid_values(rho, size) / rho.evaluate(image)
     g = dft(GridFunction(values), out_order)
     check = np.arange(1024) / 1024
     defect = float(np.max(np.abs(
-        apply_transfer_pointwise(circle_map, g, check) - f.evaluate(check))))
+        apply_transfer_pointwise(circle_map, g, check) - grid_values(f, check.size))))
     if defect > 1e-9:
         raise RuntimeError(f"step-1 verification failed: ||L g - f||_inf = {defect:.3e}")
     if abs(g.coeff(0)) > 1e-10:
@@ -97,36 +95,34 @@ def step1_g(problem: ResponseProblem, target: FourierSeries,
     return g
 
 
-def step2_epsilon(problem: ResponseProblem, g: FourierSeries,
-                  out_order: int | None = None) -> FourierSeries:
+def step2_epsilon(problem: ResponseProblem, g: FourierSeries) -> FourierSeries:
     """Solve the first-order linear ODE for eps in closed form.
 
     The equation -eps' rho/T' - eps rho'/T' + eps rho T''/(T')^2 = g is the
     exact derivative identity (eps*rho/T')' = -g, so with G the zero-mean
     primitive of g, eps = (T'/rho) (C - G), the free constant C fixed by
-    integral eps = 0.  The pointwise ODE residual is verified below 1e-9.
+    integral eps = 0, returned at order g.order + N.  The pointwise ODE
+    residual is verified below 1e-9.
     """
     _require_zero_mean(g, "step-2 right-hand side")
     circle_map, rho = problem.map, problem.density
-    if out_order is None:
-        out_order = g.order + problem.order
+    out_order = g.order + problem.order
     primitive = antiderivative(g)
     size = next_pow2(max(4 * out_order, 512))
-    x = np.arange(size) / size
-    base = circle_map.evaluate(x, 1) / rho.evaluate(x)
-    gvals = primitive.evaluate(x)
+    base = circle_map.grid_values(size, 1) / grid_values(rho, size)
+    gvals = grid_values(primitive, size)
     c = float(np.mean(base * gvals) / np.mean(base))
     eps = dft(GridFunction(base * (c - gvals)), out_order)
 
-    check = np.arange(1024) / 1024
-    tp = circle_map.evaluate(check, 1)
-    tpp = circle_map.evaluate(check, 2)
-    rv = rho.evaluate(check)
-    rpv = differentiate(rho).evaluate(check)
-    ev = eps.evaluate(check)
-    epv = differentiate(eps).evaluate(check)
+    check = 1024
+    tp = circle_map.grid_values(check, 1)
+    tpp = circle_map.grid_values(check, 2)
+    rv = grid_values(rho, check)
+    rpv = grid_values(differentiate(rho), check)
+    ev = grid_values(eps, check)
+    epv = grid_values(differentiate(eps), check)
     residual = float(np.max(np.abs(
-        -epv * rv / tp - ev * rpv / tp + ev * rv * tpp / tp**2 - g.evaluate(check))))
+        -epv * rv / tp - ev * rpv / tp + ev * rv * tpp / tp**2 - grid_values(g, check))))
     if residual > 1e-9:
         raise RuntimeError(f"step-2 ODE residual {residual:.3e} > 1e-9")
     return eps
@@ -151,12 +147,11 @@ def constraint_matrix(problem: ResponseProblem, order: int) -> np.ndarray:
     """
     circle_map, rho = problem.map, problem.density
     size = next_pow2(max(8 * order, 256))
-    x = np.arange(size) / size
-    mult = dft(GridFunction(rho.evaluate(x) / circle_map.evaluate(x, 1)), order)
+    mult = dft(GridFunction(grid_values(rho, size) / circle_map.grid_values(size, 1)), order)
 
     # Quadrature for products of order-N data with the order-N multiplier.
     quad = quadrature_size(circle_map, order, max(16 * order, 256))
-    weight = idft(mult, quad).samples * circle_map.evaluate(np.arange(quad) / quad, 1)
+    weight = grid_values(mult, quad) * circle_map.grid_values(quad, 1)
     j = np.arange(-order, order + 1)
     matrix = (-2j * np.pi * j)[:, None] * _galerkin_entries(circle_map, order, order,
                                                              quad, weight)

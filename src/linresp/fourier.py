@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_ORDER = 64
+HORNER_BLOCK = 16384  # points per Horner block; a two-row accumulator is 512 KB
 
 
 def next_pow2(n: int) -> int:
@@ -117,18 +118,12 @@ class FourierSeries:
     def evaluate(self, x):
         """Evaluate at points x (scalar or array); returns real values.
 
-        Raises if the imaginary residue exceeds 1e-12 relative to the
-        coefficient mass, which signals broken Hermitian symmetry.
+        One real Horner pass over the modes 0..N (``real_horner``).  Raises if
+        the coefficients are not Hermitian to 1e-12 of their mass.
         """
         xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        flat = np.atleast_1d(xa).ravel()
-        out = horner_values(self.coeffs, flat)
-        _check_imag(out, float(np.sum(np.abs(self.coeffs))))
-        vals = out.real
-        if scalar:
-            return float(vals[0])
-        return vals.reshape(xa.shape)
+        vals = real_horner(half_spectrum(self), xa.ravel())[0].reshape(xa.shape)
+        return float(vals) if xa.ndim == 0 else vals
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -180,20 +175,48 @@ class FourierSeries:
         return cls(np.array([complex(re, im) for re, im in pairs]))
 
 
-def horner_values(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Complex series values by Horner recurrence on the unit circle.
+def half_spectrum(*series: FourierSeries) -> np.ndarray:
+    """Rows of modes 0..N of real series of one order, with mode 0 halved.
 
-    Stable because |e^{2 pi i x}| == 1.
+    For Hermitian coefficients c_n, f(y) = Re c_0 + 2 Re sum_{n>=1} c_n z^n
+    with z = e^{2 pi i y}, so each row evaluates as 2 Re sum_{n>=0}.  Raises
+    if a series is not Hermitian: the negative modes are never read again.
     """
-    z = np.exp(2j * np.pi * x)
-    acc = np.full(x.shape, coeffs[-1], dtype=complex)
-    for k in range(coeffs.size - 2, -1, -1):
-        acc *= z
-        acc += coeffs[k]
-    order = (coeffs.size - 1) // 2
-    if order:
-        acc *= np.exp(-2j * np.pi * order * x)
-    return acc
+    for s in series:
+        _require_hermitian(s)
+    rows = np.stack([s.coeffs[s.order:] for s in series])
+    rows[:, 0] *= 0.5
+    return rows
+
+
+def real_horner(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Values at y of the ``half_spectrum`` rows in one Horner pass, stacked (rows, n).
+
+    The points go through in blocks of HORNER_BLOCK, so that the accumulator
+    stays in cache across the pass over the modes.
+    """
+    out = np.empty((rows.shape[0], y.size))
+    for start in range(0, y.size, HORNER_BLOCK):
+        block = slice(start, start + HORNER_BLOCK)
+        z = np.exp(2j * np.pi * y[block])
+        acc = np.repeat(rows[:, -1:], z.size, axis=1)
+        for k in range(rows.shape[1] - 2, -1, -1):
+            acc *= z
+            acc += rows[:, k:k + 1]
+        out[:, block] = 2.0 * acc.real
+    return out
+
+
+def grid_values(series: FourierSeries, size: int) -> np.ndarray:
+    """Values at x_j = j/size by one inverse FFT.
+
+    Modes with |n| > size/2 fold onto n mod size, which is exact for point
+    values.  Raises if the coefficients are not Hermitian.
+    """
+    _require_hermitian(series)
+    spectrum = np.zeros(size, dtype=complex)
+    np.add.at(spectrum, series.modes % size, series.coeffs)
+    return np.fft.ifft(spectrum).real * size
 
 
 def _real_scalar(scalar) -> float:
@@ -202,6 +225,13 @@ def _real_scalar(scalar) -> float:
             raise TypeError("only real scalars keep the function real-valued")
         return scalar.real
     return float(scalar)
+
+
+def _require_hermitian(series: FourierSeries) -> None:
+    defect = series.hermitian_defect
+    if defect > 1e-12 * max(1.0, float(np.sum(np.abs(series.coeffs)))):
+        raise ValueError(f"Hermitian defect {defect:.3e} exceeds tolerance; "
+                         "the series is not real-valued")
 
 
 def _check_imag(values: np.ndarray, coeff_mass: float) -> None:
@@ -327,11 +357,7 @@ def idft(series: FourierSeries, size: int) -> GridFunction:
     if size < 2 * series.order + 1:
         raise ValueError(
             f"grid size {size} < 2*{series.order}+1 cannot carry all modes")
-    spectrum = np.zeros(size, dtype=complex)
-    spectrum[series.modes % size] = series.coeffs
-    values = np.fft.ifft(spectrum) * size
-    _check_imag(values, float(np.sum(np.abs(series.coeffs))))
-    return GridFunction(values.real.copy())
+    return GridFunction(grid_values(series, size))
 
 
 def differentiate(series: FourierSeries, order: int = 1) -> FourierSeries:

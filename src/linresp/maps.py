@@ -15,13 +15,12 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import (FourierSeries, antiderivative, constant, differentiate,
-                      idft, next_pow2, zeros)
+                      grid_values, half_spectrum, next_pow2, real_horner, zeros)
 
 EXPANSIVITY_MARGIN = 1e-9
 FAMILY_MARGIN = 0.05
 NEWTON_TOL = 1e-13
 NEWTON_MAXIT = 100
-PAIR_BLOCK = 16384  # points per Horner block; the (2, block) accumulator is 512 KB
 
 
 class NotExpandingError(ValueError):
@@ -32,44 +31,10 @@ class PreimageError(RuntimeError):
     """Branch inversion failed to converge; the map is corrupted."""
 
 
-def _validation_grid(order: int) -> np.ndarray:
-    size = max(4096, next_pow2(8 * (order + 1)))
-    return np.arange(size) / size
-
-
-def _half_spectrum(series: FourierSeries) -> np.ndarray:
-    """Rows (p, p') of modes 0..K of a real series, with mode 0 halved.
-
-    For the Hermitian coefficients c_n of p, p(y) = Re c_0 + 2 Re sum_{n>=1}
-    c_n z^n with z = e^{2 pi i y}, so both rows evaluate as 2 Re sum_{n>=0}.
-    """
-    upper = series.coeffs[series.order:]
-    rows = np.stack((upper, 2j * np.pi * np.arange(upper.size) * upper))
-    rows[:, 0] *= 0.5
-    return rows
-
-
-def _real_pair(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(p(y), p'(y)) from ``_half_spectrum`` rows in one Horner pass, stacked (2, n).
-
-    The points go through in blocks of PAIR_BLOCK, so that the accumulator
-    stays in cache across the pass over the modes.
-    """
-    out = np.empty((2, y.size))
-    for start in range(0, y.size, PAIR_BLOCK):
-        block = slice(start, start + PAIR_BLOCK)
-        z = np.exp(2j * np.pi * y[block])
-        acc = np.repeat(rows[:, -1:], z.size, axis=1)
-        for k in range(rows.shape[1] - 2, -1, -1):
-            acc *= z
-            acc += rows[:, k:k + 1]
-        out[:, block] = 2.0 * acc.real
-    return out
-
-
-def _seed_samples(series: FourierSeries) -> np.ndarray:
-    """p on a uniform grid sized from its order (never from the targets), by one FFT."""
-    return idft(series, next_pow2(max(16 * (series.order + 1), 4096))).samples
+def _validation_size(order: int) -> int:
+    # The construction checks' samples of p also seed Newton: sized from the
+    # order of p, never from the targets of an inversion.
+    return next_pow2(max(16 * (order + 1), 4096))
 
 
 def _interpolated_inverse(slope: float, samples: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -135,18 +100,19 @@ class CircleMap:
         if d < 2:
             raise ValueError(f"degree must be >= 2, got {self.degree}")
         object.__setattr__(self, "degree", d)
-        x = _validation_grid(self.periodic_part.order)
-        deriv = d + differentiate(self.periodic_part).evaluate(x)
+        size = _validation_size(self.periodic_part.order)
+        deriv = d + grid_values(self._derivs[0], size)
         min_deriv = float(np.min(deriv))
         if min_deriv <= 1.0 + EXPANSIVITY_MARGIN:
             raise NotExpandingError(
                 f"min lift derivative {min_deriv:.6g} <= 1: map is not expanding")
-        pvals = self.periodic_part.evaluate(x)
+        pvals = grid_values(self.periodic_part, size)
         pad = 1e-9 + 1e-3 * (float(np.max(pvals)) - float(np.min(pvals)))
         object.__setattr__(self, "_min_deriv", min_deriv)
         object.__setattr__(self, "_max_deriv", float(np.max(deriv)))
         object.__setattr__(self, "_p_lo", float(np.min(pvals)) - pad)
         object.__setattr__(self, "_p_hi", float(np.max(pvals)) + pad)
+        object.__setattr__(self, "_samples", pvals)
         object.__setattr__(self, "_lift0", float(self.periodic_part.evaluate(0.0)))
 
     @cached_property
@@ -166,6 +132,16 @@ class CircleMap:
     def lift(self, x):
         return self.degree * np.asarray(x, dtype=float) + self.periodic_part.evaluate(x)
 
+    def grid_values(self, size: int, deriv: int = 0) -> np.ndarray:
+        """The lift (deriv=0, not reduced mod 1) or T', T'' at x_j = j/size, by one FFT."""
+        if deriv == 0:
+            return self.degree * (np.arange(size) / size) + grid_values(self.periodic_part, size)
+        if deriv == 1:
+            return self.degree + grid_values(self._derivs[0], size)
+        if deriv == 2:
+            return grid_values(self._derivs[1], size)
+        raise ValueError("deriv must be in 0..2")
+
     def evaluate(self, x, deriv: int = 0):
         """Map value (mod 1) for deriv=0; T', T'', T''' for deriv=1..3."""
         if deriv == 0:
@@ -181,15 +157,11 @@ class CircleMap:
 
     @cached_property
     def _half(self) -> np.ndarray:
-        return _half_spectrum(self.periodic_part)
-
-    @cached_property
-    def _samples(self) -> np.ndarray:
-        return _seed_samples(self.periodic_part)
+        return half_spectrum(self.periodic_part, self._derivs[0])
 
     def _lift_pair(self, y):
         """(L(y), L'(y)) from one real half-spectrum Horner pass."""
-        p, dp = _real_pair(self._half, y)
+        p, dp = real_horner(self._half, y)
         return self.degree * y + p, self.degree + dp
 
     def invert_lift(self, targets):
@@ -250,8 +222,8 @@ class PerturbedFamily:
 
     @cached_property
     def delta_max(self) -> float:
-        x = _validation_grid(self.direction.order)
-        slope = float(np.max(np.abs(differentiate(self.direction).evaluate(x))))
+        size = _validation_size(self.direction.order)
+        slope = float(np.max(np.abs(grid_values(differentiate(self.direction), size))))
         room = self.base.min_derivative - 1.0 - FAMILY_MARGIN
         if room <= 0.0:
             return 0.0
@@ -286,14 +258,15 @@ class CircleDiffeo:
     displacement: FourierSeries
 
     def __post_init__(self) -> None:
-        x = _validation_grid(self.displacement.order)
-        deriv = 1.0 + differentiate(self.displacement).evaluate(x)
+        size = _validation_size(self.displacement.order)
+        deriv = 1.0 + grid_values(self._dq, size)
         if float(np.min(deriv)) <= 0.0:
             raise ValueError("h' <= 0 somewhere: not a diffeomorphism")
-        q = self.displacement.evaluate(x)
+        q = grid_values(self.displacement, size)
         pad = 1e-9 + 1e-3 * (float(np.max(q)) - float(np.min(q)))
         object.__setattr__(self, "_q_lo", float(np.min(q)) - pad)
         object.__setattr__(self, "_q_hi", float(np.max(q)) + pad)
+        object.__setattr__(self, "_samples", q)
 
     @cached_property
     def _dq(self) -> FourierSeries:
@@ -301,11 +274,7 @@ class CircleDiffeo:
 
     @cached_property
     def _half(self) -> np.ndarray:
-        return _half_spectrum(self.displacement)
-
-    @cached_property
-    def _samples(self) -> np.ndarray:
-        return _seed_samples(self.displacement)
+        return half_spectrum(self.displacement, self._dq)
 
     def evaluate(self, x):
         return np.asarray(x, dtype=float) + self.displacement.evaluate(x)
@@ -314,7 +283,7 @@ class CircleDiffeo:
         return 1.0 + self._dq.evaluate(x)
 
     def _pair(self, y):
-        q, dq = _real_pair(self._half, y)
+        q, dq = real_horner(self._half, y)
         return y + q, 1.0 + dq
 
     def invert(self, x):

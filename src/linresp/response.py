@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .fourier import (DEFAULT_ORDER, FourierSeries, GridFunction, dft,
-                      differentiate, l1_norm, next_pow2, sup_norm)
+                      differentiate, grid_values, l1_norm, next_pow2, sup_norm)
 from .maps import CircleMap, PerturbedFamily
 from .transfer import (TransferMatrix, apply_transfer, fixed_point_residual,
                        galerkin_matrix, invariant_density, solve_zero_mean)
@@ -82,16 +80,15 @@ def derivative_operator(problem: ResponseProblem, direction: FourierSeries,
     circle_map, order = problem.map, problem.order
     pad = PAD_FACTOR * order
     size = next_pow2(max(2 * pad + 2, 2 * direction.order + 2, 2 * w.order + 2))
-    x = np.arange(size) / size
-    ev = direction.evaluate(x)
-    wv = w.evaluate(x)
-    tp = circle_map.evaluate(x, 1)
+    ev = grid_values(direction, size)
+    wv = grid_values(w, size)
+    tp = circle_map.grid_values(size, 1)
     product = dft(GridFunction(ev * wv / tp), pad)
     result = apply_transfer(circle_map, -differentiate(product), out_order=order)
     if check:
-        epv = differentiate(direction).evaluate(x)
-        wpv = differentiate(w).evaluate(x)
-        tpp = circle_map.evaluate(x, 2)
+        epv = grid_values(differentiate(direction), size)
+        wpv = grid_values(differentiate(w), size)
+        tpp = circle_map.grid_values(size, 2)
         combined = dft(GridFunction(-wv * epv / tp - ev * wpv / tp
                                     + ev * tpp * wv / tp**2), pad)
         alt = apply_transfer(circle_map, combined, out_order=order)

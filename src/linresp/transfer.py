@@ -5,7 +5,8 @@ densities forward, preserves the integral, and on the zero-mean subspace
 I - L is invertible (spectral gap), which is what the response and control
 solvers exploit.  The Galerkin matrix in the Fourier basis is assembled via
 the duality  integral (L w) phi = integral w (phi o T), so no preimages are
-needed for matrix entries; each row is one FFT.
+needed for matrix entries; each row is one FFT.  The same duality applies L
+to a series; Newton preimages serve the pointwise checks only.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import (DEFAULT_ORDER, FourierSeries, GridFunction, dft, idft,
-                      next_pow2)
+from .fourier import (DEFAULT_ORDER, FourierSeries, GridFunction, dft, grid_values,
+                      idft, next_pow2)
 from .maps import CircleDiffeo, CircleMap
 
 QUADRATURE_FACTOR = 8
@@ -84,7 +85,7 @@ def _galerkin_entries(circle_map: CircleMap, row_order: int, col_order: int,
     Row j is the inverse FFT of w z^j, z = e^{-2 pi i T}, with the powers by
     running product; rows j < 0 follow by conjugate symmetry for real w.
     """
-    z = np.exp(-2j * np.pi * circle_map.lift(np.arange(quad_size) / quad_size))
+    z = np.exp(-2j * np.pi * circle_map.grid_values(quad_size))
     powers = np.empty((row_order + 1, quad_size), dtype=complex)
     powers[0] = weight
     for j in range(1, row_order + 1):
@@ -122,14 +123,15 @@ def apply_transfer_pointwise(circle_map: CircleMap, series: FourierSeries,
     return values.sum(axis=0)
 
 
-def apply_transfer(circle_map: CircleMap, w, out_order: int | None = None,
-                   sample_size: int | None = None):
+def apply_transfer(circle_map: CircleMap, w, out_order: int | None = None):
     """Apply the transfer operator; returns the same kind as the input.
 
     Grid input is interpreted as the trigonometric interpolant of its
-    samples and the result is returned on the same grid.  Series input is
-    sampled on a fine grid (default next_pow2(max(8*out_order, 2N+2))) and
-    re-projected at ``out_order`` (defaults to the input order).
+    samples and the result is returned on the same grid, through Newton
+    preimages.  Series input needs no preimages: by duality, mode j of L w is
+    the integral of w e^{-2 pi i j T}, the grid mean of w z^j with the powers
+    by running product, for 0 <= j <= ``out_order`` (defaults to the input
+    order); modes j < 0 follow by conjugation.
     """
     if isinstance(w, GridFunction):
         series = dft(w, (w.size - 1) // 2)
@@ -138,12 +140,19 @@ def apply_transfer(circle_map: CircleMap, w, out_order: int | None = None,
         raise TypeError("w must be a GridFunction or FourierSeries")
     if out_order is None:
         out_order = w.order
-    if sample_size is None:
-        sample_size = next_pow2(max(QUADRATURE_FACTOR * out_order,
-                                    2 * w.order + 2, 256))
-    x = np.arange(sample_size) / sample_size
-    values = apply_transfer_pointwise(circle_map, w, x)
-    return dft(GridFunction(values), out_order)
+    # w z^j has a bandwidth of about w.order + j max T'; the margin of 16(K+1)
+    # for a periodic part of order K covers the tail of e^{-2 pi i j p}.
+    reach = w.order + out_order * circle_map.max_derivative
+    size = next_pow2(max(QUADRATURE_FACTOR * out_order, 2 * w.order + 2, 128,
+                         int(np.ceil(reach)) + 16 * (circle_map.periodic_part.order + 1)))
+    z = np.exp(-2j * np.pi * circle_map.grid_values(size))
+    acc = grid_values(w, size).astype(complex)
+    upper = np.empty(out_order + 1, dtype=complex)
+    for j in range(out_order + 1):
+        upper[j] = acc.sum()
+        acc *= z
+    upper /= size
+    return FourierSeries(np.concatenate((np.conj(upper[:0:-1]), upper)))
 
 
 def fixed_point_residual(circle_map: CircleMap, density: FourierSeries,
@@ -151,7 +160,7 @@ def fixed_point_residual(circle_map: CircleMap, density: FourierSeries,
     """sup norm of L(rho) - rho, evaluated pointwise (not in the Galerkin system)."""
     x = np.arange(grid) / grid
     return float(np.max(np.abs(
-        apply_transfer_pointwise(circle_map, density, x) - density.evaluate(x))))
+        apply_transfer_pointwise(circle_map, density, x) - grid_values(density, grid))))
 
 
 def invariant_density(circle_map: CircleMap, order: int = DEFAULT_ORDER,
@@ -226,16 +235,15 @@ def solve_zero_mean(circle_map: CircleMap, rhs: FourierSeries,
 
 
 def build_conjugate(circle_map: CircleMap, diffeo: CircleDiffeo,
-                    order: int = 128, sample_size: int | None = None) -> CircleMap:
+                    order: int = 128) -> CircleMap:
     """The conjugated map S = h o T o h^{-1} as a CircleMap.
 
     S's periodic part is sampled through Newton inversion of h and
     re-projected, so downstream transfer applications of S use their own
     preimages and derivatives rather than the conjugacy's chain rule.
     """
-    if sample_size is None:
-        sample_size = next_pow2(max(8 * order, 1024))
-    x = np.arange(sample_size) / sample_size
+    size = next_pow2(max(8 * order, 1024))
+    x = np.arange(size) / size
     inner = diffeo.invert(x)
     lifted = circle_map.lift(inner)
     outer = lifted + diffeo.displacement.evaluate(lifted)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from linresp import CircleMap, FourierSeries, ResponseProblem, cosine, doubling_map, sine
-from linresp.fourier import differentiate, horner_values
+from linresp.fourier import differentiate
 
 
 @pytest.fixture(scope="session")
@@ -95,6 +95,19 @@ def seeded_maps():
         slope = float(np.max(np.abs(differentiate(periodic).evaluate(x))))
         maps.append(CircleMap(degree, periodic * (rng.uniform(0.3, 0.9) * (degree - 1) / slope)))
     return maps
+
+
+def horner_values(coeffs, x):
+    """Complex series values by a full-spectrum Horner pass: the reference evaluation."""
+    z = np.exp(2j * np.pi * x)
+    acc = np.full(x.shape, coeffs[-1], dtype=complex)
+    for k in range(coeffs.size - 2, -1, -1):
+        acc *= z
+        acc += coeffs[k]
+    order = (coeffs.size - 1) // 2
+    if order:
+        acc *= np.exp(-2j * np.pi * order * x)
+    return acc
 
 
 def reference_invert_lift(circle_map, targets):

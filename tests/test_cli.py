@@ -46,6 +46,39 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize("entries", [
+        {"weights": "abc"},
+        {"target": {"preset": "sin", "scale": [1]}},
+        {"N": None},
+        {"grid": None},
+    ], ids=["weights-string", "scale-list", "N-null", "grid-null"])
+    def test_malformed_entries_are_config_errors(self, tmp_path, capsys, entries):
+        path = write_config(tmp_path, **entries)
+        assert main(["density", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_non_hermitian_map_refused(self, tmp_path, capsys):
+        # mode +1 without its conjugate at mode -1: not a real periodic part
+        crooked = {"degree": 2,
+                   "periodic_part": {"N": 1, "coeffs": [[0.0, 0.0], [0.0, 0.0], [0.05, 0.0]]}}
+        path = write_config(tmp_path, map=crooked)
+        assert main(["density", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Hermitian" in err
+
+    def test_csv_rows_match_format_17g(self, tmp_path):
+        # more rows than one CSV_BLOCK, and values whose shortest form differs
+        rng = np.random.default_rng(5)
+        xs = np.arange(cli.CSV_BLOCK + 7) / 3.0
+        values = rng.normal(size=xs.size) * 10.0 ** rng.integers(-300, 300, xs.size)
+        values[:3] = [-0.0, 0.1, 1e-320]
+        cli._write_csv(tmp_path / "t.csv", ("x", "value"), xs, values)
+        expected = "x,value\n" + "".join(f"{format(float(x), '.17g')},{format(float(v), '.17g')}\n"
+                                         for x, v in zip(xs, values))
+        assert (tmp_path / "t.csv").read_text() == expected
+
     def test_canonical_floats(self):
         text = canonical_json({"x": 0.1, "flag": True, "n": 3})
         assert text == '{"x":0.10000000000000001,"flag":true,"n":3}'

@@ -69,6 +69,22 @@ class TestIdft:
         with pytest.raises(ValueError, match="Hermitian"):
             idft(crooked, 8)
 
+    def test_evaluate_refuses_broken_symmetry(self):
+        # evaluation reads modes 0..N only, so the check is on the coefficients
+        crooked = FourierSeries(np.array([0.0, 0.0, 1.0], dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            crooked.evaluate(np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            crooked.evaluate(0.3)
+
+    def test_grid_values_fold_high_modes(self):
+        # modes beyond size/2 fold onto n mod size: exact point values
+        from linresp.fourier import grid_values
+        f = random_series(np.random.default_rng(11), 40)
+        x = np.arange(16) / 16
+        np.testing.assert_allclose(grid_values(f, 16), f.evaluate(x), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grid_values(f, 128), idft(f, 128).samples, rtol=0, atol=0)
+
 
 class TestDifferentiate:
     def test_sine(self):

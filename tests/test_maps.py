@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_series, reference_invert_lift, seeded_maps, steep_map
-from linresp import (CircleDiffeo, CircleMap, NotExpandingError, PerturbedFamily,
-                     PreimageError, SobolevWeights, constant, cosine, maps, sine, zeros)
+from conftest import (horner_values, random_series, reference_invert_lift, seeded_maps,
+                      steep_map)
+from linresp import (CircleDiffeo, CircleMap, FourierSeries, NotExpandingError,
+                     PerturbedFamily, PreimageError, SobolevWeights, constant, cosine,
+                     fourier, maps, sine, zeros)
 from linresp.control import minimal_norm_control
 from linresp.fourier import differentiate
 
@@ -14,6 +16,11 @@ class TestCircleMap:
         assert doubling.evaluate(0.3, 1) == 2.0
         assert doubling.evaluate(0.3, 2) == 0.0
         assert doubling.evaluate(0.3, 3) == 0.0
+
+    def test_non_hermitian_periodic_part_refused(self):
+        crooked = FourierSeries(np.array([0.0, 0.0, 0.05], dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            CircleMap(2, crooked)
 
     def test_wavy_derivative_at_zero(self, wavy):
         # p = 0.1 sin(2 pi x), so T'(0) = 2 + 0.2 pi
@@ -201,12 +208,16 @@ class TestAgainstReference:
                                        rtol=0, atol=1e-13)
 
     def test_lift_pair(self, doubling, wavy, triple):
-        # two full Horner blocks and a partial one
-        x = np.linspace(-1.0, 2.0, 2 * maps.PAIR_BLOCK + 301)
+        # two full Horner blocks and a partial one, against the full-spectrum pass
+        x = np.linspace(-1.0, 2.0, 2 * fourier.HORNER_BLOCK + 301)
         for circle_map in _all_maps(doubling, wavy, triple):
+            d, p = circle_map.degree, circle_map.periodic_part
             value, slope = circle_map._lift_pair(x)
-            np.testing.assert_allclose(value, circle_map.lift(x), rtol=0, atol=1e-13)
-            np.testing.assert_allclose(slope, circle_map.evaluate(x, 1), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(value, d * x + horner_values(p.coeffs, x).real,
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(
+                slope, d + horner_values(differentiate(p).coeffs, x).real, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(circle_map.lift(x), value, rtol=0, atol=1e-13)
 
     def test_diffeo_round_trip(self, wavy_problem):
         rng = np.random.default_rng(33)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from linresp import (CircleDiffeo, GridFunction, apply_transfer,
-                     build_conjugate, compare_l1, constant, cosine,
-                     fixed_point_residual, galerkin_matrix, idft,
+from linresp import (CircleDiffeo, CircleMap, GridFunction, SobolevWeights, apply_transfer,
+                     build_conjugate, compare_l1, constant, cosine, derivative_operator,
+                     dft, fixed_point_residual, forward_response, galerkin_matrix, idft,
                      invariant_density, sine, solve_zero_mean, sup_norm,
                      transfer_conjugacy_check, ulam_build, zeros)
+from linresp.control import minimal_norm_control
+from linresp.transfer import apply_transfer_pointwise
 
-from conftest import direct_galerkin_entries, random_series
+from conftest import direct_galerkin_entries, random_series, seeded_maps, steep_map
 
 
 class TestApplyTransfer:
@@ -56,6 +58,47 @@ class TestApplyTransfer:
         assert np.min(out.samples) > -1e-12
 
 
+class TestPreimageFreeTransfer:
+    """apply_transfer on a series by duality, against the Newton-preimage route."""
+
+    @pytest.mark.parametrize("name", ["doubling", "wavy", "triple", "steep"]
+                             + [f"seeded{i}" for i in range(5)])
+    @pytest.mark.parametrize("out", [8, 32, 128])
+    def test_matches_newton_route(self, request, name, out):
+        if name == "steep":
+            circle_map = steep_map()
+        elif name.startswith("seeded"):
+            circle_map = seeded_maps()[int(name[6:])]
+        else:
+            circle_map = request.getfixturevalue(name)
+        w = random_series(np.random.default_rng(out), 4 * out, decay=0.05)
+        size = max(1024, 16 * out)
+        x = np.arange(size) / size
+        reference = dft(GridFunction(apply_transfer_pointwise(circle_map, w, x)), out)
+        got = apply_transfer(circle_map, w, out_order=out)
+        scale = np.max(np.abs(reference.coeffs))
+        assert np.max(np.abs(got.coeffs - reference.coeffs)) <= 1e-12 * scale
+
+    def test_production_paths_compute_no_preimages(self, wavy_problem, monkeypatch):
+        calls = []
+        original = CircleMap.invert_lift
+
+        def counted(self, targets):
+            calls.append(np.size(targets))
+            return original(self, targets)
+
+        monkeypatch.setattr(CircleMap, "invert_lift", counted)
+        eps = cosine(1, 0.01) + sine(3, 0.02)
+        derivative_operator(wavy_problem, eps, wavy_problem.density)
+        forward_response(wavy_problem, eps)
+        minimal_norm_control(wavy_problem, cosine(1) + cosine(3, 0.5),
+                             SobolevWeights(0.5, 0.0, 0.0, 1.0))
+        assert calls == []
+        # the independent checks still use Newton preimages
+        fixed_point_residual(wavy_problem.map, wavy_problem.density)
+        assert calls
+
+
 class TestGalerkinMatrix:
     def test_doubling_shift_structure(self, doubling):
         m = galerkin_matrix(doubling, 8)
@@ -76,12 +119,13 @@ class TestGalerkinMatrix:
         assert np.max(np.abs(eigs)) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_pointwise_application(self, wavy):
-        # degree <= N/2 polynomials: matrix and pointwise route agree
+        # degree <= N/2 polynomials: matrix and Newton-preimage route agree
         rng = np.random.default_rng(47)
         m = galerkin_matrix(wavy, 32)
         w = random_series(rng, 16)
         via_matrix = m.apply(w)
-        via_points = apply_transfer(wavy, w, out_order=32)
+        x = np.arange(256) / 256
+        via_points = dft(GridFunction(apply_transfer_pointwise(wavy, w, x)), 32)
         assert np.max(np.abs(via_matrix.coeffs - via_points.coeffs)) < 1e-8
 
     @pytest.mark.parametrize("name", ["wavy", "triple"])
