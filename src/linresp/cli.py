@@ -25,7 +25,7 @@ from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, cosine,
                       idft, next_pow2, sine, sup_norm)
 from .maps import CircleMap, PerturbedFamily, PreimageError
 from .response import ResponseProblem, forward_response
-from .transfer import SpectralGapError, invariant_density
+from .transfer import SpectralGapError
 from .verify import compare_l1, fd_response
 
 EXIT_OK = 0
@@ -39,6 +39,7 @@ NEGLIGIBLE_RESPONSE = 1e-7
 CSV_BLOCK = 4096  # rows per format call
 
 TWO_PI = 2.0 * np.pi
+CONFIG_KEYS = ("map", "N", "grid", "target", "epsilon", "weights", "verify")
 
 
 def _presets() -> dict[str, FourierSeries]:
@@ -89,6 +90,22 @@ def _parsed(what: str, parse, value):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+def _integer(what: str, value, low: int) -> int:
+    """An integral number >= low as an int; booleans and fractions are refused."""
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       (isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{what} must be >= {low}")
+    return int(value)
+
+
+def _known_keys(block: dict, known: tuple[str, ...], what: str) -> None:
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; expected some of {list(known)}")
+
+
 def _parse_series(value, what: str) -> FourierSeries:
     presets = _presets()
     if isinstance(value, str):
@@ -129,27 +146,31 @@ class JobConfig:
     def from_dict(cls, data: dict) -> "JobConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
+        _known_keys(data, CONFIG_KEYS, "config")
         if "map" not in data:
             raise ConfigError("config needs a 'map' entry")
+        if isinstance(data["map"], dict) and "degree" in data["map"]:
+            _integer("map degree", data["map"]["degree"], 2)
         circle_map = _parsed("map", CircleMap.from_dict, data["map"])
-        order = _parsed("N", int, data.get("N", DEFAULT_ORDER))
-        if order < 1:
-            raise ConfigError("N must be >= 1")
-        grid = next_pow2(_parsed("grid", int, data.get("grid", 512)))
+        order = _integer("N", data.get("N", DEFAULT_ORDER), 1)
+        grid = next_pow2(_integer("grid", data.get("grid", 512), 1))
         target = _parse_series(data["target"], "target") if "target" in data else None
         epsilon = _parse_series(data["epsilon"], "epsilon") if "epsilon" in data else None
         raw_weights = data.get("weights", {})
         if not isinstance(raw_weights, dict):
             raise ConfigError("weights must be an object with keys a, b, c, d")
+        _known_keys(raw_weights, ("a", "b", "c", "d"), "weights")
         weights = _parsed("weights", SobolevWeights.from_dict, raw_weights)
         verify = None
         if "verify" in data:
-            verify = _parsed("verify block", lambda block: VerifySettings(
-                float(block["delta"]), int(block["bins"])), data["verify"])
+            block = data["verify"]
+            if not isinstance(block, dict):
+                raise ConfigError("verify must be an object with keys delta, bins")
+            _known_keys(block, ("delta", "bins"), "verify")
+            verify = VerifySettings(_parsed("verify.delta", float, block.get("delta")),
+                                    _integer("verify.bins", block.get("bins"), 2))
             if not (verify.delta > 0 and np.isfinite(verify.delta)):
                 raise ConfigError("verify.delta must be positive and finite")
-            if verify.bins < 2:
-                raise ConfigError("verify.bins must be >= 2")
         return cls(circle_map, order, grid, target, epsilon, weights, verify)
 
     def to_dict(self) -> dict:
@@ -203,8 +224,7 @@ def _series_csv(path: Path, series: FourierSeries, grid: int) -> None:
 
 def _problem(config: JobConfig) -> tuple[ResponseProblem, float]:
     """The configured problem and its Galerkin residual sup |M rho - rho|."""
-    problem = ResponseProblem.for_map(config.map, config.order,
-                                      density_solver=invariant_density)
+    problem = ResponseProblem.for_map(config.map, config.order)
     rho = problem.density.coeffs
     return problem, float(np.max(np.abs(problem.matrix.entries @ rho - rho)))
 
@@ -349,11 +369,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.modes is not None:
-            if args.modes < 1:
-                raise ConfigError("--modes must be >= 1")
-            config.order = args.modes
+            config.order = _integer("--modes", args.modes, 1)
         if args.grid is not None:
-            config.grid = next_pow2(args.grid)
+            config.grid = next_pow2(_integer("--grid", args.grid, 1))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out)

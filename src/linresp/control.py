@@ -211,7 +211,7 @@ def solve_control(problem: ResponseProblem, target: FourierSeries,
     g = step1_g(problem, target)
     eps = step2_epsilon(problem, g)
     drho = derivative_operator(problem, eps, problem.density)
-    realized = solve_zero_mean(problem.map, drho, problem.order, matrix=problem.matrix)
+    realized = solve_zero_mean(problem.matrix, drho)
     gap = sup_norm(realized - target)
     if gap > ROUNDTRIP_TOL:
         raise RuntimeError(f"two-step round trip error {gap:.3e} > 1e-6")

@@ -54,15 +54,13 @@ class ResponseProblem:
             object.__setattr__(self, "matrix", galerkin_matrix(self.map, self.order))
 
     @classmethod
-    def for_map(cls, circle_map: CircleMap, order: int = DEFAULT_ORDER,
-                density_solver=None) -> "ResponseProblem":
+    def for_map(cls, circle_map: CircleMap, order: int = DEFAULT_ORDER) -> "ResponseProblem":
         """The problem at ``order``, its density computed from its Galerkin matrix.
 
-        ``density_solver`` (default ``invariant_density``) computes it; one
-        that fails the pointwise check raises UnderResolvedError.
+        A density that fails the pointwise check raises UnderResolvedError.
         """
         matrix = galerkin_matrix(circle_map, order)
-        rho = (density_solver or invariant_density)(circle_map, order, matrix=matrix)
+        rho = invariant_density(matrix)
         try:
             return cls(circle_map, rho, order, matrix)
         except ValueError as exc:
@@ -70,12 +68,12 @@ class ResponseProblem:
 
 
 def derivative_operator(problem: ResponseProblem, direction: FourierSeries,
-                        w: FourierSeries, check: bool = True) -> FourierSeries:
+                        w: FourierSeries) -> FourierSeries:
     """Apply the derivative operator D (at perturbation ``direction``) to w.
 
-    Production path is the compact form -L((eps*w/T')'); with ``check`` the
-    three-term form -L(w eps'/T') - L(eps w'/T') + L(eps T''/(T')^2 w) is
-    evaluated as well and the two must agree within 1e-9 in sup norm.
+    Production path is the compact form -L((eps*w/T')'); the three-term form
+    -L(w eps'/T') - L(eps w'/T') + L(eps T''/(T')^2 w) is evaluated as well
+    and the two must agree within 1e-9 in sup norm.
     """
     circle_map, order = problem.map, problem.order
     pad = PAD_FACTOR * order
@@ -85,25 +83,23 @@ def derivative_operator(problem: ResponseProblem, direction: FourierSeries,
     tp = circle_map.grid_values(size, 1)
     product = dft(GridFunction(ev * wv / tp), pad)
     result = apply_transfer(circle_map, -differentiate(product), out_order=order)
-    if check:
-        epv = grid_values(differentiate(direction), size)
-        wpv = grid_values(differentiate(w), size)
-        tpp = circle_map.grid_values(size, 2)
-        combined = dft(GridFunction(-wv * epv / tp - ev * wpv / tp
-                                    + ev * tpp * wv / tp**2), pad)
-        alt = apply_transfer(circle_map, combined, out_order=order)
-        gap = sup_norm(result - alt, grid=1024)
-        if gap > CROSS_CHECK_TOL:
-            raise RuntimeError(
-                f"compact and three-term forms disagree by {gap:.3e} (> 1e-9)")
+    epv = grid_values(differentiate(direction), size)
+    wpv = grid_values(differentiate(w), size)
+    tpp = circle_map.grid_values(size, 2)
+    combined = dft(GridFunction(-wv * epv / tp - ev * wpv / tp
+                                + ev * tpp * wv / tp**2), pad)
+    alt = apply_transfer(circle_map, combined, out_order=order)
+    gap = sup_norm(result - alt, grid=1024)
+    if gap > CROSS_CHECK_TOL:
+        raise RuntimeError(
+            f"compact and three-term forms disagree by {gap:.3e} (> 1e-9)")
     return result
 
 
-def forward_response(problem: ResponseProblem, direction: FourierSeries,
-                     check: bool = True) -> FourierSeries:
+def forward_response(problem: ResponseProblem, direction: FourierSeries) -> FourierSeries:
     """First-order density change rho1 for the perturbation ``direction``."""
-    drho = derivative_operator(problem, direction, problem.density, check=check)
-    return solve_zero_mean(problem.map, drho, problem.order, matrix=problem.matrix)
+    drho = derivative_operator(problem, direction, problem.density)
+    return solve_zero_mean(problem.matrix, drho)
 
 
 def finite_difference_response_check(problem: ResponseProblem,
@@ -115,7 +111,7 @@ def finite_difference_response_check(problem: ResponseProblem,
     so the gap scales as O(delta^2).
     """
     family = PerturbedFamily(problem.map, direction)
-    rho_plus = invariant_density(family.member(delta), problem.order)
-    rho_minus = invariant_density(family.member(-delta), problem.order)
+    rho_plus = invariant_density(galerkin_matrix(family.member(delta), problem.order))
+    rho_minus = invariant_density(galerkin_matrix(family.member(-delta), problem.order))
     fd = (rho_plus - rho_minus) * (0.5 / delta)
     return l1_norm(fd - forward_response(problem, direction), grid)

@@ -5,8 +5,10 @@ densities forward, preserves the integral, and on the zero-mean subspace
 I - L is invertible (spectral gap), which is what the response and control
 solvers exploit.  The Galerkin matrix in the Fourier basis is assembled via
 the duality  integral (L w) phi = integral w (phi o T), so no preimages are
-needed for matrix entries; each row is one FFT.  The same duality applies L
-to a series; Newton preimages serve the pointwise checks only.
+needed for matrix entries; each row is one FFT.  Its restricted I - M is
+inverted once and serves both the invariant density and every zero-mean
+solve.  The same duality applies L to a series; Newton preimages serve the
+pointwise checks only.
 """
 
 from __future__ import annotations
@@ -17,16 +19,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import (DEFAULT_ORDER, FourierSeries, GridFunction, dft, grid_values,
-                      idft, next_pow2)
+from .fourier import FourierSeries, GridFunction, dft, grid_values, idft, next_pow2
 from .maps import CircleDiffeo, CircleMap
 
 QUADRATURE_FACTOR = 8
 CONDITION_LIMIT = 1e12
+DENSITY_TOL = 1e-10
 
 
 class SpectralGapError(RuntimeError):
-    """Power iteration failed to settle on the invariant density."""
+    """A Galerkin fixed-point or zero-mean solve failed its verification."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,12 +62,6 @@ class TransferMatrix:
         return float(np.linalg.norm(self._restricted_system, 1)
                      * np.linalg.norm(self._restricted_inverse, 1))
 
-    def to_dict(self) -> dict:
-        """Row-major debug serialization."""
-        return {"N": self.order, "quad_size": self.quad_size,
-                "entries": [[[float(v.real), float(v.imag)] for v in row]
-                            for row in self.entries]}
-
     @cached_property
     def _restricted_system(self) -> np.ndarray:
         mid = self.order
@@ -74,7 +70,7 @@ class TransferMatrix:
 
     @cached_property
     def _restricted_inverse(self) -> np.ndarray:
-        # Factored once: every zero-mean solve with this matrix is a product.
+        # Inverted once: the density and every zero-mean solve are products.
         return np.linalg.inv(self._restricted_system)
 
 
@@ -103,16 +99,11 @@ def quadrature_size(circle_map: CircleMap, order: int, floor: int) -> int:
     return next_pow2(max(floor, int(np.ceil(order * (1.0 + circle_map.max_derivative)))))
 
 
-def galerkin_matrix(circle_map: CircleMap, order: int,
-                    quad_size: int | None = None) -> TransferMatrix:
+def galerkin_matrix(circle_map: CircleMap, order: int) -> TransferMatrix:
     """Galerkin matrix at truncation ``order`` (quadrature >= 8*order, sized by max T')."""
-    if quad_size is None:
-        quad_size = quadrature_size(circle_map, order,
-                                    max(QUADRATURE_FACTOR * order, 128))
-    if quad_size < QUADRATURE_FACTOR * order:
-        raise ValueError(f"quadrature size {quad_size} < {QUADRATURE_FACTOR}*order")
-    entries = _galerkin_entries(circle_map, order, order, quad_size)
-    return TransferMatrix(entries, order, quad_size)
+    quad_size = quadrature_size(circle_map, order, max(QUADRATURE_FACTOR * order, 128))
+    return TransferMatrix(_galerkin_entries(circle_map, order, order, quad_size),
+                          order, quad_size)
 
 
 def apply_transfer_pointwise(circle_map: CircleMap, series: FourierSeries,
@@ -163,68 +154,47 @@ def fixed_point_residual(circle_map: CircleMap, density: FourierSeries,
         apply_transfer_pointwise(circle_map, density, x) - grid_values(density, grid))))
 
 
-def invariant_density(circle_map: CircleMap, order: int = DEFAULT_ORDER,
-                      matrix: TransferMatrix | None = None,
-                      tol: float = 1e-10, maxit: int = 10_000) -> FourierSeries:
-    """Invariant density as the fixed point of the Galerkin matrix.
+def invariant_density(matrix: TransferMatrix) -> FourierSeries:
+    """Invariant density: the fixed point of the Galerkin matrix with mean 1.
 
-    Power iteration starting from the uniform density; the residual-based
-    stop projects the geometric tail (Aitken style) and the final iterate is
-    verified to satisfy ||M rho - rho||_inf < tol.  Normalized to mean 1 and
-    checked to be strictly positive on a 4096-point grid.
+    Row 0 of M is e_0 (L preserves the integral), so rho_0 = 1 and the other
+    modes solve (I - M)_rr rho_r = M[r, 0]: one product with the restricted
+    inverse that every zero-mean solve uses.  Verified to satisfy
+    ||M rho - rho||_inf <= 1e-10 and to be strictly positive on a 4096-point
+    grid; either failure is a SpectralGapError.
     """
-    if matrix is None:
-        matrix = galerkin_matrix(circle_map, order)
-    elif matrix.order != order:
-        raise ValueError("matrix order does not match requested order")
-    mid = order
-    v = np.zeros(2 * order + 1, dtype=complex)
-    v[mid] = 1.0
-    previous_residual = np.inf
-    for _ in range(maxit):
-        nxt = matrix.entries @ v
-        nxt /= nxt[mid]
-        residual = float(np.max(np.abs(nxt - v)))
-        v = nxt
-        ratio = residual / previous_residual if previous_residual > 0 else 0.0
-        previous_residual = residual
-        if residual == 0.0 or (ratio < 1.0 and residual * ratio / (1.0 - ratio) < 0.1 * tol):
-            if float(np.max(np.abs(matrix.entries @ v - v))) < tol:
-                break
-    else:
+    mid = matrix.order
+    modes = matrix._restricted_inverse @ np.delete(matrix.entries[:, mid], mid)
+    rho = FourierSeries(np.insert(modes, mid, 1.0)).hermitian_symmetrized()
+    residual = float(np.max(np.abs(matrix.entries @ rho.coeffs - rho.coeffs)))
+    if residual > DENSITY_TOL:
         raise SpectralGapError(
-            f"power iteration did not reach residual {tol:.1e} in {maxit} steps")
-    rho = FourierSeries(v).hermitian_symmetrized()
-    samples = idft(rho, next_pow2(max(4096, 2 * order + 2))).samples
+            f"density Galerkin residual {residual:.3e} > {DENSITY_TOL:.0e}")
+    samples = idft(rho, next_pow2(max(4096, 2 * mid + 2))).samples
     if float(np.min(samples)) <= 0.0:
         raise SpectralGapError(
             "computed density is not strictly positive; truncation too small?")
     return rho
 
 
-def solve_zero_mean(circle_map: CircleMap, rhs: FourierSeries,
-                    order: int = DEFAULT_ORDER,
-                    matrix: TransferMatrix | None = None) -> FourierSeries:
+def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries:
     """Solve (I - L) v = rhs on the zero-mean subspace, returning mean-zero v.
 
     The rhs must have zero mean (|mode 0| < 1e-10), which is exactly the
-    subspace where I - L is invertible.  A condition number above 1e12 for
-    the restricted system is reported as a warning.
+    subspace where I - L is invertible, and an order at most the matrix's.
+    A condition number above 1e12 for the restricted system is reported as
+    a warning.
     """
     if abs(rhs.coeff(0)) > 1e-10:
         raise ValueError(f"rhs mean {rhs.coeff(0):.3e} is not zero")
-    if rhs.order > order:
-        raise ValueError(f"rhs order {rhs.order} exceeds solver truncation {order}")
-    if matrix is None:
-        matrix = galerkin_matrix(circle_map, order)
-    elif matrix.order != order:
-        raise ValueError("matrix order does not match requested order")
+    mid = matrix.order
+    if rhs.order > mid:
+        raise ValueError(f"rhs order {rhs.order} exceeds solver truncation {mid}")
     if matrix.restricted_condition > CONDITION_LIMIT:
         warnings.warn(
             f"restricted system condition {matrix.restricted_condition:.3e} > "
             f"{CONDITION_LIMIT:.0e}: truncation under-resolved", RuntimeWarning)
-    mid = order
-    b = np.delete(rhs.with_order(order).coeffs, mid)
+    b = np.delete(rhs.with_order(mid).coeffs, mid)
     sol = matrix._restricted_inverse @ b
     result = FourierSeries(np.insert(sol, mid, 0.0)).hermitian_symmetrized()
     residual = float(np.max(np.abs(

@@ -206,7 +206,7 @@ def test_criterion_7_operator_invariants(doubling_problem, wavy_problem):
     for problem in (doubling_problem, wavy_problem):
         eps = random_series(rng, 8, decay=0.8)
         w = random_series(rng, 8, decay=0.8)
-        compact = derivative_operator(problem, eps, w, check=False)
+        compact = derivative_operator(problem, eps, w)
         pad = 4 * problem.order
         size = next_pow2(2 * pad + 2)
         x = np.arange(size) / size

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import linresp.cli as cli
+import linresp.response
 from linresp import FourierSeries, cosine, sine
 from linresp.cli import JobConfig, canonical_json, main
 
@@ -51,7 +52,22 @@ class TestConfig:
         {"target": {"preset": "sin", "scale": [1]}},
         {"N": None},
         {"grid": None},
-    ], ids=["weights-string", "scale-list", "N-null", "grid-null"])
+        {"weights": {"D": 1.0}},
+        {"n": 256},
+        {"targt": "sin"},
+        {"N": 64.9},
+        {"N": True},
+        {"grid": 0},
+        {"grid": -4},
+        {"verify": {"delta": 1e-3, "bins": 1024, "degree": 2}},
+        {"verify": {"delta": 1e-3, "bins": 1024.5}},
+        {"verify": {"delta": 1e-3, "bins": True}},
+        {"map": {"degree": 2.5, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}},
+        {"map": {"degree": True, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}},
+    ], ids=["weights-string", "scale-list", "N-null", "grid-null", "weights-unknown-key",
+            "lowercase-n", "misspelled-target", "N-fraction", "N-bool", "grid-zero",
+            "grid-negative", "verify-unknown-key", "bins-fraction", "bins-bool",
+            "degree-fraction", "degree-bool"])
     def test_malformed_entries_are_config_errors(self, tmp_path, capsys, entries):
         path = write_config(tmp_path, **entries)
         assert main(["density", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
@@ -117,6 +133,13 @@ class TestDensity:
                      "--grid", "256"]) == 0
         rows = (out / "density.csv").read_text().strip().splitlines()
         assert len(rows) == 256 + 1
+
+    @pytest.mark.parametrize("grid", ["0", "-4"])
+    def test_nonpositive_grid_flag_is_config_error(self, tmp_path, capsys, grid):
+        path = write_config(tmp_path)
+        assert main(["density", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--grid", grid]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_steep_degree_five_map_at_128_modes(self, tmp_path):
         # max T' = 8.33; a fixed 8N quadrature grid left a residual of 0.27 here
@@ -298,7 +321,7 @@ class TestDeterminism:
         def boom(*args, **kwargs):
             raise SpectralGapError("no gap")
 
-        monkeypatch.setattr(cli, "invariant_density", boom)
+        monkeypatch.setattr(linresp.response, "invariant_density", boom)
         path = write_config(tmp_path)
         assert main(["density", "--config", str(path), "--out",
                      str(tmp_path / "o")]) == 2

@@ -270,6 +270,24 @@ class TestKernelDirections:
                          for a in basis])
         np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
 
+    @pytest.mark.parametrize("weights, count, share", [
+        (SobolevWeights(), 45, 1e-8),
+        (SobolevWeights(0.5, 0.0, 0.0, 1.0), 51, 1e-6),
+    ], ids=["l2", "sobolev"])
+    def test_conjugacy_direction_in_kernel(self, wavy_problem, weights, count, share):
+        # eps = X o T - T' X moves rho by -(rho X)', which X = 1/rho makes zero;
+        # count is every null direction at N = 64, so none is missing or extra
+        circle_map, rho = wavy_problem.map, wavy_problem.density
+        x = np.arange(1024) / 1024
+        eps = dft(GridFunction(1.0 / rho.evaluate(circle_map.evaluate(x))
+                               - circle_map.evaluate(x, 1) / rho.evaluate(x)),
+                  wavy_problem.order)
+        assert sup_norm(forward_response(wavy_problem, eps)) < 1e-10
+        outside = eps
+        for v in kernel_directions(wavy_problem, count=count, weights=weights):
+            outside = outside - float(weighted_inner_product(v, eps, weights).real) * v
+        assert sobolev_norm(outside, weights) <= share * sobolev_norm(eps, weights)
+
     def test_warns_when_kernel_exhausted(self, doubling_problem):
         with pytest.warns(RuntimeWarning, match="null directions"):
             kernel_directions(doubling_problem, order=4, count=50)

@@ -58,23 +58,23 @@ class TestDerivativeOperator:
         assert sup_norm(out) < 1e-12
 
     def test_three_term_form_agrees(self, wavy_problem):
-        # check=True raises if the compact and three-term forms drift apart
+        # raises if the compact and three-term forms drift apart
         rng = np.random.default_rng(61)
         eps = random_series(rng, 8, decay=0.8)
         w = random_series(rng, 8, decay=0.8)
-        derivative_operator(wavy_problem, eps, w, check=True)
+        derivative_operator(wavy_problem, eps, w)
 
     def test_linear_in_both_arguments(self, wavy_problem):
         rng = np.random.default_rng(67)
         e1, e2 = random_series(rng, 6), random_series(rng, 6)
         w1, w2 = random_series(rng, 6), random_series(rng, 6)
-        lhs = derivative_operator(wavy_problem, e1 + 3.0 * e2, w1, check=False)
-        rhs = (derivative_operator(wavy_problem, e1, w1, check=False)
-               + 3.0 * derivative_operator(wavy_problem, e2, w1, check=False))
+        lhs = derivative_operator(wavy_problem, e1 + 3.0 * e2, w1)
+        rhs = (derivative_operator(wavy_problem, e1, w1)
+               + 3.0 * derivative_operator(wavy_problem, e2, w1))
         assert sup_norm(lhs - rhs) < 1e-10
-        lhs = derivative_operator(wavy_problem, e1, w1 - 2.0 * w2, check=False)
-        rhs = (derivative_operator(wavy_problem, e1, w1, check=False)
-               - 2.0 * derivative_operator(wavy_problem, e1, w2, check=False))
+        lhs = derivative_operator(wavy_problem, e1, w1 - 2.0 * w2)
+        rhs = (derivative_operator(wavy_problem, e1, w1)
+               - 2.0 * derivative_operator(wavy_problem, e1, w2))
         assert sup_norm(lhs - rhs) < 1e-10
 
 

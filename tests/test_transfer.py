@@ -11,6 +11,9 @@ from linresp.transfer import apply_transfer_pointwise
 
 from conftest import direct_galerkin_entries, random_series, seeded_maps, steep_map
 
+GALERKIN_MAPS = {"wavy": CircleMap(2, sine(1, 0.1)), "steep": steep_map(),
+                 **{f"seeded-degree{m.degree}": m for m in seeded_maps()}}
+
 
 class TestApplyTransfer:
     def test_doubling_fixes_uniform(self, doubling):
@@ -151,29 +154,23 @@ class TestGalerkinMatrix:
         assert quadrature_size(steep, 128, 1024) == 2048
         assert quadrature_size(steep, 128, 4096) == 4096
 
-    def test_quadrature_floor_enforced(self, doubling):
-        with pytest.raises(ValueError, match="quadrature"):
-            galerkin_matrix(doubling, 16, quad_size=64)
-
-    def test_debug_serialization(self, doubling):
-        m = galerkin_matrix(doubling, 4)
-        data = m.to_dict()
-        assert data["N"] == 4
-        restored = np.array([[complex(re, im) for re, im in row]
-                             for row in data["entries"]])
-        np.testing.assert_array_equal(restored, m.entries)
-
 
 class TestInvariantDensity:
     def test_doubling_uniform(self, doubling):
-        rho = invariant_density(doubling, 16)
+        rho = invariant_density(galerkin_matrix(doubling, 16))
         np.testing.assert_allclose(rho.coeffs, constant(1.0).with_order(16).coeffs,
                                    atol=1e-12)
 
     def test_triple_uniform(self, triple):
-        rho = invariant_density(triple, 16)
+        rho = invariant_density(galerkin_matrix(triple, 16))
         np.testing.assert_allclose(rho.coeffs, constant(1.0).with_order(16).coeffs,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(GALERKIN_MAPS))
+    def test_solves_galerkin_system_to_rounding(self, name):
+        m = galerkin_matrix(GALERKIN_MAPS[name], 64)
+        rho = invariant_density(m).coeffs
+        assert np.max(np.abs(m.entries @ rho - rho)) <= 1e-14
 
     def test_wavy_matches_ulam(self, wavy, wavy_problem):
         model = ulam_build(wavy, 2**15)
@@ -191,28 +188,28 @@ class TestInvariantDensity:
 class TestSolveZeroMean:
     def test_doubling_odd_mode(self, doubling):
         # L kills sin(2 pi x), so the Neumann series stops immediately
-        out = solve_zero_mean(doubling, sine(1), 16)
+        out = solve_zero_mean(galerkin_matrix(doubling, 16), sine(1))
         np.testing.assert_allclose(out.coeffs, sine(1).with_order(16).coeffs,
                                    atol=1e-12)
 
     def test_doubling_two_term_series(self, doubling):
-        out = solve_zero_mean(doubling, sine(2), 16)
+        out = solve_zero_mean(galerkin_matrix(doubling, 16), sine(2))
         expected = sine(2) + sine(1)
         np.testing.assert_allclose(out.coeffs, expected.with_order(16).coeffs,
                                    atol=1e-12)
 
     def test_zero_rhs(self, wavy):
-        out = solve_zero_mean(wavy, zeros(4), 16)
+        out = solve_zero_mean(galerkin_matrix(wavy, 16), zeros(4))
         assert np.all(out.coeffs == 0)
 
     def test_rejects_nonzero_mean(self, wavy):
         with pytest.raises(ValueError, match="mean"):
-            solve_zero_mean(wavy, constant(1.0), 16)
+            solve_zero_mean(galerkin_matrix(wavy, 16), constant(1.0))
 
-    def test_residual_small(self, wavy, wavy_problem):
+    def test_residual_small(self, wavy_problem):
         rng = np.random.default_rng(53)
         rhs = random_series(rng, 20, zero_mean=True).with_order(64)
-        v = solve_zero_mean(wavy, rhs, 64, matrix=wavy_problem.matrix)
+        v = solve_zero_mean(wavy_problem.matrix, rhs)
         defect = wavy_problem.matrix.apply(v)
         np.testing.assert_allclose((v - defect).coeffs, rhs.coeffs, atol=1e-10)
         assert abs(v.coeff(0)) == 0.0
@@ -221,7 +218,7 @@ class TestSolveZeroMean:
         cond = wavy_problem.matrix.restricted_condition
         assert np.isfinite(cond) and cond < 1e12
 
-    def test_near_singular_system_reported(self, doubling):
+    def test_near_singular_system_reported(self):
         # hand-built matrix whose restricted I - M is nearly rank one
         from linresp import TransferMatrix
         entries = np.array([[0.0, 0.0, -1.0],
@@ -230,7 +227,7 @@ class TestSolveZeroMean:
         shaky = TransferMatrix(entries, 1, 8)
         assert shaky.restricted_condition > 1e12
         with pytest.warns(RuntimeWarning, match="condition"):
-            solve_zero_mean(doubling, sine(1, 1e-15), 1, matrix=shaky)
+            solve_zero_mean(shaky, sine(1, 1e-15))
 
 
 class TestConjugacy:
