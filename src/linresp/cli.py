@@ -114,11 +114,19 @@ def _parse_series(value, what: str) -> FourierSeries:
                               f"choose from {sorted(presets)}")
         return presets[value]
     if isinstance(value, dict) and "preset" in value:
+        _known_keys(value, ("preset", "scale"), f"{what} preset")
         base = _parse_series(value["preset"], what)
         return base * _parsed(f"{what} scale", float, value.get("scale", 1.0))
     if isinstance(value, dict) and "coeffs" in value:
+        _check_series_keys(value, what)
         return _parsed(f"{what} series", FourierSeries.from_dict, value)
     raise ConfigError(f"{what} must be a preset name or a series object")
+
+
+def _check_series_keys(block: dict, what: str) -> None:
+    """A series object has the keys N and coeffs only, with an integral N >= 0."""
+    _known_keys(block, ("N", "coeffs"), f"{what} series")
+    _integer(f"{what} N", block.get("N"), 0)
 
 
 @dataclass
@@ -149,8 +157,11 @@ class JobConfig:
         _known_keys(data, CONFIG_KEYS, "config")
         if "map" not in data:
             raise ConfigError("config needs a 'map' entry")
-        if isinstance(data["map"], dict) and "degree" in data["map"]:
-            _integer("map degree", data["map"]["degree"], 2)
+        if isinstance(data["map"], dict):
+            _known_keys(data["map"], ("degree", "periodic_part"), "map")
+            _integer("map degree", data["map"].get("degree"), 2)
+            if isinstance(data["map"].get("periodic_part"), dict):
+                _check_series_keys(data["map"]["periodic_part"], "map periodic_part")
         circle_map = _parsed("map", CircleMap.from_dict, data["map"])
         order = _integer("N", data.get("N", DEFAULT_ORDER), 1)
         grid = next_pow2(_integer("grid", data.get("grid", 512), 1))

@@ -234,8 +234,7 @@ def _require_hermitian(series: FourierSeries) -> None:
                          "the series is not real-valued")
 
 
-def _check_imag(values: np.ndarray, coeff_mass: float) -> None:
-    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
+def _check_imag(residue: float, coeff_mass: float) -> None:
     if residue > 1e-12 * max(1.0, coeff_mass):
         raise ValueError(
             f"imaginary residue {residue:.3e} exceeds tolerance; "
@@ -258,7 +257,7 @@ def to_real_basis(coeffs: np.ndarray) -> np.ndarray:
     the coefficients are not Hermitian to rounding.
     """
     real = _real_rows(np.asarray(coeffs))
-    _check_imag(real, float(np.sum(np.abs(coeffs))))
+    _check_imag(float(np.max(np.abs(real.imag))), float(np.sum(np.abs(coeffs))))
     return real.real
 
 
@@ -273,12 +272,31 @@ def from_real_basis(coords: np.ndarray) -> FourierSeries:
 def to_real_basis_matrix(matrix: np.ndarray) -> np.ndarray:
     """Q^H A Q for a matrix A on coefficients -N..N that maps real functions to real ones.
 
-    Such an A commutes with conjugation, so Q^H A Q is real; raises if the
-    discarded imaginary part exceeds rounding relative to max |A|.
+    Such an A commutes with conjugation, A[-j, -k] = conj A[j, k], so the
+    columns of A Q are Hermitian and Q^H A Q is real: formed from the rows
+    j >= 0 of A Q, it is Re (row 0), sqrt(2) Re (rows a_j) and -sqrt(2) Im
+    (rows b_j).  Raises if A fails to commute with conjugation, that is if
+    the largest component of A - conj A[::-1, ::-1] (rows j < 0 included,
+    which the formula never reads) exceeds rounding relative to max |A|.
     """
-    real = _real_rows(_real_rows(matrix).conj().T).conj().T
-    _check_imag(real, float(np.max(np.abs(matrix))))
-    return real.real
+    a = np.asarray(matrix)
+    n = (a.shape[0] - 1) // 2
+    upper, mirror = a[n:], a[n::-1, ::-1]
+    residue = max(float(np.max(np.abs(upper.real - mirror.real))),
+                  float(np.max(np.abs(upper.imag + mirror.imag))))
+    _check_imag(residue, float(np.max(np.abs(a))))
+    pos, neg = upper[:, n + 1:], upper[:, n - 1::-1]
+    columns = np.empty(upper.shape, dtype=complex)  # rows j >= 0 of A Q
+    columns[:, 0] = upper[:, n]
+    np.add(pos, neg, out=columns[:, 1:n + 1])
+    columns[:, 1:n + 1] /= np.sqrt(2)
+    np.subtract(pos, neg, out=columns[:, n + 1:])
+    columns[:, n + 1:] *= -1j / np.sqrt(2)
+    real = np.empty(a.shape)
+    real[0] = columns[0].real
+    np.multiply(columns[1:].real, np.sqrt(2), out=real[1:n + 1])
+    np.multiply(columns[1:].imag, -np.sqrt(2), out=real[n + 1:])
+    return real
 
 
 def zeros(order: int = 0) -> FourierSeries:

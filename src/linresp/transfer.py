@@ -25,6 +25,7 @@ from .maps import CircleDiffeo, CircleMap
 QUADRATURE_FACTOR = 8
 CONDITION_LIMIT = 1e12
 DENSITY_TOL = 1e-10
+ASSEMBLY_BLOCK = 1 << 15  # complex grid samples per assembly block (512 KB)
 
 
 class SpectralGapError(RuntimeError):
@@ -80,14 +81,27 @@ def _galerkin_entries(circle_map: CircleMap, row_order: int, col_order: int,
 
     Row j is the inverse FFT of w z^j, z = e^{-2 pi i T}, with the powers by
     running product; rows j < 0 follow by conjugate symmetry for real w.
+    The rows go through in blocks of ASSEMBLY_BLOCK grid samples, and each
+    block keeps only its 2 col_order + 1 wanted columns, so the transient
+    memory is one block, not row_order x quad_size.
     """
     z = np.exp(-2j * np.pi * circle_map.grid_values(quad_size))
-    powers = np.empty((row_order + 1, quad_size), dtype=complex)
+    cols = np.arange(-col_order, col_order + 1)
+    rows = min(max(1, ASSEMBLY_BLOCK // quad_size), row_order + 1)
+    powers = np.empty((rows, quad_size), dtype=complex)
     powers[0] = weight
-    for j in range(1, row_order + 1):
-        np.multiply(powers[j - 1], z, out=powers[j])
-    upper = np.fft.ifft(powers, axis=1)[:, np.arange(-col_order, col_order + 1)]
-    return np.concatenate((np.conj(upper[:0:-1, ::-1]), upper))
+    entries = np.empty((2 * row_order + 1, cols.size), dtype=complex)
+    upper = entries[row_order:]
+    for start in range(0, row_order + 1, rows):
+        block = powers[:min(rows, row_order + 1 - start)]
+        if start:
+            # The product runs on across blocks: the previous block's last row times z.
+            np.multiply(powers[-1], z, out=block[0])
+        for j in range(1, len(block)):
+            np.multiply(block[j - 1], z, out=block[j])
+        upper[start:start + len(block)] = np.fft.ifft(block, axis=1)[:, cols]
+    np.conj(upper[:0:-1, ::-1], out=entries[:row_order])
+    return entries
 
 
 def quadrature_size(circle_map: CircleMap, order: int, floor: int) -> int:

@@ -64,10 +64,18 @@ class TestConfig:
         {"verify": {"delta": 1e-3, "bins": True}},
         {"map": {"degree": 2.5, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}},
         {"map": {"degree": True, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}},
+        {"target": {"preset": "sin", "scal": 2.0}},
+        {"map": {"degree": 2, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]},
+                 "perodic": {"N": 0, "coeffs": [[0.0, 0.0]]}}},
+        {"target": {"N": True, "coeffs": [[0.0, 0.5], [0.0, 0.0], [0.0, -0.5]]}},
+        {"target": {"preset": "sin", "coeffs": [[0.0, 0.0]], "N": 0}},
+        {"map": {"degree": 2, "periodic_part": {"N": True,
+                                                "coeffs": [[0.0, 0.05], [0.0, 0.0], [0.0, -0.05]]}}},
     ], ids=["weights-string", "scale-list", "N-null", "grid-null", "weights-unknown-key",
             "lowercase-n", "misspelled-target", "N-fraction", "N-bool", "grid-zero",
             "grid-negative", "verify-unknown-key", "bins-fraction", "bins-bool",
-            "degree-fraction", "degree-bool"])
+            "degree-fraction", "degree-bool", "preset-misspelled-scale", "map-unknown-key",
+            "series-N-bool", "preset-with-coeffs", "periodic-part-N-bool"])
     def test_malformed_entries_are_config_errors(self, tmp_path, capsys, entries):
         path = write_config(tmp_path, **entries)
         assert main(["density", "--config", str(path), "--out", str(tmp_path / "o")]) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from linresp import (CircleMap, GridFunction, InfeasibleTargetError,
                      minimal_norm_truncation_report, next_pow2, sine,
                      sobolev_norm, solve_control, step1_g, step2_epsilon,
                      sup_norm, weighted_inner_product, zeros)
-from linresp.control import constraint_matrix
+from linresp.control import _weighted_real_system, constraint_matrix
 
 from conftest import complex_minimal_norm, direct_galerkin_entries, random_series
 
@@ -140,6 +142,11 @@ def seeded_degree_three_problem():
     return ResponseProblem.for_map(CircleMap(3, periodic), 64)
 
 
+@pytest.fixture(scope="module")
+def benchmark_problem(wavy):
+    return ResponseProblem.for_map(wavy, 256)
+
+
 class TestRealBasisSolve:
     @pytest.mark.parametrize("name", ["wavy_problem", "triple_problem",
                                       "seeded_degree_three_problem"])
@@ -157,16 +164,27 @@ class TestRealBasisSolve:
         gap = np.max(np.abs(sol.epsilon.coeffs - reference))
         assert gap <= 1e-9 * np.max(np.abs(reference))
 
-    def test_ranks_kept_at_benchmark_config(self, wavy):
+    def test_ranks_kept_at_benchmark_config(self, benchmark_problem):
         # The control-n256 benchmark config; the smallest singular value kept
         # at order 512 is 1.0048e-10 of the largest, next to the 1e-10 cutoff.
-        problem = ResponseProblem.for_map(wavy, 256)
+        problem = benchmark_problem
         target = cosine(1) + cosine(3, 0.5)
         weights = SobolevWeights(0.5, 0.0, 0.0, 1.0)
         ranks = [minimal_norm_control(problem, target, weights, order).rank
                  for order in (256, 512)]
         assert ranks == [306, 442]
         assert solve_control(problem, target, weights).rank is None
+
+    def test_order_doubled_system_memory(self, benchmark_problem):
+        # Blocked assembly and the real basis from rows j >= 0 keep the
+        # order-512 system near its own size (about 32 MiB, 136.5 MiB unblocked).
+        tracemalloc.start()
+        try:
+            _weighted_real_system(benchmark_problem, SobolevWeights(0.5, 0.0, 0.0, 1.0), 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestMinimalNorm:

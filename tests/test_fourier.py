@@ -254,15 +254,23 @@ class TestRealBasis:
 
     def test_matrix_matches_explicit_change_of_basis(self, wavy):
         from linresp import galerkin_matrix
-        a = galerkin_matrix(wavy, 6).entries
-        q = np.array([from_real_basis(e).coeffs for e in np.eye(13)]).T
-        np.testing.assert_allclose(q.conj().T @ q, np.eye(13), atol=1e-15)
-        explicit = q.conj().T @ a @ q
-        assert np.max(np.abs(explicit.imag)) < 1e-15
-        np.testing.assert_allclose(to_real_basis_matrix(a), explicit.real, atol=1e-15)
+        for order in (6, 64):
+            a = galerkin_matrix(wavy, order).entries
+            size = 2 * order + 1
+            q = np.array([from_real_basis(e).coeffs for e in np.eye(size)]).T
+            np.testing.assert_allclose(q.conj().T @ q, np.eye(size), atol=1e-15)
+            explicit = q.conj().T @ a @ q
+            assert np.max(np.abs(explicit.imag)) < 1e-15
+            np.testing.assert_allclose(to_real_basis_matrix(a), explicit.real, atol=1e-15)
 
-    def test_matrix_must_commute_with_conjugation(self):
+    def test_matrix_must_commute_with_conjugation(self, wavy):
+        from linresp import galerkin_matrix
         rng = np.random.default_rng(103)
-        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        with pytest.raises(ValueError, match="imaginary residue"):
-            to_real_basis_matrix(a)
+        noise = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        row_zero = np.array(galerkin_matrix(wavy, 4).entries)
+        row_zero[4, 5] += 1e-6  # A[0, 1]: row 0 is no longer Hermitian
+        negative_row = np.array(galerkin_matrix(wavy, 4).entries)
+        negative_row[2] += 1e-6 * rng.normal(size=9)  # row j = -2: the formula never reads it
+        for a in (noise, row_zero, negative_row):
+            with pytest.raises(ValueError, match="imaginary residue"):
+                to_real_basis_matrix(a)

@@ -7,6 +7,7 @@ from linresp import (CircleDiffeo, CircleMap, GridFunction, SobolevWeights, appl
                      invariant_density, sine, solve_zero_mean, sup_norm,
                      transfer_conjugacy_check, ulam_build, zeros)
 from linresp.control import minimal_norm_control
+from linresp import transfer
 from linresp.transfer import apply_transfer_pointwise
 
 from conftest import direct_galerkin_entries, random_series, seeded_maps, steep_map
@@ -132,12 +133,26 @@ class TestGalerkinMatrix:
         assert np.max(np.abs(via_matrix.coeffs - via_points.coeffs)) < 1e-8
 
     @pytest.mark.parametrize("name", ["wavy", "triple"])
-    @pytest.mark.parametrize("order", [8, 32])
+    @pytest.mark.parametrize("order", [8, 32, 128])
     def test_fft_assembly_matches_direct_quadrature(self, request, name, order):
+        # order 128 (Q = 1024): the 129 rows j >= 0 take five blocks, the last of one row
         circle_map = request.getfixturevalue(name)
         m = galerkin_matrix(circle_map, order)
         reference = direct_galerkin_entries(circle_map, order, order, m.quad_size)
         assert np.max(np.abs(m.entries - reference)) < 1e-13
+
+    def test_assembly_independent_of_block_size(self, wavy, monkeypatch):
+        # the running product carries across blocks, so any block size gives the same bits
+        order, quad = 32, 256
+        weights = [1.0, np.random.default_rng(53).normal(size=quad)]
+        results = []
+        for rows in (1, 7, order + 1):
+            monkeypatch.setattr(transfer, "ASSEMBLY_BLOCK", rows * quad)
+            results.append([transfer._galerkin_entries(wavy, order, order, quad, w)
+                            for w in weights])
+        for other in results[1:]:
+            for got, expected in zip(other, results[0]):
+                assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("order", [8, 64, 256])
     def test_quadrature_floors_kept_for_mild_maps(self, wavy, order):
