@@ -11,7 +11,7 @@ from .control import (ControlSolution, InfeasibleTargetError, kernel_directions,
                       minimal_norm_control, minimal_norm_truncation_report,
                       solve_control, step1_g, step2_epsilon,
                       weighted_inner_product)
-from .doubling import DoublingControl, exact_control, exact_forward
+from .doubling import exact_control, exact_forward
 from .fourier import (DEFAULT_ORDER, FourierSeries, GridFunction, SobolevWeights,
                       antiderivative, constant, cosine, dft, differentiate, idft,
                       l1_norm, l2_norm, multiply, next_pow2, sine, sobolev_norm,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CircleDiffeo", "CircleMap", "ControlSolution", "DEFAULT_ORDER",
-    "DoublingControl", "FourierSeries", "GridFunction", "InfeasibleTargetError",
+    "FourierSeries", "GridFunction", "InfeasibleTargetError",
     "NotExpandingError", "PerturbedFamily", "PreimageError", "ResponseProblem",
     "SobolevWeights", "SpectralGapError", "TransferMatrix", "UlamModel",
     "UnderResolvedError",

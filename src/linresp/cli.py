@@ -21,8 +21,8 @@ import numpy as np
 
 from .control import (InfeasibleTargetError, minimal_norm_control,
                       minimal_norm_truncation_report, solve_control)
-from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, cosine,
-                      idft, next_pow2, sine, sup_norm)
+from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, as_integer,
+                      check_keys, cosine, idft, next_pow2, sine, sup_norm)
 from .maps import CircleMap, PerturbedFamily, PreimageError
 from .response import ResponseProblem, forward_response
 from .transfer import SpectralGapError
@@ -90,20 +90,12 @@ def _parsed(what: str, parse, value):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def _integer(what: str, value, low: int) -> int:
-    """An integral number >= low as an int; booleans and fractions are refused."""
-    if isinstance(value, bool) or not (isinstance(value, int) or
-                                       (isinstance(value, float) and value.is_integer())):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if value < low:
-        raise ConfigError(f"{what} must be >= {low}")
-    return int(value)
-
-
-def _known_keys(block: dict, known: tuple[str, ...], what: str) -> None:
-    unknown = sorted(set(block) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown {what} keys {unknown}; expected some of {list(known)}")
+def _checked(rule, *args):
+    """A schema rule of the library (``as_integer``, ``check_keys``), refusals as ConfigError."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_series(value, what: str) -> FourierSeries:
@@ -114,19 +106,12 @@ def _parse_series(value, what: str) -> FourierSeries:
                               f"choose from {sorted(presets)}")
         return presets[value]
     if isinstance(value, dict) and "preset" in value:
-        _known_keys(value, ("preset", "scale"), f"{what} preset")
+        _checked(check_keys, f"{what} preset", value, ("preset", "scale"))
         base = _parse_series(value["preset"], what)
         return base * _parsed(f"{what} scale", float, value.get("scale", 1.0))
     if isinstance(value, dict) and "coeffs" in value:
-        _check_series_keys(value, what)
         return _parsed(f"{what} series", FourierSeries.from_dict, value)
     raise ConfigError(f"{what} must be a preset name or a series object")
-
-
-def _check_series_keys(block: dict, what: str) -> None:
-    """A series object has the keys N and coeffs only, with an integral N >= 0."""
-    _known_keys(block, ("N", "coeffs"), f"{what} series")
-    _integer(f"{what} N", block.get("N"), 0)
 
 
 @dataclass
@@ -152,34 +137,21 @@ class JobConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        _known_keys(data, CONFIG_KEYS, "config")
+        _checked(check_keys, "config", data, CONFIG_KEYS)
         if "map" not in data:
             raise ConfigError("config needs a 'map' entry")
-        if isinstance(data["map"], dict):
-            _known_keys(data["map"], ("degree", "periodic_part"), "map")
-            _integer("map degree", data["map"].get("degree"), 2)
-            if isinstance(data["map"].get("periodic_part"), dict):
-                _check_series_keys(data["map"]["periodic_part"], "map periodic_part")
         circle_map = _parsed("map", CircleMap.from_dict, data["map"])
-        order = _integer("N", data.get("N", DEFAULT_ORDER), 1)
-        grid = next_pow2(_integer("grid", data.get("grid", 512), 1))
+        order = _checked(as_integer, "N", data.get("N", DEFAULT_ORDER), 1)
+        grid = next_pow2(_checked(as_integer, "grid", data.get("grid", 512), 1))
         target = _parse_series(data["target"], "target") if "target" in data else None
         epsilon = _parse_series(data["epsilon"], "epsilon") if "epsilon" in data else None
-        raw_weights = data.get("weights", {})
-        if not isinstance(raw_weights, dict):
-            raise ConfigError("weights must be an object with keys a, b, c, d")
-        _known_keys(raw_weights, ("a", "b", "c", "d"), "weights")
-        weights = _parsed("weights", SobolevWeights.from_dict, raw_weights)
+        weights = _parsed("weights", SobolevWeights.from_dict, data.get("weights", {}))
         verify = None
         if "verify" in data:
             block = data["verify"]
-            if not isinstance(block, dict):
-                raise ConfigError("verify must be an object with keys delta, bins")
-            _known_keys(block, ("delta", "bins"), "verify")
+            _checked(check_keys, "verify", block, ("delta", "bins"))
             verify = VerifySettings(_parsed("verify.delta", float, block.get("delta")),
-                                    _integer("verify.bins", block.get("bins"), 2))
+                                    _checked(as_integer, "verify.bins", block.get("bins"), 2))
             if not (verify.delta > 0 and np.isfinite(verify.delta)):
                 raise ConfigError("verify.delta must be positive and finite")
         return cls(circle_map, order, grid, target, epsilon, weights, verify)
@@ -380,9 +352,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.modes is not None:
-            config.order = _integer("--modes", args.modes, 1)
+            config.order = _checked(as_integer, "--modes", args.modes, 1)
         if args.grid is not None:
-            config.grid = next_pow2(_integer("--grid", args.grid, 1))
+            config.grid = next_pow2(_checked(as_integer, "--grid", args.grid, 1))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out)

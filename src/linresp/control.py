@@ -153,9 +153,10 @@ def constraint_matrix(problem: ResponseProblem, order: int) -> np.ndarray:
     quad = quadrature_size(circle_map, order, max(16 * order, 256))
     weight = grid_values(mult, quad) * circle_map.grid_values(quad, 1)
     j = np.arange(-order, order + 1)
-    matrix = (-2j * np.pi * j)[:, None] * _galerkin_entries(circle_map, order, order,
-                                                             quad, weight)
-    matrix[np.abs(matrix) < ASSEMBLY_NOISE_FLOOR * np.max(np.abs(matrix))] = 0.0
+    matrix = _galerkin_entries(circle_map, order, order, quad, weight)
+    matrix *= (-2j * np.pi * j)[:, None]
+    magnitude = np.abs(matrix)
+    matrix[magnitude < ASSEMBLY_NOISE_FLOOR * np.max(magnitude)] = 0.0
     return matrix
 
 

@@ -10,67 +10,14 @@ spectral solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from .fourier import FourierSeries, differentiate, zeros
+from .fourier import FourierSeries, antiderivative, differentiate, zeros
 
 
 def _halve(series: FourierSeries) -> FourierSeries:
     """Frequency-halving action of the transfer operator: out_m = in_{2m}."""
-    half = series.order // 2
-    out = np.zeros(2 * half + 1, dtype=complex)
-    for m in range(-half, half + 1):
-        out[m + half] = series.coeff(2 * m)
-    return FourierSeries(out)
-
-
-def _odd_part(series: FourierSeries) -> FourierSeries:
-    c = np.array(series.coeffs)
-    c[series.modes % 2 == 0] = 0.0
-    return FourierSeries(c)
-
-
-@dataclass(frozen=True, eq=False)
-class DoublingControl:
-    """Coefficient decomposition of the doubling-map control problem.
-
-    target holds the a_n (zero mean); free_odd supplies the unconstrained
-    odd-frequency part of -eps'/2 (defaults to zero, which is the minimal
-    choice for every diagonal Sobolev weighting).
-    """
-
-    target: FourierSeries
-    free_odd: FourierSeries
-
-    def __post_init__(self) -> None:
-        if abs(self.target.coeff(0)) > 1e-10:
-            raise ValueError("target must have zero mean")
-        if np.any(self.free_odd.coeffs[self.free_odd.modes % 2 == 0] != 0):
-            raise ValueError("free coefficients live on odd frequencies only")
-
-    @cached_property
-    def forced_even(self) -> FourierSeries:
-        """Forced even-frequency data: coefficient a_n - a_{2n} at frequency 2n."""
-        n = self.target.order
-        out = np.zeros(4 * n + 1, dtype=complex)
-        for m in range(-n, n + 1):
-            out[2 * m + 2 * n] = self.target.coeff(m) - self.target.coeff(2 * m)
-        out[2 * n] = 0.0
-        return FourierSeries(out)
-
-    def epsilon(self) -> FourierSeries:
-        """The perturbation: term-wise primitive of -2(forced + free)."""
-        data = self.forced_even + self.free_odd
-        mid = data.order
-        c = np.array(data.coeffs)
-        n = data.modes.astype(float)
-        n[mid] = 1.0
-        c = -c / (1j * np.pi * n)
-        c[mid] = 0.0
-        return FourierSeries(c)
+    return FourierSeries(series.coeffs[series.order % 2::2])
 
 
 def exact_control(target: FourierSeries,
@@ -79,11 +26,20 @@ def exact_control(target: FourierSeries,
 
     Coefficient (a_{2n} - a_n)/(2 pi i n) at frequency 2n; odd-frequency
     content from ``odd_modes`` (coefficients of -eps'/2 there) is integrated
-    term-wise.  With ``odd_modes`` omitted this is the minimal solution for
-    the L2 norm and for every diagonal derivative-weighted norm.
+    term-wise, and even content there is refused.  With ``odd_modes``
+    omitted this is the minimal solution for the L2 norm and for every
+    diagonal derivative-weighted norm.
     """
-    free = _odd_part(odd_modes) if odd_modes is not None else zeros(0)
-    return DoublingControl(target, free).epsilon()
+    if abs(target.coeff(0)) > 1e-10:
+        raise ValueError("target must have zero mean")
+    free = zeros(0) if odd_modes is None else odd_modes
+    if np.any(_halve(free).coeffs):  # the even modes of the free part
+        raise ValueError("free coefficients live on odd frequencies only")
+    n = target.order
+    forced = np.zeros(4 * n + 1, dtype=complex)
+    forced[::2] = target.coeffs - target.with_order(2 * n).coeffs[::2]
+    forced[2 * n] = 0.0
+    return -2 * antiderivative(FourierSeries(forced) + free)
 
 
 def exact_forward(eps: FourierSeries) -> FourierSeries:

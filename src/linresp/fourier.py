@@ -26,6 +26,25 @@ def next_pow2(n: int) -> int:
     return m
 
 
+def as_integer(what: str, value, low: int) -> int:
+    """An integral number >= low as an int; booleans and fractions are refused."""
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{what} must be >= {low}")
+    return int(value)
+
+
+def check_keys(what: str, block, known: tuple[str, ...]) -> None:
+    """Refuse a block that is not a dict or has keys outside ``known``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{what} must be an object with keys {list(known)}")
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; expected some of {list(known)}")
+
+
 @dataclass(frozen=True)
 class SobolevWeights:
     """Parameters (a, b, c, d) of the derivative-weighted Sobolev norm.
@@ -64,6 +83,8 @@ class SobolevWeights:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SobolevWeights":
+        """The weights of ``to_dict``: a subset of the keys a, b, c, d, 0 by default."""
+        check_keys("weights", data, ("a", "b", "c", "d"))
         return cls(float(data.get("a", 0.0)), float(data.get("b", 0.0)),
                    float(data.get("c", 0.0)), float(data.get("d", 0.0)))
 
@@ -168,7 +189,9 @@ class FourierSeries:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FourierSeries":
-        order = int(data["N"])
+        """The series of ``to_dict``: keys N and coeffs only, with an integral N >= 0."""
+        check_keys("series", data, ("N", "coeffs"))
+        order = as_integer("series N", data.get("N"), 0)
         pairs = data["coeffs"]
         if len(pairs) != 2 * order + 1:
             raise ValueError("coeffs length does not match N")

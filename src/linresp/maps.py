@@ -14,8 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import (FourierSeries, antiderivative, constant, differentiate,
-                      grid_values, half_spectrum, next_pow2, real_horner, zeros)
+from .fourier import (FourierSeries, antiderivative, as_integer, check_keys, constant,
+                      differentiate, grid_values, half_spectrum, next_pow2, real_horner,
+                      zeros)
 
 EXPANSIVITY_MARGIN = 1e-9
 FAMILY_MARGIN = 0.05
@@ -201,7 +202,10 @@ class CircleMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircleMap":
-        return cls(int(data["degree"]), FourierSeries.from_dict(data["periodic_part"]))
+        """The map of ``to_dict``: keys degree and periodic_part only, an integral degree."""
+        check_keys("map", data, ("degree", "periodic_part"))
+        return cls(as_integer("map degree", data.get("degree"), 2),
+                   FourierSeries.from_dict(data["periodic_part"]))
 
 
 def doubling_map() -> CircleMap:

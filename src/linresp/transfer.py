@@ -53,26 +53,20 @@ class TransferMatrix:
         e.flags.writeable = False
         object.__setattr__(self, "entries", e)
 
-    def apply(self, series: FourierSeries) -> FourierSeries:
-        vec = series.with_order(self.order).coeffs
-        return FourierSeries(self.entries @ vec).hermitian_symmetrized()
-
-    @cached_property
+    @property
     def restricted_condition(self) -> float:
         """1-norm condition number of I - M restricted to the nonzero modes."""
-        return float(np.linalg.norm(self._restricted_system, 1)
-                     * np.linalg.norm(self._restricted_inverse, 1))
+        return self._factorization[1]
 
     @cached_property
-    def _restricted_system(self) -> np.ndarray:
-        mid = self.order
-        sys = np.eye(2 * self.order + 1, dtype=complex) - self.entries
-        return np.delete(np.delete(sys, mid, axis=0), mid, axis=1)
-
-    @cached_property
-    def _restricted_inverse(self) -> np.ndarray:
+    def _factorization(self) -> tuple[np.ndarray, float]:
         # Inverted once: the density and every zero-mean solve are products.
-        return np.linalg.inv(self._restricted_system)
+        # The restricted system lives only long enough for its norm.
+        mid = self.order
+        system = np.eye(2 * self.order + 1, dtype=complex) - self.entries
+        system = np.delete(np.delete(system, mid, axis=0), mid, axis=1)
+        inverse = np.linalg.inv(system)
+        return inverse, float(np.linalg.norm(system, 1) * np.linalg.norm(inverse, 1))
 
 
 def _galerkin_entries(circle_map: CircleMap, row_order: int, col_order: int,
@@ -128,21 +122,18 @@ def apply_transfer_pointwise(circle_map: CircleMap, series: FourierSeries,
     return values.sum(axis=0)
 
 
-def apply_transfer(circle_map: CircleMap, w, out_order: int | None = None):
-    """Apply the transfer operator; returns the same kind as the input.
+def apply_transfer(circle_map: CircleMap, w: FourierSeries,
+                   out_order: int | None = None) -> FourierSeries:
+    """Apply the transfer operator to a series, with no preimages.
 
-    Grid input is interpreted as the trigonometric interpolant of its
-    samples and the result is returned on the same grid, through Newton
-    preimages.  Series input needs no preimages: by duality, mode j of L w is
-    the integral of w e^{-2 pi i j T}, the grid mean of w z^j with the powers
-    by running product, for 0 <= j <= ``out_order`` (defaults to the input
-    order); modes j < 0 follow by conjugation.
+    By duality, mode j of L w is the integral of w e^{-2 pi i j T}, the grid
+    mean of w z^j with the powers by running product, for 0 <= j <=
+    ``out_order`` (defaults to the input order); modes j < 0 follow by
+    conjugation.  Pointwise values through Newton preimages are
+    ``apply_transfer_pointwise``.
     """
-    if isinstance(w, GridFunction):
-        series = dft(w, (w.size - 1) // 2)
-        return GridFunction(apply_transfer_pointwise(circle_map, series, w.nodes))
     if not isinstance(w, FourierSeries):
-        raise TypeError("w must be a GridFunction or FourierSeries")
+        raise TypeError("w must be a FourierSeries")
     if out_order is None:
         out_order = w.order
     # w z^j has a bandwidth of about w.order + j max T'; the margin of 16(K+1)
@@ -178,7 +169,7 @@ def invariant_density(matrix: TransferMatrix) -> FourierSeries:
     grid; either failure is a SpectralGapError.
     """
     mid = matrix.order
-    modes = matrix._restricted_inverse @ np.delete(matrix.entries[:, mid], mid)
+    modes = matrix._factorization[0] @ np.delete(matrix.entries[:, mid], mid)
     rho = FourierSeries(np.insert(modes, mid, 1.0)).hermitian_symmetrized()
     residual = float(np.max(np.abs(matrix.entries @ rho.coeffs - rho.coeffs)))
     if residual > DENSITY_TOL:
@@ -209,10 +200,11 @@ def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries
             f"restricted system condition {matrix.restricted_condition:.3e} > "
             f"{CONDITION_LIMIT:.0e}: truncation under-resolved", RuntimeWarning)
     b = np.delete(rhs.with_order(mid).coeffs, mid)
-    sol = matrix._restricted_inverse @ b
+    sol = matrix._factorization[0] @ b
     result = FourierSeries(np.insert(sol, mid, 0.0)).hermitian_symmetrized()
-    residual = float(np.max(np.abs(
-        matrix._restricted_system @ np.delete(result.coeffs, mid) - b)))
+    # (I - M) v off mode 0, which is the restricted system's product since v_0 = 0.
+    v = result.coeffs
+    residual = float(np.max(np.abs(np.delete(v - matrix.entries @ v, mid) - b)))
     if residual > 1e-10:
         raise SpectralGapError(f"zero-mean solve residual {residual:.3e} > 1e-10")
     return result

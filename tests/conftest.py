@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from linresp import CircleMap, FourierSeries, ResponseProblem, cosine, doubling_map, sine
+from linresp import (CircleMap, FourierSeries, ResponseProblem, cosine, doubling_map, sine,
+                     zeros)
 from linresp.fourier import differentiate
 
 
@@ -42,6 +43,46 @@ def random_series(rng, order, decay=0.5, zero_mean=False):
         c[order] = 0.0
         series = FourierSeries(c)
     return series
+
+
+def _reference_halve(series):
+    """Frequency halving out_m = in_{2m} by a loop over modes."""
+    half = series.order // 2
+    out = np.zeros(2 * half + 1, dtype=complex)
+    for m in range(-half, half + 1):
+        out[m + half] = series.coeff(2 * m)
+    return FourierSeries(out)
+
+
+def reference_exact_control(target, odd_modes=None):
+    """Doubling-map control by loops over modes: the reference closed form.
+
+    Forced data a_m - a_{2m} at frequency 2m (mode 0 cleared) plus the odd
+    data, integrated term-wise as -2 f.
+    """
+    n = target.order
+    forced = np.zeros(4 * n + 1, dtype=complex)
+    for m in range(-n, n + 1):
+        forced[2 * m + 2 * n] = target.coeff(m) - target.coeff(2 * m)
+    forced[2 * n] = 0.0
+    data = FourierSeries(forced) + (odd_modes if odd_modes is not None else zeros(0))
+    mid = data.order
+    c = np.array(data.coeffs)
+    k = data.modes.astype(float)
+    k[mid] = 1.0
+    c = -c / (1j * np.pi * k)
+    c[mid] = 0.0
+    return FourierSeries(c)
+
+
+def reference_exact_forward(eps):
+    """Doubling-map response: the Neumann series of loop halvings of -eps'/2."""
+    term = _reference_halve(differentiate(eps) * (-0.5))
+    total = term
+    while term.order >= 1 and np.any(term.coeffs != 0):
+        term = _reference_halve(term)
+        total = total + term
+    return total
 
 
 def direct_galerkin_entries(circle_map, row_order, col_order, quad_size):

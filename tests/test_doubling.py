@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from linresp import (DoublingControl, FourierSeries, cosine, exact_control,
-                     exact_forward, forward_response, l2_norm,
-                     minimal_norm_control, sine, sup_norm, zeros)
+from linresp import (FourierSeries, cosine, exact_control, exact_forward,
+                     forward_response, l2_norm, minimal_norm_control, sine, sup_norm,
+                     zeros)
 
-from conftest import random_series
+from conftest import random_series, reference_exact_control, reference_exact_forward
 
 TWO_PI = 2 * np.pi
 
@@ -57,7 +57,26 @@ class TestExactControl:
 
     def test_rejects_even_content_in_free_part(self):
         with pytest.raises(ValueError, match="odd frequencies"):
-            DoublingControl(sine(1), cosine(2))
+            exact_control(sine(1), cosine(2))
+
+
+class TestAgainstModeLoops:
+    """The coefficient slices against the per-mode loops in conftest, bit for bit."""
+
+    def test_random_targets(self):
+        rng = np.random.default_rng(113)
+        for order in range(40):
+            target = random_series(rng, order, zero_mean=True)
+            eps = exact_control(target)
+            assert np.array_equal(eps.coeffs, reference_exact_control(target).coeffs)
+            assert np.array_equal(exact_forward(eps).coeffs,
+                                  reference_exact_forward(eps).coeffs)
+
+    def test_odd_data(self):
+        free = sine(1) + cosine(3, 0.2)
+        eps = exact_control(sine(2), free)
+        assert np.array_equal(eps.coeffs, reference_exact_control(sine(2), free).coeffs)
+        assert np.array_equal(exact_forward(eps).coeffs, reference_exact_forward(eps).coeffs)
 
 
 class TestExactForward:

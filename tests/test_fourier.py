@@ -190,6 +190,11 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             SobolevWeights(a=-1.0)
 
+    def test_weights_from_dict_refuses_unknown_keys(self):
+        assert SobolevWeights.from_dict({"d": 1.0}) == SobolevWeights(d=1.0)
+        with pytest.raises(ValueError, match="unknown weights keys"):
+            SobolevWeights.from_dict({"D": 1.0})
+
 
 class TestSeriesBasics:
     def test_evaluate_real_output(self):
@@ -213,6 +218,17 @@ class TestSeriesBasics:
         f = random_series(rng, 5)
         back = FourierSeries.from_dict(f.to_dict())
         np.testing.assert_array_equal(back.coeffs, f.coeffs)
+
+    @pytest.mark.parametrize("block, match", [
+        ({"N": 1.9, "coeffs": [[0.0, 0.0]] * 3}, "integer"),
+        ({"N": True, "coeffs": [[0.0, 0.0]] * 3}, "integer"),
+        ({"N": 1, "coeffs": [[0.0, 0.0]] * 3, "extra": 5}, "unknown series keys"),
+        ({"N": -1, "coeffs": []}, ">= 0"),
+        ([[0.0, 0.0]], "object"),
+    ], ids=["N-fraction", "N-bool", "extra-key", "N-negative", "not-an-object"])
+    def test_from_dict_refuses_malformed_blocks(self, block, match):
+        with pytest.raises(ValueError, match=match):
+            FourierSeries.from_dict(block)
 
     def test_grid_requires_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):

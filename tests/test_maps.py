@@ -39,6 +39,26 @@ class TestCircleMap:
         with pytest.raises(ValueError):
             CircleMap(1, zeros(0))
 
+    def test_from_dict_round_trip(self, wavy):
+        back = CircleMap.from_dict(wavy.to_dict())
+        assert back.degree == 2
+        np.testing.assert_array_equal(back.periodic_part.coeffs, wavy.periodic_part.coeffs)
+
+    @pytest.mark.parametrize("block, match", [
+        ({"degree": 2, "periodic_part": {"N": True, "coeffs": [[0.0, 0.05], [0.0, 0.0],
+                                                               [0.0, -0.05]]},
+          "perodic": 1}, "unknown map keys"),
+        ({"degree": 2, "periodic_part": {"N": True, "coeffs": [[0.0, 0.05], [0.0, 0.0],
+                                                               [0.0, -0.05]]}}, "series N"),
+        ({"degree": 2.7, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}, "degree"),
+        ({"degree": True, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}, "degree"),
+        ({"degree": 2, "periodic_part": "sin"}, "object"),
+    ], ids=["misspelled-key", "series-N-bool", "degree-fraction", "degree-bool",
+            "periodic-part-string"])
+    def test_from_dict_refuses_malformed_blocks(self, block, match):
+        with pytest.raises(ValueError, match=match):
+            CircleMap.from_dict(block)
+
 
 class TestPreimages:
     def test_doubling_half(self, doubling):

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from linresp import (CircleDiffeo, CircleMap, GridFunction, SobolevWeights, apply_transfer,
                      build_conjugate, compare_l1, constant, cosine, derivative_operator,
                      dft, fixed_point_residual, forward_response, galerkin_matrix, idft,
-                     invariant_density, sine, solve_zero_mean, sup_norm,
+                     invariant_density, multiply, sine, solve_zero_mean, sup_norm,
                      transfer_conjugacy_check, ulam_build, zeros)
 from linresp.control import minimal_norm_control
 from linresp import transfer
@@ -37,15 +39,15 @@ class TestApplyTransfer:
         rows = np.asarray(model.matrix.sum(axis=1)).ravel()
         assert compare_l1(rows, out) < 1e-6
 
-    def test_grid_input_returns_grid(self, wavy):
-        g = idft(constant(1.0) + cosine(1, 0.3), 256)
-        out = apply_transfer(wavy, g)
-        assert isinstance(out, GridFunction)
-        assert out.size == 256
-        series_out = apply_transfer(wavy, constant(1.0) + cosine(1, 0.3),
-                                    out_order=64)
-        np.testing.assert_allclose(out.samples, idft(series_out, 256).samples,
-                                   atol=1e-10)
+    def test_pointwise_on_grid_matches_series_route(self, wavy):
+        w = constant(1.0) + cosine(1, 0.3)
+        out = apply_transfer_pointwise(wavy, w, np.arange(256) / 256)
+        series_out = apply_transfer(wavy, w, out_order=64)
+        np.testing.assert_allclose(out, idft(series_out, 256).samples, atol=1e-10)
+
+    def test_grid_input_refused(self, wavy):
+        with pytest.raises(TypeError, match="FourierSeries"):
+            apply_transfer(wavy, idft(constant(1.0), 256))
 
     def test_integral_preserved(self, doubling, wavy, triple):
         rng = np.random.default_rng(41)
@@ -57,9 +59,9 @@ class TestApplyTransfer:
     def test_positivity(self, wavy):
         rng = np.random.default_rng(43)
         base = random_series(rng, 6)
-        nonneg = GridFunction(idft(base, 256).samples ** 2)
-        out = apply_transfer(wavy, nonneg)
-        assert np.min(out.samples) > -1e-12
+        nonneg = multiply(base, base)
+        out = apply_transfer_pointwise(wavy, nonneg, np.arange(256) / 256)
+        assert np.min(out) > -1e-12
 
 
 class TestPreimageFreeTransfer:
@@ -127,10 +129,10 @@ class TestGalerkinMatrix:
         rng = np.random.default_rng(47)
         m = galerkin_matrix(wavy, 32)
         w = random_series(rng, 16)
-        via_matrix = m.apply(w)
+        via_matrix = m.entries @ w.with_order(32).coeffs
         x = np.arange(256) / 256
         via_points = dft(GridFunction(apply_transfer_pointwise(wavy, w, x)), 32)
-        assert np.max(np.abs(via_matrix.coeffs - via_points.coeffs)) < 1e-8
+        assert np.max(np.abs(via_matrix - via_points.coeffs)) < 1e-8
 
     @pytest.mark.parametrize("name", ["wavy", "triple"])
     @pytest.mark.parametrize("order", [8, 32, 128])
@@ -225,9 +227,22 @@ class TestSolveZeroMean:
         rng = np.random.default_rng(53)
         rhs = random_series(rng, 20, zero_mean=True).with_order(64)
         v = solve_zero_mean(wavy_problem.matrix, rhs)
-        defect = wavy_problem.matrix.apply(v)
-        np.testing.assert_allclose((v - defect).coeffs, rhs.coeffs, atol=1e-10)
+        defect = wavy_problem.matrix.entries @ v.coeffs
+        np.testing.assert_allclose(v.coeffs - defect, rhs.coeffs, atol=1e-10)
         assert abs(v.coeff(0)) == 0.0
+
+    def test_retains_one_factorization(self, wavy):
+        # After the density and a solve, the matrix keeps its entries and the
+        # restricted inverse, not a second copy of the restricted system.
+        tracemalloc.start()
+        try:
+            matrix = galerkin_matrix(wavy, 256)
+            invariant_density(matrix)
+            solve_zero_mean(matrix, sine(3))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 2.5 * matrix.entries.nbytes
 
     def test_restricted_system_well_conditioned(self, wavy_problem):
         cond = wavy_problem.matrix.restricted_condition
