@@ -36,13 +36,17 @@ def as_integer(what: str, value, low: int) -> int:
     return int(value)
 
 
-def check_keys(what: str, block, known: tuple[str, ...]) -> None:
-    """Refuse a block that is not a dict or has keys outside ``known``."""
+def check_keys(what: str, block, known: tuple[str, ...],
+               required: tuple[str, ...] = ()) -> None:
+    """Refuse a block that is not a dict, has keys outside ``known`` or lacks one of ``required``."""
     if not isinstance(block, dict):
         raise ValueError(f"{what} must be an object with keys {list(known)}")
     unknown = sorted(set(block) - set(known))
     if unknown:
         raise ValueError(f"unknown {what} keys {unknown}; expected some of {list(known)}")
+    missing = [key for key in required if key not in block]
+    if missing:
+        raise ValueError(f"{what} needs keys {missing}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,8 @@ class FourierSeries:
         the coefficients are not Hermitian to 1e-12 of their mass.
         """
         xa = np.asarray(x, dtype=float)
-        vals = real_horner(half_spectrum(self), xa.ravel())[0].reshape(xa.shape)
+        z = np.exp(2j * np.pi * xa.ravel())
+        vals = real_horner(half_spectrum(self), z)[0].reshape(xa.shape)
         return float(vals) if xa.ndim == 0 else vals
 
     def __call__(self, x):
@@ -190,7 +195,8 @@ class FourierSeries:
     @classmethod
     def from_dict(cls, data: dict) -> "FourierSeries":
         """The series of ``to_dict``: keys N and coeffs only, with an integral N >= 0."""
-        check_keys("series", data, ("N", "coeffs"))
+        keys = ("N", "coeffs")
+        check_keys("series", data, keys, required=keys)
         order = as_integer("series N", data.get("N"), 0)
         pairs = data["coeffs"]
         if len(pairs) != 2 * order + 1:
@@ -212,21 +218,22 @@ def half_spectrum(*series: FourierSeries) -> np.ndarray:
     return rows
 
 
-def real_horner(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Values at y of the ``half_spectrum`` rows in one Horner pass, stacked (rows, n).
+def real_horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Values of the ``half_spectrum`` rows at the points y with z = e^{2 pi i y}.
 
-    The points go through in blocks of HORNER_BLOCK, so that the accumulator
-    stays in cache across the pass over the modes.
+    One Horner pass, stacked (rows, n).  Taking z rather than y lets passes
+    at the same points share the exponential.  The points go through in
+    blocks of HORNER_BLOCK, so that the accumulator stays in cache across the
+    pass over the modes.
     """
-    out = np.empty((rows.shape[0], y.size))
-    for start in range(0, y.size, HORNER_BLOCK):
-        block = slice(start, start + HORNER_BLOCK)
-        z = np.exp(2j * np.pi * y[block])
-        acc = np.repeat(rows[:, -1:], z.size, axis=1)
+    out = np.empty((rows.shape[0], z.size))
+    for start in range(0, z.size, HORNER_BLOCK):
+        block = z[start:start + HORNER_BLOCK]
+        acc = np.repeat(rows[:, -1:], block.size, axis=1)
         for k in range(rows.shape[1] - 2, -1, -1):
-            acc *= z
+            acc *= block
             acc += rows[:, k:k + 1]
-        out[:, block] = 2.0 * acc.real
+        out[:, start:start + HORNER_BLOCK] = 2.0 * acc.real
     return out
 
 

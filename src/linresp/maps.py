@@ -49,37 +49,39 @@ def _interpolated_inverse(slope: float, samples: np.ndarray, targets: np.ndarray
     return (targets - g) / slope
 
 
-def _solve_increasing(value_slope, target, seed, lo, hi,
+def _solve_increasing(value, target, seed, lo, hi,
                       tol=NEWTON_TOL, maxit=NEWTON_MAXIT):
-    """Vectorized root finding for a strictly increasing function.
+    """Vectorized root finding for a strictly increasing function f.
 
-    ``value_slope(y)`` returns the pair (f(y), f'(y)).  Newton from the seed,
-    clipped to the bracket [lo, hi]; points that have not converged after
-    ``maxit`` sweeps fall back to bisection plus a Newton polish.
+    ``value(y)`` returns f(y) and a function that returns f'(y) at the same
+    points; the slope is computed only before a Newton step, never on the
+    converged sweep.  Newton from the seed, clipped to the bracket [lo, hi];
+    points that have not converged after ``maxit`` sweeps fall back to
+    bisection plus a Newton polish.
     """
     y = np.clip(np.asarray(seed, dtype=float), lo, hi)
     for _ in range(maxit):
-        value, slope = value_slope(y)
-        resid = value - target
+        f, slope = value(y)
+        resid = f - target
         if np.max(np.abs(resid)) < tol:
             return y
-        y = np.clip(y - resid / slope, lo, hi)
-    bad = np.abs(value_slope(y)[0] - target) >= tol
+        y = np.clip(y - resid / slope(), lo, hi)
+    bad = np.abs(value(y)[0] - target) >= tol
     if np.any(bad):
         a = np.array(lo[bad] if np.ndim(lo) else np.full(int(bad.sum()), lo))
         b = np.array(hi[bad] if np.ndim(hi) else np.full(int(bad.sum()), hi))
         t = target[bad]
         for _ in range(120):
             m = 0.5 * (a + b)
-            left = value_slope(m)[0] <= t
+            left = value(m)[0] <= t
             a = np.where(left, m, a)
             b = np.where(left, b, m)
         yb = 0.5 * (a + b)
         for _ in range(3):
-            value, slope = value_slope(yb)
-            yb = yb - (value - t) / slope
+            f, slope = value(yb)
+            yb = yb - (f - t) / slope()
         y[bad] = yb
-        if np.max(np.abs(value_slope(y)[0] - target)) >= tol:
+        if np.max(np.abs(value(y)[0] - target)) >= tol:
             raise PreimageError(
                 "branch inversion did not converge; map is not expanding or corrupted")
     return y
@@ -160,10 +162,12 @@ class CircleMap:
     def _half(self) -> np.ndarray:
         return half_spectrum(self.periodic_part, self._derivs[0])
 
-    def _lift_pair(self, y):
-        """(L(y), L'(y)) from one real half-spectrum Horner pass."""
-        p, dp = real_horner(self._half, y)
-        return self.degree * y + p, self.degree + dp
+    def _lift_value(self, y):
+        """L(y) from one real half-spectrum Horner pass over p, and a function
+        that returns L'(y) from a pass over p' sharing e^{2 pi i y}."""
+        z = np.exp(2j * np.pi * y)
+        return (self.degree * y + real_horner(self._half[:1], z)[0],
+                lambda: self.degree + real_horner(self._half[1:], z)[0])
 
     def invert_lift(self, targets):
         """Solve L(y) = t for each t; the unique real solution of the lift."""
@@ -177,7 +181,7 @@ class CircleMap:
         seed = _interpolated_inverse(self.degree, self._samples, base)
         lo = (base - self._p_hi) / self.degree
         hi = (base - self._p_lo) / self.degree
-        y = _solve_increasing(self._lift_pair, base, seed, lo, hi) + shift
+        y = _solve_increasing(self._lift_value, base, seed, lo, hi) + shift
         if scalar:
             return float(y[0])
         return y.reshape(t.shape)
@@ -203,7 +207,8 @@ class CircleMap:
     @classmethod
     def from_dict(cls, data: dict) -> "CircleMap":
         """The map of ``to_dict``: keys degree and periodic_part only, an integral degree."""
-        check_keys("map", data, ("degree", "periodic_part"))
+        keys = ("degree", "periodic_part")
+        check_keys("map", data, keys, required=keys)
         return cls(as_integer("map degree", data.get("degree"), 2),
                    FourierSeries.from_dict(data["periodic_part"]))
 
@@ -286,9 +291,11 @@ class CircleDiffeo:
     def deriv(self, x):
         return 1.0 + self._dq.evaluate(x)
 
-    def _pair(self, y):
-        q, dq = real_horner(self._half, y)
-        return y + q, 1.0 + dq
+    def _value(self, y):
+        """h(y), and a function that returns h'(y) sharing e^{2 pi i y}."""
+        z = np.exp(2j * np.pi * y)
+        return (y + real_horner(self._half[:1], z)[0],
+                lambda: 1.0 + real_horner(self._half[1:], z)[0])
 
     def invert(self, x):
         """Newton inversion of h (solves y + q(y) = x)."""
@@ -297,7 +304,7 @@ class CircleDiffeo:
         flat = np.atleast_1d(xa).ravel()
         if flat.size == 0:
             return np.zeros(xa.shape)
-        y = _solve_increasing(self._pair, flat,
+        y = _solve_increasing(self._value, flat,
                               _interpolated_inverse(1.0, self._samples, flat),
                               flat - self._q_hi, flat - self._q_lo)
         if scalar:

@@ -5,29 +5,79 @@ discretized on the Legendre polynomials P_0..P_k of each bin (a
 discontinuous-Galerkin projection), using exact interval-image intersections
 of the monotone branches and Gauss-Legendre quadrature on each intersection
 (deterministic, no sampling).  Degree k = 0 is Ulam's method, whose matrix is
-column-stochastic.  Stationary vectors of the sparse matrix and
-central-difference derivatives of their bin averages provide the
-cross-checks for the spectral solvers.  The only shared code with the
-spectral path is the map's lift and its Newton inversion.
+column-stochastic.  The matrix is kept as the preimage segments of the image
+bins, at most two pieces each, and applied with numpy gathers and sums; its
+stationary vectors and central-difference derivatives of their bin averages
+provide the cross-checks for the spectral solvers.  The only shared code
+with the spectral path is the map's lift and its Newton inversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .fourier import FourierSeries
 from .maps import CircleMap, PerturbedFamily
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 STATIONARY_TOL = 1e-12
 STATIONARY_MAXIT = 20_000
 MOMENT_TOL_PER_BIN = 8 * np.finfo(float).eps
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionOperator:
+    """The oracle's transition matrix, stored by preimage segment.
+
+    Segment s is the preimage of image bin (first + s) mod ``bins``, with
+    0 <= first < bins.  Its slot c (0 or 1) is its part in source bin
+    ``source[c, s]``, and ``blocks[p, 2*q + c, s]`` is the entry from
+    Legendre degree q on that source bin to degree p on the image bin.
+    ``M @ v`` and ``v @ M`` are the products with the matrix of shape
+    ``shape``.
+    """
+
+    bins: int
+    first: int
+    source: np.ndarray
+    blocks: np.ndarray
+
+    __array_ufunc__ = None  # so that ndarray @ operator defers to __rmatmul__
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.bins * self.blocks.shape[0]
+        return n, n
+
+    def _by_degree(self, v) -> np.ndarray:
+        """The coefficient vector v as rows of one Legendre degree: (degree+1, bins)."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.shape[:1]:
+            raise ValueError(f"operand of shape {v.shape}; expected {self.shape[:1]}")
+        return v.reshape(self.bins, -1).T
+
+    def __matmul__(self, v) -> np.ndarray:
+        size, _, segments = self.blocks.shape
+        gathered = np.take(self._by_degree(v), self.source, axis=1).reshape(2 * size, segments)
+        images = np.einsum("pks,ks->ps", self.blocks, gathered)
+        # The segments' image bins are consecutive: fold them mod bins, one
+        # run of bins segments from image bin 0 at a time.
+        out = np.zeros((size, self.bins))
+        for start in range(-self.first, segments, self.bins):
+            lo, hi = max(start, 0), min(start + self.bins, segments)
+            out[:, lo - start:hi - start] += images[:, lo:hi]
+        return out.T.ravel()
+
+    def __rmatmul__(self, v) -> np.ndarray:
+        size, _, segments = self.blocks.shape
+        runs = -(-(self.first + segments) // self.bins)
+        image = np.tile(self._by_degree(v), runs)[:, self.first:self.first + segments]
+        weights = np.einsum("pks,ps->ks", self.blocks, image).reshape(size, 2, segments)
+        out = np.zeros((size, self.bins))
+        for q, c in np.ndindex(size, 2):
+            out[q] += np.bincount(self.source[c], weights[q, c], self.bins)
+        return out.T.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,14 +88,15 @@ class UlamModel:
     coefficient of P_p(2*(x*bins - a) - 1), scaled so that the P_0
     coefficient is the bin average.  At degree 0, matrix[a, b] is the
     fraction of bin b mapped into bin a and columns sum to one; at any
-    degree the P_0 rows of a P_0 column sum to one.  ``stationary`` holds the
-    bin averages of the invariant density (nonnegative, summing to the bin
-    count).
+    degree the P_0 rows of a P_0 column sum to one.  ``matrix`` is a
+    ``TransitionOperator``: it offers ``shape``, ``matrix @ v`` and
+    ``v @ matrix``, not indexing.  ``stationary`` holds the bin averages of
+    the invariant density (nonnegative, summing to the bin count).
     """
 
     bins: int
     degree: int
-    matrix: sp.csc_matrix
+    matrix: TransitionOperator
     stationary: np.ndarray
 
     def __post_init__(self) -> None:
@@ -54,11 +105,14 @@ class UlamModel:
         object.__setattr__(self, "stationary", s)
 
 
-def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, ...]:
-    """Intervals of [0, 1] that lie in one source bin and map into one image bin.
+def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Preimage segments of consecutive image bins, each split at a source-bin edge.
 
-    Returns each piece's left end, length, source bin and, times ``bins``,
-    the left edge of its image bin on the lift.
+    Segment s is the preimage on [0, 1] of image bin ``first`` + s on the
+    lift.  Since min T' > 1 it is shorter than a bin, so it has two slots:
+    its part in source bin j0 and its part in j0 + 1, of length zero when the
+    segment is not cut.  Returns the slots' left ends, lengths and source
+    bins, each of shape (2, segments), and ``first``.
     """
     d = circle_map.degree
     start = float(circle_map.lift(0.0))
@@ -74,50 +128,39 @@ def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, ...]:
     # so the preimage segments tile [0, 1] exactly and columns sum to one.
     y[0], y[-1] = 0.0, 1.0
 
-    # Each preimage segment maps into one image bin and straddles at most one
-    # source-bin edge, where it is cut in two.
     y_lo, y_hi = y[:-1], y[1:]
-    image_edge = np.floor(0.5 * (targets[:-1] + targets[1:]) * bins).astype(int)
+    first = int(np.floor(0.5 * (targets[0] + targets[1]) * bins))
     j0 = np.minimum((y_lo * bins).astype(int), bins - 1)
-    edge = (j0 + 1) / bins
-    first = np.minimum(y_hi, edge) - y_lo
-    whole, cut = first > 0.0, y_hi > edge
-    return (np.concatenate((y_lo[whole], edge[cut])),
-            np.concatenate((first[whole], (y_hi - edge)[cut])),
-            np.concatenate((j0[whole], j0[cut] + 1)),
-            np.concatenate((image_edge[whole], image_edge[cut])))
+    cut = np.minimum(y_hi, (j0 + 1) / bins)
+    return (np.stack((y_lo, cut)), np.stack((cut - y_lo, y_hi - cut)),
+            np.stack((j0, np.minimum(j0 + 1, bins - 1))), first)
 
 
-def _transition_matrix(circle_map: CircleMap, bins: int, degree: int) -> sp.csc_matrix:
-    import scipy.sparse as sp  # here, so that commands that never verify skip it
-
+def _transition_matrix(circle_map: CircleMap, bins: int, degree: int) -> TransitionOperator:
     # _pieces frees its per-segment temporaries on return, so the assembly
     # below peaks no higher in memory than the Newton inversion inside it.
-    piece_lo, length, source, image_edge = _pieces(circle_map, bins)
+    left, length, source, first = _pieces(circle_map, bins)
 
     # Entry (a, p) <- (b, q) is (2p+1) * bins * integral of P_q(xi_b(y)) P_p(eta_a(T y))
-    # over the pieces from source bin b into image bin a, with the bin-local
+    # over the piece from source bin b into image bin a, with the bin-local
     # coordinates xi_b(y) = 2*(y*bins - b) - 1 and eta_a likewise on the image.
-    # Gauss-Legendre quadrature on each piece; the one-node rule at degree 0
-    # gives exactly length * bins.
+    # Gauss-Legendre quadrature on each piece; an empty slot gets zero entries.
     size = degree + 1
-    vals = np.zeros((length.size, size, size))
-    for node, weight in zip(*legendre.leggauss(size)):
-        y_node = piece_lo + 0.5 * length * (node + 1.0)
-        source_basis = legendre.legvander(2.0 * (y_node * bins - source) - 1.0, degree)
-        if degree:
+    if degree:
+        from numpy.polynomial import legendre  # here, so that Ulam's method skips it
+
+        image_edge = first + np.arange(length.shape[1])
+        vals = np.zeros((size, size) + length.shape)
+        for node, weight in zip(*legendre.leggauss(size)):
+            y_node = left + 0.5 * length * (node + 1.0)
+            xi = 2.0 * (y_node * bins - source) - 1.0
             eta = 2.0 * (circle_map.lift(y_node) * bins - image_edge) - 1.0
-            image_basis = legendre.legvander(eta, degree)
-        else:  # P_0 is constant, so the lift at the nodes is not needed
-            image_basis = np.ones_like(source_basis)
-        vals += 0.5 * weight * image_basis[:, :, None] * source_basis[:, None, :]
-    local = np.arange(size)
-    vals *= ((2 * local + 1) * bins)[:, None] * length[:, None, None]
-    rows = ((image_edge % bins)[:, None, None] * size
-            + local[:, None]).repeat(size, axis=2)
-    cols = (source[:, None, None] * size + local).repeat(size, axis=1)
-    matrix = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                           shape=(bins * size, bins * size)).tocsc()
+            vals += (0.5 * weight * np.moveaxis(legendre.legvander(eta, degree), -1, 0)[:, None]
+                     * np.moveaxis(legendre.legvander(xi, degree), -1, 0)[None, :])
+    else:  # the one-node rule integrates P_0 P_0 = 1 exactly: entries length * bins
+        vals = np.ones((1, 1) + length.shape)
+    vals *= ((2 * np.arange(size) + 1) * bins)[:, None, None, None] * length
+    matrix = TransitionOperator(bins, first % bins, source, vals.reshape(size, 2 * size, -1))
 
     # The P_0 rows of the image carry its mass: each degree-0 column maps unit
     # mass, each higher-degree column (zero mean) maps none.
@@ -137,7 +180,7 @@ def _transition_matrix(circle_map: CircleMap, bins: int, degree: int) -> sp.csc_
     return matrix
 
 
-def _stationary_vector(matrix: sp.csc_matrix, bins: int) -> np.ndarray:
+def _stationary_vector(matrix: TransitionOperator, bins: int) -> np.ndarray:
     size = matrix.shape[0] // bins
     v = np.zeros(matrix.shape[0])
     v[::size] = 1.0

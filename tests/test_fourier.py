@@ -225,7 +225,9 @@ class TestSeriesBasics:
         ({"N": 1, "coeffs": [[0.0, 0.0]] * 3, "extra": 5}, "unknown series keys"),
         ({"N": -1, "coeffs": []}, ">= 0"),
         ([[0.0, 0.0]], "object"),
-    ], ids=["N-fraction", "N-bool", "extra-key", "N-negative", "not-an-object"])
+        ({"N": 0}, "needs keys \\['coeffs'\\]"),
+    ], ids=["N-fraction", "N-bool", "extra-key", "N-negative", "not-an-object",
+            "coeffs-missing"])
     def test_from_dict_refuses_malformed_blocks(self, block, match):
         with pytest.raises(ValueError, match=match):
             FourierSeries.from_dict(block)

@@ -53,8 +53,9 @@ class TestCircleMap:
         ({"degree": 2.7, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}, "degree"),
         ({"degree": True, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}, "degree"),
         ({"degree": 2, "periodic_part": "sin"}, "object"),
+        ({"degree": 2}, "needs keys \\['periodic_part'\\]"),
     ], ids=["misspelled-key", "series-N-bool", "degree-fraction", "degree-bool",
-            "periodic-part-string"])
+            "periodic-part-string", "periodic-part-missing"])
     def test_from_dict_refuses_malformed_blocks(self, block, match):
         with pytest.raises(ValueError, match=match):
             CircleMap.from_dict(block)
@@ -232,7 +233,8 @@ class TestAgainstReference:
         x = np.linspace(-1.0, 2.0, 2 * fourier.HORNER_BLOCK + 301)
         for circle_map in _all_maps(doubling, wavy, triple):
             d, p = circle_map.degree, circle_map.periodic_part
-            value, slope = circle_map._lift_pair(x)
+            value, slope = circle_map._lift_value(x)
+            slope = slope()
             np.testing.assert_allclose(value, d * x + horner_values(p.coeffs, x).real,
                                        rtol=0, atol=1e-13)
             np.testing.assert_allclose(
@@ -253,16 +255,16 @@ class TestAgainstReference:
 
 @pytest.fixture
 def newton_calls(monkeypatch):
-    """Records the number of value_slope calls of every ``_solve_increasing`` run."""
+    """Records the number of value calls of every ``_solve_increasing`` run."""
     calls = []
     original = maps._solve_increasing
 
-    def counting(value_slope, *args, **kwargs):
+    def counting(value, *args, **kwargs):
         count = [0]
 
         def counted(y):
             count[0] += 1
-            return value_slope(y)
+            return value(y)
 
         try:
             return original(counted, *args, **kwargs)
@@ -298,6 +300,34 @@ class TestNewtonSweeps:
     def test_steep(self, newton_calls):
         self._check(steep_map(), newton_calls)
 
+    def test_slope_only_before_a_step(self, wavy, monkeypatch):
+        # the converged sweep evaluates the value alone, in both inversions
+        counts = []
+        original = maps._solve_increasing
+
+        def counting(value, *args, **kwargs):
+            n = [0, 0]  # value calls, slope calls
+
+            def counted(y):
+                n[0] += 1
+                f, slope = value(y)
+
+                def counted_slope():
+                    n[1] += 1
+                    return slope()
+                return f, counted_slope
+
+            try:
+                return original(counted, *args, **kwargs)
+            finally:
+                counts.append(tuple(n))
+
+        monkeypatch.setattr(maps, "_solve_increasing", counting)
+        wavy.invert_lift(np.linspace(0.0, 2.0, 1001))
+        CircleDiffeo(sine(1, 0.05 / (2 * np.pi))).invert(np.linspace(0.0, 1.0, 1001))
+        assert len(counts) == 2
+        assert all(values >= 2 and slopes == values - 1 for values, slopes in counts), counts
+
 
 class TestNewtonFallback:
     def test_bisection_meets_tolerance(self, newton_calls):
@@ -306,14 +336,14 @@ class TestNewtonFallback:
         lo = (base - steep._p_hi) / 5
         hi = (base - steep._p_lo) / 5
         seed = (base - steep.lift(0.0)) / 5
-        y = maps._solve_increasing(steep._lift_pair, base, seed, lo, hi, maxit=1)
+        y = maps._solve_increasing(steep._lift_value, base, seed, lo, hi, maxit=1)
         assert newton_calls[-1] > 100  # the bisection sweeps ran
-        assert np.max(np.abs(steep._lift_pair(y)[0] - base)) < maps.NEWTON_TOL
+        assert np.max(np.abs(steep._lift_value(y)[0] - base)) < maps.NEWTON_TOL
         np.testing.assert_allclose(y, steep.invert_lift(base), rtol=0, atol=1e-13)
 
     def test_target_outside_bracket(self, wavy):
         root = np.array([0.2, 0.6])
         target = wavy.lift(root)
         with pytest.raises(PreimageError, match="did not converge"):
-            maps._solve_increasing(wavy._lift_pair, target, root + 0.35,
+            maps._solve_increasing(wavy._lift_value, target, root + 0.35,
                                    root + 0.3, root + 0.4)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import pytest
 
 import linresp
 
-from linresp import (PerturbedFamily, bin_averages, compare_l1, constant, cosine,
-                     fd_response, sine, ulam_build, zeros)
+from conftest import dense_ulam_matrix, seeded_maps, steep_map
+from linresp import (CircleMap, PerturbedFamily, bin_averages, compare_l1, constant, cosine,
+                     doubling_map, fd_response, sine, ulam_build, zeros)
 
 TWO_PI = 2 * np.pi
 
@@ -21,7 +23,8 @@ class TestUlamBuild:
                              [0.5, 0.0, 0.5, 0.0],
                              [0.0, 0.5, 0.0, 0.5],
                              [0.0, 0.5, 0.0, 0.5]])
-        np.testing.assert_allclose(model.matrix.toarray(), expected, atol=1e-14)
+        dense = np.column_stack([model.matrix @ column for column in np.eye(4)])
+        np.testing.assert_allclose(dense, expected, atol=1e-14)
         np.testing.assert_allclose(model.stationary, np.ones(4), atol=1e-13)
 
     def test_doubling_fine_stationary(self, doubling):
@@ -30,7 +33,7 @@ class TestUlamBuild:
 
     def test_columns_stochastic(self, wavy):
         model = ulam_build(wavy, 2**12)
-        sums = np.asarray(model.matrix.sum(axis=0)).ravel()
+        sums = np.ones(2**12) @ model.matrix
         assert np.max(np.abs(sums - 1.0)) < 1e-12
 
     def test_stationary_properties(self, wavy):
@@ -66,7 +69,9 @@ class TestUlamBuild:
         bins = 2**10
         model = ulam_build(wavy, bins, degree=2)
         assert model.matrix.shape == (3 * bins, 3 * bins)
-        mass = np.asarray(model.matrix[::3].sum(axis=0)).reshape(bins, 3)
+        p0 = np.zeros(3 * bins)
+        p0[::3] = 1.0
+        mass = (p0 @ model.matrix).reshape(bins, 3)
         assert np.max(np.abs(mass[:, 0] - 1.0)) < 1e-12
         assert np.max(np.abs(mass[:, 1:])) < 1e-12
 
@@ -83,9 +88,40 @@ class TestUlamBuild:
         from linresp import CircleMap
         shifted = CircleMap(2, cosine(1, 0.05))
         model = ulam_build(shifted, 2**10)
-        sums = np.asarray(model.matrix.sum(axis=0)).ravel()
+        sums = np.ones(2**10) @ model.matrix
         assert np.max(np.abs(sums - 1.0)) < 1e-12
         assert model.stationary.sum() == pytest.approx(2**10, rel=1e-12)
+
+
+ORACLE_MAPS = {
+    "doubling": doubling_map(),
+    "wavy": CircleMap(2, sine(1, 0.1)),
+    "shifted": CircleMap(2, cosine(1, 0.05)),  # p(0) != 0
+    "steep": steep_map(),
+    "seeded-degree-3": seeded_maps()[1],
+}
+
+
+class TestTransitionOperator:
+    @pytest.mark.parametrize("bins", [256, 300])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("name", list(ORACLE_MAPS))
+    def test_products_match_dense_reference(self, name, degree, bins):
+        circle_map = ORACLE_MAPS[name]
+        matrix = ulam_build(circle_map, bins, degree).matrix
+        dense = dense_ulam_matrix(circle_map, bins, degree)
+        assert matrix.shape == dense.shape
+        v = np.random.default_rng(degree).uniform(-1.0, 1.0, dense.shape[0])
+        np.testing.assert_allclose(matrix @ v, dense @ v, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(v @ matrix, v @ dense, rtol=0, atol=1e-14)
+
+    def test_refuses_operand_of_wrong_size(self, wavy):
+        matrix = ulam_build(wavy, 16, degree=1).matrix
+        for operand in (np.ones(16), np.ones((32, 2))):
+            with pytest.raises(ValueError, match="expected"):
+                matrix @ operand
+            with pytest.raises(ValueError, match="expected"):
+                operand @ matrix
 
 
 class TestFdResponse:
@@ -140,12 +176,26 @@ class TestCompareL1:
         np.testing.assert_allclose(vals, exact, atol=1e-14)
 
 
-def test_package_import_leaves_scipy_sparse_unloaded():
-    # Only the oracle needs scipy.sparse; commands that never verify skip it.
+def test_package_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # linresp needs no scipy, the oracle included, and only an oracle of
+    # degree > 0 loads numpy.polynomial.
     src = str(Path(linresp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, linresp; print('scipy.sparse' in sys.modules)"
+    probe = ("import sys, linresp; "
+             "print([m for m in ('scipy', 'numpy.polynomial') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+    wavy = {"degree": 2, "periodic_part": sine(1, 0.1).to_dict()}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"map": wavy, "N": 16, "target": "mix",
+                                  "verify": {"delta": 1e-3, "bins": 1024}}))
+    run = ("import sys; from linresp.cli import main; "
+           "code = main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+           "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", run, str(config), str(tmp_path / "out")],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "verify.json").exists()
