@@ -9,40 +9,32 @@ oracle.
 
 from .control import (ControlSolution, InfeasibleTargetError, kernel_directions,
                       minimal_norm_control, minimal_norm_truncation_report,
-                      solve_control, step1_g, step2_epsilon,
-                      weighted_inner_product)
+                      solve_control, step1_g, step2_epsilon)
 from .doubling import exact_control, exact_forward
 from .fourier import (DEFAULT_ORDER, FourierSeries, GridFunction, SobolevWeights,
                       antiderivative, constant, cosine, dft, differentiate, idft,
-                      l1_norm, l2_norm, multiply, next_pow2, sine, sobolev_norm,
-                      sup_norm, zeros)
-from .maps import (CircleDiffeo, CircleMap, NotExpandingError, PerturbedFamily,
-                   PreimageError, doubling_map)
+                      next_pow2, sine, sobolev_norm, sup_norm, zeros)
+from .maps import CircleMap, NotExpandingError, PerturbedFamily, PreimageError, doubling_map
 from .response import (ResponseProblem, UnderResolvedError, derivative_operator,
-                       finite_difference_response_check, forward_response)
+                       forward_response)
 from .transfer import (SpectralGapError, TransferMatrix, apply_transfer,
-                       apply_transfer_pointwise, build_conjugate,
-                       fixed_point_residual, galerkin_matrix, invariant_density,
-                       solve_zero_mean, transfer_conjugacy_check)
+                       apply_transfer_pointwise, fixed_point_residual, galerkin_matrix,
+                       invariant_density, solve_zero_mean)
 from .verify import UlamModel, bin_averages, compare_l1, fd_response, ulam_build
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircleDiffeo", "CircleMap", "ControlSolution", "DEFAULT_ORDER",
-    "FourierSeries", "GridFunction", "InfeasibleTargetError",
-    "NotExpandingError", "PerturbedFamily", "PreimageError", "ResponseProblem",
-    "SobolevWeights", "SpectralGapError", "TransferMatrix", "UlamModel",
-    "UnderResolvedError",
+    "CircleMap", "ControlSolution", "DEFAULT_ORDER", "FourierSeries",
+    "GridFunction", "InfeasibleTargetError", "NotExpandingError",
+    "PerturbedFamily", "PreimageError", "ResponseProblem", "SobolevWeights",
+    "SpectralGapError", "TransferMatrix", "UlamModel", "UnderResolvedError",
     "antiderivative", "apply_transfer", "apply_transfer_pointwise",
-    "bin_averages", "build_conjugate", "compare_l1", "constant", "cosine",
-    "derivative_operator", "dft", "differentiate", "doubling_map",
-    "exact_control", "exact_forward", "fd_response",
-    "finite_difference_response_check", "fixed_point_residual",
-    "forward_response", "galerkin_matrix", "idft", "invariant_density",
-    "kernel_directions", "l1_norm", "l2_norm", "minimal_norm_control",
-    "minimal_norm_truncation_report", "multiply", "next_pow2", "sine",
-    "sobolev_norm", "solve_control", "solve_zero_mean", "step1_g",
-    "step2_epsilon", "sup_norm", "transfer_conjugacy_check", "ulam_build",
-    "weighted_inner_product", "zeros",
+    "bin_averages", "compare_l1", "constant", "cosine", "derivative_operator",
+    "dft", "differentiate", "doubling_map", "exact_control", "exact_forward",
+    "fd_response", "fixed_point_residual", "forward_response",
+    "galerkin_matrix", "idft", "invariant_density", "kernel_directions",
+    "minimal_norm_control", "minimal_norm_truncation_report", "next_pow2",
+    "sine", "sobolev_norm", "solve_control", "solve_zero_mean", "step1_g",
+    "step2_epsilon", "sup_norm", "ulam_build", "zeros",
 ]

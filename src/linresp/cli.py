@@ -21,7 +21,7 @@ import numpy as np
 
 from .control import (InfeasibleTargetError, minimal_norm_control,
                       minimal_norm_truncation_report, solve_control)
-from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, as_integer,
+from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, as_integer, as_real,
                       check_keys, cosine, idft, next_pow2, sine, sup_norm)
 from .maps import CircleMap, PerturbedFamily, PreimageError
 from .response import ResponseProblem, forward_response
@@ -91,7 +91,7 @@ def _parsed(what: str, parse, value):
 
 
 def _checked(rule, *args):
-    """A schema rule of the library (``as_integer``, ``check_keys``), refusals as ConfigError."""
+    """A library schema rule (``as_integer``, ``as_real``, ``check_keys``) raising ConfigError."""
     try:
         return rule(*args)
     except ValueError as exc:
@@ -108,7 +108,7 @@ def _parse_series(value, what: str) -> FourierSeries:
     if isinstance(value, dict) and "preset" in value:
         _checked(check_keys, f"{what} preset", value, ("preset", "scale"))
         base = _parse_series(value["preset"], what)
-        return base * _parsed(f"{what} scale", float, value.get("scale", 1.0))
+        return base * _checked(as_real, f"{what} scale", value.get("scale", 1.0))
     if isinstance(value, dict) and "coeffs" in value:
         return _parsed(f"{what} series", FourierSeries.from_dict, value)
     raise ConfigError(f"{what} must be a preset name or a series object")
@@ -150,10 +150,10 @@ class JobConfig:
         if "verify" in data:
             block = data["verify"]
             _checked(check_keys, "verify", block, ("delta", "bins"))
-            verify = VerifySettings(_parsed("verify.delta", float, block.get("delta")),
+            verify = VerifySettings(_checked(as_real, "verify.delta", block.get("delta")),
                                     _checked(as_integer, "verify.bins", block.get("bins"), 2))
-            if not (verify.delta > 0 and np.isfinite(verify.delta)):
-                raise ConfigError("verify.delta must be positive and finite")
+            if not verify.delta > 0:
+                raise ConfigError("verify.delta must be positive")
         return cls(circle_map, order, grid, target, epsilon, weights, verify)
 
     def to_dict(self) -> dict:

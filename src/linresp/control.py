@@ -131,7 +131,8 @@ def step2_epsilon(problem: ResponseProblem, g: FourierSeries) -> FourierSeries:
 def _constraint_rhs(problem: ResponseProblem, target: FourierSeries,
                     order: int) -> np.ndarray:
     if target.order > order:
-        raise ValueError(f"target order {target.order} exceeds truncation {order}")
+        raise InfeasibleTargetError(f"target order {target.order} exceeds truncation "
+                                    f"{order}; retry with a larger order")
     t = target.with_order(order)
     image = apply_transfer(problem.map, t, out_order=order)
     return t.coeffs - image.coeffs
@@ -188,8 +189,8 @@ def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
     _require_zero_mean(target, "target density change")
     if order is None:
         order = problem.order
-    a, scale, system = _weighted_real_system(problem, weights, order)
     r = _constraint_rhs(problem, target, order)
+    a, scale, system = _weighted_real_system(problem, weights, order)
     coords, _, rank, _ = np.linalg.lstsq(system, to_real_basis(r),
                                          rcond=PSEUDOINVERSE_CUTOFF)
     eps = from_real_basis(scale * coords)
@@ -208,7 +209,9 @@ def solve_control(problem: ResponseProblem, target: FourierSeries,
 
     forward_response of the returned eps must reproduce the target within
     1e-6 in sup norm.  The reported norm uses ``weights`` (default: plain L2).
+    A target beyond the truncation raises InfeasibleTargetError before any solve.
     """
+    rhs = _constraint_rhs(problem, target, problem.order)
     g = step1_g(problem, target)
     eps = step2_epsilon(problem, g)
     drho = derivative_operator(problem, eps, problem.density)
@@ -216,8 +219,7 @@ def solve_control(problem: ResponseProblem, target: FourierSeries,
     gap = sup_norm(realized - target)
     if gap > ROUNDTRIP_TOL:
         raise RuntimeError(f"two-step round trip error {gap:.3e} > 1e-6")
-    residual = float(np.linalg.norm(
-        drho.coeffs - _constraint_rhs(problem, target, problem.order)))
+    residual = float(np.linalg.norm(drho.coeffs - rhs))
     if residual > FEASIBILITY_TOL:
         raise RuntimeError(f"two-step constraint defect {residual:.3e} > 1e-8")
     return ControlSolution(eps, residual, sobolev_norm(eps, weights), "two_step")
@@ -264,12 +266,3 @@ def minimal_norm_truncation_report(problem: ResponseProblem, target: FourierSeri
     return {"order": order, "norm": low.norm,
             "order_doubled": 2 * order, "norm_doubled": high.norm,
             "difference": abs(high.norm - low.norm)}
-
-
-def weighted_inner_product(f: FourierSeries, g: FourierSeries,
-                           weights: SobolevWeights) -> complex:
-    """W-inner product sum_n W(n) conj(f_n) g_n."""
-    order = max(f.order, g.order)
-    w = weights.mode_weights(order)
-    return complex(np.sum(w * np.conj(f.with_order(order).coeffs)
-                          * g.with_order(order).coeffs))

@@ -10,12 +10,15 @@ operations are pure, so everything is safe to share across threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 DEFAULT_ORDER = 64
 HORNER_BLOCK = 16384  # points per Horner block; a two-row accumulator is 512 KB
+FLOAT_MAX = sys.float_info.max
 
 
 def next_pow2(n: int) -> int:
@@ -34,6 +37,15 @@ def as_integer(what: str, value, low: int) -> int:
     if value < low:
         raise ValueError(f"{what} must be >= {low}")
     return int(value)
+
+
+def as_real(what: str, value) -> float:
+    """A finite real number as a float; booleans, strings and non-finite values are refused."""
+    # Python compares int and float exactly, so this refuses NaN, infinities and
+    # the integers that float() cannot hold.
+    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= FLOAT_MAX:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def check_keys(what: str, block, known: tuple[str, ...],
@@ -70,9 +82,9 @@ class SobolevWeights:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"weight {name!r} must be finite and >= 0, got {v}")
+            v = as_real(f"weight {name!r}", getattr(self, name))
+            if v < 0.0:
+                raise ValueError(f"weight {name!r} must be >= 0, got {v}")
             object.__setattr__(self, name, v)
 
     def mode_weights(self, order: int) -> np.ndarray:
@@ -89,8 +101,7 @@ class SobolevWeights:
     def from_dict(cls, data: dict) -> "SobolevWeights":
         """The weights of ``to_dict``: a subset of the keys a, b, c, d, 0 by default."""
         check_keys("weights", data, ("a", "b", "c", "d"))
-        return cls(float(data.get("a", 0.0)), float(data.get("b", 0.0)),
-                   float(data.get("c", 0.0)), float(data.get("d", 0.0)))
+        return cls(**data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +174,6 @@ class FourierSeries:
         c[order - m:order + m + 1] = self.coeffs[self.order - m:self.order + m + 1]
         return FourierSeries(c)
 
-    def plus_constant(self, value: float) -> "FourierSeries":
-        c = np.array(self.coeffs)
-        c[self.order] += value
-        return FourierSeries(c)
-
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         n = max(self.order, other.order)
         return FourierSeries(self.with_order(n).coeffs + other.with_order(n).coeffs)
@@ -201,7 +207,8 @@ class FourierSeries:
         pairs = data["coeffs"]
         if len(pairs) != 2 * order + 1:
             raise ValueError("coeffs length does not match N")
-        return cls(np.array([complex(re, im) for re, im in pairs]))
+        return cls(np.array([complex(as_real("series coefficient", re),
+                                     as_real("series coefficient", im)) for re, im in pairs]))
 
 
 def half_spectrum(*series: FourierSeries) -> np.ndarray:
@@ -378,10 +385,6 @@ class GridFunction:
     def size(self) -> int:
         return self.samples.size
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.size) / self.size
-
 
 def dft(grid: GridFunction, order: int) -> FourierSeries:
     """Discrete Fourier coefficients of the samples, Hermitian-symmetrized.
@@ -434,37 +437,12 @@ def antiderivative(series: FourierSeries) -> FourierSeries:
     return FourierSeries(c)
 
 
-def multiply(f: FourierSeries, g: FourierSeries, order: int | None = None) -> FourierSeries:
-    """Pointwise product, computed pseudospectrally without aliasing.
-
-    The product is formed on a grid of size >= 2(N_f + N_g) + 1 (2x zero
-    padding) and truncated to ``order`` (defaults to N_f + N_g, which is
-    exact).
-    """
-    full = f.order + g.order
-    if order is None:
-        order = full
-    size = next_pow2(2 * full + 2)
-    values = idft(f, size).samples * idft(g, size).samples
-    return dft(GridFunction(values), min(order, (size - 1) // 2)).with_order(order)
-
-
 def sobolev_norm(series: FourierSeries, weights: SobolevWeights) -> float:
     """sqrt(sum_n W(n) |c_n|^2) with the quadratic-form weights W(n)."""
     w = weights.mode_weights(series.order)
     return float(np.sqrt(np.sum(w * np.abs(series.coeffs) ** 2)))
 
 
-def l2_norm(series: FourierSeries) -> float:
-    """Plain L2 norm (Parseval)."""
-    return sobolev_norm(series, SobolevWeights())
-
-
 def sup_norm(series: FourierSeries, grid: int = 4096) -> float:
     size = next_pow2(max(grid, 2 * series.order + 2))
     return float(np.max(np.abs(idft(series, size).samples)))
-
-
-def l1_norm(series: FourierSeries, grid: int = 4096) -> float:
-    size = next_pow2(max(grid, 2 * series.order + 2))
-    return float(np.mean(np.abs(idft(series, size).samples)))

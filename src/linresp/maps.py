@@ -3,8 +3,10 @@
 The periodic part p is a trigonometric polynomial, so derivatives to any
 order are exact and branch inverses can be found by Newton iteration on the
 strictly increasing lift, seeded by interpolating the lift's inverse from
-samples on a uniform grid.  One-parameter families T_delta = T0 + delta*eps
-model first-order perturbations of the dynamics.
+samples on a uniform grid.  That inverter is the only one in the package, and
+only the pointwise checks and the Ulam oracle call it.  One-parameter
+families T_delta = T0 + delta*eps model first-order perturbations of the
+dynamics.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import (FourierSeries, antiderivative, as_integer, check_keys, constant,
-                      differentiate, grid_values, half_spectrum, next_pow2, real_horner,
-                      zeros)
+from .fourier import (FourierSeries, as_integer, check_keys, differentiate, grid_values,
+                      half_spectrum, next_pow2, real_horner, zeros)
 
 EXPANSIVITY_MARGIN = 1e-9
 FAMILY_MARGIN = 0.05
@@ -68,9 +69,7 @@ def _solve_increasing(value, target, seed, lo, hi,
         y = np.clip(y - resid / slope(), lo, hi)
     bad = np.abs(value(y)[0] - target) >= tol
     if np.any(bad):
-        a = np.array(lo[bad] if np.ndim(lo) else np.full(int(bad.sum()), lo))
-        b = np.array(hi[bad] if np.ndim(hi) else np.full(int(bad.sum()), hi))
-        t = target[bad]
+        a, b, t = lo[bad], hi[bad], target[bad]
         for _ in range(120):
             m = 0.5 * (a + b)
             left = value(m)[0] <= t
@@ -247,78 +246,3 @@ class PerturbedFamily:
                 "perturbation breaks expansivity")
         return CircleMap(self.base.degree,
                          self.base.periodic_part + delta * self.direction)
-
-    def preimage_shift(self, x: float, branch: int, delta: float) -> float:
-        """First-order prediction of the branch preimage under T_delta."""
-        if not abs(delta) < self.delta_max:
-            raise ValueError("|delta| >= delta_max")
-        y0 = self.base.preimages(x)[branch]
-        return float(y0 - delta * self.direction.evaluate(y0)
-                     / self.base.evaluate(y0, 1))
-
-
-@dataclass(frozen=True, eq=False)
-class CircleDiffeo:
-    """Orientation-preserving circle diffeomorphism h(x) = x + q(x).
-
-    q is periodic; h' = 1 + q' must stay strictly positive.
-    """
-
-    displacement: FourierSeries
-
-    def __post_init__(self) -> None:
-        size = _validation_size(self.displacement.order)
-        deriv = 1.0 + grid_values(self._dq, size)
-        if float(np.min(deriv)) <= 0.0:
-            raise ValueError("h' <= 0 somewhere: not a diffeomorphism")
-        q = grid_values(self.displacement, size)
-        pad = 1e-9 + 1e-3 * (float(np.max(q)) - float(np.min(q)))
-        object.__setattr__(self, "_q_lo", float(np.min(q)) - pad)
-        object.__setattr__(self, "_q_hi", float(np.max(q)) + pad)
-        object.__setattr__(self, "_samples", q)
-
-    @cached_property
-    def _dq(self) -> FourierSeries:
-        return differentiate(self.displacement)
-
-    @cached_property
-    def _half(self) -> np.ndarray:
-        return half_spectrum(self.displacement, self._dq)
-
-    def evaluate(self, x):
-        return np.asarray(x, dtype=float) + self.displacement.evaluate(x)
-
-    def deriv(self, x):
-        return 1.0 + self._dq.evaluate(x)
-
-    def _value(self, y):
-        """h(y), and a function that returns h'(y) sharing e^{2 pi i y}."""
-        z = np.exp(2j * np.pi * y)
-        return (y + real_horner(self._half[:1], z)[0],
-                lambda: 1.0 + real_horner(self._half[1:], z)[0])
-
-    def invert(self, x):
-        """Newton inversion of h (solves y + q(y) = x)."""
-        xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        flat = np.atleast_1d(xa).ravel()
-        if flat.size == 0:
-            return np.zeros(xa.shape)
-        y = _solve_increasing(self._value, flat,
-                              _interpolated_inverse(1.0, self._samples, flat),
-                              flat - self._q_hi, flat - self._q_lo)
-        if scalar:
-            return float(y[0])
-        return y.reshape(xa.shape)
-
-    @classmethod
-    def identity(cls) -> "CircleDiffeo":
-        return cls(zeros(0))
-
-    @classmethod
-    def from_density(cls, density: FourierSeries) -> "CircleDiffeo":
-        """h(x) = integral of the density from 0 to x, for a mean-1 density."""
-        if abs(density.coeff(0) - 1.0) > 1e-8:
-            raise ValueError("density must have mean 1")
-        primitive = antiderivative(density - constant(1.0))
-        return cls(primitive.plus_constant(-primitive.evaluate(0.0)))

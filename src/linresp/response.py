@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fourier import (DEFAULT_ORDER, FourierSeries, GridFunction, dft,
-                      differentiate, grid_values, l1_norm, next_pow2, sup_norm)
-from .maps import CircleMap, PerturbedFamily
+                      differentiate, grid_values, next_pow2, sup_norm)
+from .maps import CircleMap
 from .transfer import (TransferMatrix, apply_transfer, fixed_point_residual,
                        galerkin_matrix, invariant_density, solve_zero_mean)
 
@@ -100,18 +100,3 @@ def forward_response(problem: ResponseProblem, direction: FourierSeries) -> Four
     """First-order density change rho1 for the perturbation ``direction``."""
     drho = derivative_operator(problem, direction, problem.density)
     return solve_zero_mean(problem.matrix, drho)
-
-
-def finite_difference_response_check(problem: ResponseProblem,
-                                     direction: FourierSeries, delta: float,
-                                     grid: int = 4096) -> float:
-    """L1 gap between the central-difference density derivative and rho1.
-
-    Invariant densities of T_{+delta} and T_{-delta} are computed spectrally,
-    so the gap scales as O(delta^2).
-    """
-    family = PerturbedFamily(problem.map, direction)
-    rho_plus = invariant_density(galerkin_matrix(family.member(delta), problem.order))
-    rho_minus = invariant_density(galerkin_matrix(family.member(-delta), problem.order))
-    fd = (rho_plus - rho_minus) * (0.5 / delta)
-    return l1_norm(fd - forward_response(problem, direction), grid)

@@ -8,7 +8,7 @@ the duality  integral (L w) phi = integral w (phi o T), so no preimages are
 needed for matrix entries; each row is one FFT.  Its restricted I - M is
 inverted once and serves both the invariant density and every zero-mean
 solve.  The same duality applies L to a series; Newton preimages serve the
-pointwise checks only.
+pointwise checks only (``apply_transfer_pointwise``, ``fixed_point_residual``).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import FourierSeries, GridFunction, dft, grid_values, idft, next_pow2
-from .maps import CircleDiffeo, CircleMap
+from .fourier import FourierSeries, grid_values, idft, next_pow2
+from .maps import CircleMap
 
 QUADRATURE_FACTOR = 8
 CONDITION_LIMIT = 1e12
@@ -208,41 +208,3 @@ def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries
     if residual > 1e-10:
         raise SpectralGapError(f"zero-mean solve residual {residual:.3e} > 1e-10")
     return result
-
-
-def build_conjugate(circle_map: CircleMap, diffeo: CircleDiffeo,
-                    order: int = 128) -> CircleMap:
-    """The conjugated map S = h o T o h^{-1} as a CircleMap.
-
-    S's periodic part is sampled through Newton inversion of h and
-    re-projected, so downstream transfer applications of S use their own
-    preimages and derivatives rather than the conjugacy's chain rule.
-    """
-    size = next_pow2(max(8 * order, 1024))
-    x = np.arange(size) / size
-    inner = diffeo.invert(x)
-    lifted = circle_map.lift(inner)
-    outer = lifted + diffeo.displacement.evaluate(lifted)
-    periodic = dft(GridFunction(outer - circle_map.degree * x), order)
-    return CircleMap(circle_map.degree, periodic)
-
-
-def transfer_conjugacy_check(circle_map: CircleMap, diffeo: CircleDiffeo,
-                             w: FourierSeries, grid: int = 1024,
-                             conjugate_order: int = 128) -> float:
-    """Max-norm residual of (L_S w) o h = (1/h') L_T((w o h) h') on a grid.
-
-    S = h o T o h^{-1} is rebuilt independently (see build_conjugate), so the
-    two sides share no preimage computations.  Test-only diagnostic.
-    """
-    conjugate = build_conjugate(circle_map, diffeo, conjugate_order)
-    x = np.arange(grid) / grid
-    hx = np.mod(diffeo.evaluate(x), 1.0)
-    left = apply_transfer_pointwise(conjugate, w, hx)
-
-    size = next_pow2(max(8 * conjugate_order, 1024))
-    xs = np.arange(size) / size
-    composed = dft(GridFunction(w.evaluate(diffeo.evaluate(xs)) * diffeo.deriv(xs)),
-                   conjugate_order)
-    right = apply_transfer_pointwise(circle_map, composed, x) / diffeo.deriv(x)
-    return float(np.max(np.abs(left - right)))

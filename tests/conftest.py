@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from linresp import (CircleMap, FourierSeries, ResponseProblem, cosine, doubling_map, sine,
+from linresp import (CircleMap, FourierSeries, GridFunction, PerturbedFamily, ResponseProblem,
+                     antiderivative, apply_transfer_pointwise, constant, cosine, dft, doubling_map,
+                     forward_response, galerkin_matrix, idft, invariant_density, next_pow2, sine,
                      zeros)
-from linresp.fourier import differentiate
+from linresp.fourier import differentiate, grid_values
 
 
 @pytest.fixture(scope="session")
@@ -223,3 +225,108 @@ def dense_ulam_matrix(circle_map, bins, degree):
     dense = np.zeros((bins * size, bins * size))
     np.add.at(dense, (rows.ravel(), cols.ravel()), vals.ravel())
     return dense
+
+
+def multiply(f, g):
+    """Pointwise product at order N_f + N_g, exact on a 2x zero-padded grid."""
+    order = f.order + g.order
+    size = next_pow2(2 * order + 2)
+    return dft(GridFunction(idft(f, size).samples * idft(g, size).samples), order)
+
+
+def weighted_inner_product(f, g, weights):
+    """W-inner product sum_n W(n) conj(f_n) g_n."""
+    order = max(f.order, g.order)
+    return complex(np.sum(weights.mode_weights(order) * np.conj(f.with_order(order).coeffs)
+                          * g.with_order(order).coeffs))
+
+
+def preimage_shift(family, x, branch, delta):
+    """First-order prediction y0 - delta eps(y0)/T0'(y0) of a branch preimage under T_delta."""
+    if not abs(delta) < family.delta_max:
+        raise ValueError("|delta| >= delta_max")
+    y0 = family.base.preimages(x)[branch]
+    return float(y0 - delta * family.direction.evaluate(y0) / family.base.evaluate(y0, 1))
+
+
+def finite_difference_response_check(problem, direction, delta, grid=4096):
+    """L1 gap between the central difference of spectral densities of T_{+-delta} and rho1.
+
+    The gap scales as O(delta^2).
+    """
+    family = PerturbedFamily(problem.map, direction)
+    rho_plus, rho_minus = (invariant_density(galerkin_matrix(family.member(s), problem.order))
+                           for s in (delta, -delta))
+    gap = (rho_plus - rho_minus) * (0.5 / delta) - forward_response(problem, direction)
+    return float(np.mean(np.abs(idft(gap, next_pow2(max(grid, 2 * gap.order + 2))).samples)))
+
+
+class CircleDiffeo:
+    """Orientation-preserving circle diffeomorphism h(x) = x + q(x), q periodic, h' > 0.
+
+    ``invert`` bisects, so it shares no inversion code with ``CircleMap``.
+    """
+
+    def __init__(self, displacement):
+        self.displacement = displacement
+        self._dq = differentiate(displacement)
+        size = next_pow2(max(16 * (displacement.order + 1), 4096))
+        if float(np.min(1.0 + grid_values(self._dq, size))) <= 0.0:
+            raise ValueError("h' <= 0 somewhere: not a diffeomorphism")
+        q = grid_values(displacement, size)
+        pad = 1e-9 + 1e-3 * (float(np.max(q)) - float(np.min(q)))
+        self._q_lo, self._q_hi = float(np.min(q)) - pad, float(np.max(q)) + pad
+
+    def evaluate(self, x):
+        return np.asarray(x, dtype=float) + self.displacement.evaluate(x)
+
+    def deriv(self, x):
+        return 1.0 + self._dq.evaluate(x)
+
+    def invert(self, x):
+        """Solve y + q(y) = x by 64 halvings of [x - max q, x - min q]."""
+        x = np.asarray(x, dtype=float)
+        lo, hi = x - self._q_hi, x - self._q_lo
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            below = self.evaluate(mid) <= x
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        y = 0.5 * (lo + hi)
+        return float(y) if x.ndim == 0 else y
+
+    @classmethod
+    def identity(cls):
+        return cls(zeros(0))
+
+    @classmethod
+    def from_density(cls, density):
+        """h(x) = integral of the density from 0 to x, for a mean-1 density."""
+        if abs(density.coeff(0) - 1.0) > 1e-8:
+            raise ValueError("density must have mean 1")
+        primitive = antiderivative(density - constant(1.0))
+        return cls(primitive + constant(-primitive.evaluate(0.0)))
+
+
+def build_conjugate(circle_map, diffeo, order=128):
+    """S = h o T o h^{-1} as a CircleMap, its periodic part sampled through h^{-1}."""
+    size = next_pow2(max(8 * order, 1024))
+    x = np.arange(size) / size
+    lifted = circle_map.lift(diffeo.invert(x))
+    outer = lifted + diffeo.displacement.evaluate(lifted)
+    return CircleMap(circle_map.degree, dft(GridFunction(outer - circle_map.degree * x), order))
+
+
+def transfer_conjugacy_check(circle_map, diffeo, w, grid=1024, conjugate_order=128):
+    """Max-norm residual of (L_S w) o h = (1/h') L_T((w o h) h') on a grid.
+
+    S is rebuilt by ``build_conjugate``, so the two sides share no preimages.
+    """
+    conjugate = build_conjugate(circle_map, diffeo, conjugate_order)
+    x = np.arange(grid) / grid
+    left = apply_transfer_pointwise(conjugate, w, np.mod(diffeo.evaluate(x), 1.0))
+    size = next_pow2(max(8 * conjugate_order, 1024))
+    xs = np.arange(size) / size
+    composed = dft(GridFunction(w.evaluate(diffeo.evaluate(xs)) * diffeo.deriv(xs)),
+                   conjugate_order)
+    right = apply_transfer_pointwise(circle_map, composed, x) / diffeo.deriv(x)
+    return float(np.max(np.abs(left - right)))

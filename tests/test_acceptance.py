@@ -9,15 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from linresp import (CircleDiffeo, GridFunction, PerturbedFamily, SobolevWeights,
-                     apply_transfer, build_conjugate, compare_l1, constant,
-                     cosine, derivative_operator, dft, differentiate,
-                     exact_control, fd_response, fixed_point_residual,
-                     forward_response, kernel_directions, l2_norm,
-                     minimal_norm_control, next_pow2, sine, solve_control,
-                     sup_norm, transfer_conjugacy_check, weighted_inner_product)
+from linresp import (GridFunction, PerturbedFamily, SobolevWeights, apply_transfer,
+                     compare_l1, constant, cosine, derivative_operator, dft,
+                     differentiate, exact_control, fd_response, fixed_point_residual,
+                     forward_response, kernel_directions, minimal_norm_control,
+                     next_pow2, sine, sobolev_norm, solve_control, sup_norm)
 
-from conftest import random_series
+from conftest import (CircleDiffeo, build_conjugate, preimage_shift, random_series,
+                      transfer_conjugacy_check, weighted_inner_product)
 
 TWO_PI = 2 * np.pi
 EPS0 = cosine(2, 1 / TWO_PI)  # the doubling map's distinguished solution
@@ -71,11 +70,12 @@ def test_criterion_1_exact_doubling_path():
     x = np.arange(4096) / 4096
     sampled_error = np.max(np.abs(eps.evaluate(x) - np.cos(2 * TWO_PI * x) / TWO_PI))
     assert sampled_error < 1e-12
-    assert l2_norm(eps) == pytest.approx(np.sqrt(8) / (8 * np.pi), abs=1e-12)
+    norm = sobolev_norm(eps, SobolevWeights())
+    assert norm == pytest.approx(np.sqrt(8) / (8 * np.pi), abs=1e-12)
     assert elapsed < 0.1
     print(f"\nACCEPTANCE 1 (exact doubling path): PASS  "
           f"max sample error {sampled_error:.2e}, "
-          f"norm {l2_norm(eps):.12f}, {elapsed*1e3:.1f} ms")
+          f"norm {norm:.12f}, {elapsed*1e3:.1f} ms")
 
 
 def test_criterion_2_general_pipeline_matches_exact(doubling_problem):
@@ -152,7 +152,7 @@ def test_criterion_5_preimage_perturbation(map_name, request):
         for x in points:
             actual = member.preimages(x)
             for branch in range(base.degree):
-                predicted = family.preimage_shift(x, branch, delta)
+                predicted = preimage_shift(family, x, branch, delta)
                 error = max(error, abs(actual[branch] - predicted))
         worst[delta] = error
     first = worst[1e-2] / worst[1e-3]

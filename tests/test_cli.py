@@ -71,11 +71,21 @@ class TestConfig:
         {"target": {"preset": "sin", "coeffs": [[0.0, 0.0]], "N": 0}},
         {"map": {"degree": 2, "periodic_part": {"N": True,
                                                 "coeffs": [[0.0, 0.05], [0.0, 0.0], [0.0, -0.05]]}}},
+        {"weights": {"a": "0.5"}},
+        {"weights": {"d": True}},
+        {"verify": {"delta": "0.001", "bins": 1024}},
+        {"verify": {"delta": None, "bins": 1024}},
+        {"target": {"preset": "cos", "scale": "0.5"}},
+        {"target": {"preset": "cos", "scale": False}},
+        {"target": {"N": 0, "coeffs": [["0.5", 0.0]]}},
+        {"target": {"N": 0, "coeffs": [[0.0, True]]}},
     ], ids=["weights-string", "scale-list", "N-null", "grid-null", "weights-unknown-key",
             "lowercase-n", "misspelled-target", "N-fraction", "N-bool", "grid-zero",
             "grid-negative", "verify-unknown-key", "bins-fraction", "bins-bool",
             "degree-fraction", "degree-bool", "preset-misspelled-scale", "map-unknown-key",
-            "series-N-bool", "preset-with-coeffs", "periodic-part-N-bool"])
+            "series-N-bool", "preset-with-coeffs", "periodic-part-N-bool",
+            "weight-string", "weight-bool", "delta-string", "delta-null", "scale-string",
+            "scale-bool", "coefficient-string", "coefficient-bool"])
     def test_malformed_entries_are_config_errors(self, tmp_path, capsys, entries):
         path = write_config(tmp_path, **entries)
         assert main(["density", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
@@ -245,6 +255,15 @@ class TestControl:
         path = write_config(tmp_path, target="sin2", N=64)
         assert main(["control", "--config", str(path), "--out",
                      str(tmp_path / "o"), "--modes", "2"]) == 3
+
+    @pytest.mark.parametrize("command", ["control", "verify"])
+    def test_target_beyond_truncation_is_infeasible(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, target="cos3", N=2,
+                            verify={"delta": 1e-3, "bins": 1024})
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible:") and "exceeds truncation 2" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:

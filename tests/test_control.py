@@ -9,10 +9,11 @@ from linresp import (CircleMap, GridFunction, InfeasibleTargetError,
                      kernel_directions, minimal_norm_control,
                      minimal_norm_truncation_report, next_pow2, sine,
                      sobolev_norm, solve_control, step1_g, step2_epsilon,
-                     sup_norm, weighted_inner_product, zeros)
+                     sup_norm, zeros)
 from linresp.control import _weighted_real_system, constraint_matrix
 
-from conftest import complex_minimal_norm, direct_galerkin_entries, random_series
+from conftest import (complex_minimal_norm, direct_galerkin_entries, random_series,
+                      weighted_inner_product)
 
 TWO_PI = 2 * np.pi
 EPS0_COEFF = 1 / (4 * np.pi)  # cos(4 pi x)/(2 pi) has +-2 coefficients 1/(4 pi)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from linresp import (FourierSeries, cosine, exact_control, exact_forward,
-                     forward_response, l2_norm, minimal_norm_control, sine, sup_norm,
+from linresp import (FourierSeries, SobolevWeights, cosine, exact_control, exact_forward,
+                     forward_response, minimal_norm_control, sine, sobolev_norm, sup_norm,
                      zeros)
 
 from conftest import random_series, reference_exact_control, reference_exact_forward
@@ -112,7 +112,7 @@ class TestRoundTripsAndNorms:
             for m in (n, -n):
                 diff = target.coeff(2 * m) - target.coeff(m)
                 total += abs(diff) ** 2 / (np.pi**2 * (2 * m) ** 2)
-        assert l2_norm(eps) ** 2 == pytest.approx(total, abs=1e-12)
+        assert sobolev_norm(eps, SobolevWeights()) ** 2 == pytest.approx(total, abs=1e-12)
 
     def test_agreement_with_spectral_minimizer_on_random_targets(
             self, doubling_problem):

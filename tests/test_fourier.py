@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from linresp import (FourierSeries, GridFunction, SobolevWeights, antiderivative,
-                     constant, cosine, dft, differentiate, idft, l2_norm,
-                     multiply, sine, sobolev_norm, sup_norm, zeros)
+                     constant, cosine, dft, differentiate, idft, sine, sobolev_norm,
+                     sup_norm, zeros)
 from linresp.fourier import from_real_basis, to_real_basis, to_real_basis_matrix
 
-from conftest import random_series
+from conftest import multiply, random_series
 
 TWO_PI = 2 * np.pi
 
@@ -184,11 +184,15 @@ class TestSobolevNorm:
         rng = np.random.default_rng(23)
         f = random_series(rng, 12)
         vals = idft(f, 1024).samples
-        assert l2_norm(f) == pytest.approx(np.sqrt(np.mean(vals**2)), abs=1e-10)
+        assert sobolev_norm(f, SobolevWeights()) == pytest.approx(np.sqrt(np.mean(vals**2)),
+                                                                  abs=1e-10)
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             SobolevWeights(a=-1.0)
+        for bad in ("0.5", True, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite number"):
+                SobolevWeights(d=bad)
 
     def test_weights_from_dict_refuses_unknown_keys(self):
         assert SobolevWeights.from_dict({"d": 1.0}) == SobolevWeights(d=1.0)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from linresp import (GridFunction, constant, cosine, derivative_operator, dft,
-                     finite_difference_response_check, forward_response, sine,
-                     sup_norm, zeros)
+                     forward_response, sine, sup_norm, zeros)
 
-from conftest import random_series
+from conftest import finite_difference_response_check, random_series
 
 TWO_PI = 2 * np.pi
 

@@ -3,16 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linresp import (CircleDiffeo, CircleMap, GridFunction, SobolevWeights, apply_transfer,
-                     build_conjugate, compare_l1, constant, cosine, derivative_operator,
-                     dft, fixed_point_residual, forward_response, galerkin_matrix, idft,
-                     invariant_density, multiply, sine, solve_zero_mean, sup_norm,
-                     transfer_conjugacy_check, ulam_build, zeros)
+from linresp import (CircleMap, GridFunction, SobolevWeights, apply_transfer, compare_l1,
+                     constant, cosine, derivative_operator, dft, fixed_point_residual,
+                     forward_response, galerkin_matrix, idft, invariant_density, sine,
+                     solve_zero_mean, sup_norm, ulam_build, zeros)
 from linresp.control import minimal_norm_control
 from linresp import transfer
 from linresp.transfer import apply_transfer_pointwise
 
-from conftest import direct_galerkin_entries, random_series, seeded_maps, steep_map
+from conftest import (CircleDiffeo, build_conjugate, direct_galerkin_entries, multiply,
+                      random_series, seeded_maps, steep_map, transfer_conjugacy_check)
 
 GALERKIN_MAPS = {"wavy": CircleMap(2, sine(1, 0.1)), "steep": steep_map(),
                  **{f"seeded-degree{m.degree}": m for m in seeded_maps()}}
