@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from linresp import (CircleMap, FourierSeries, GridFunction, PerturbedFamily, Re
                      antiderivative, apply_transfer_pointwise, constant, cosine, dft, doubling_map,
                      forward_response, galerkin_matrix, idft, invariant_density, next_pow2, sine,
                      zeros)
-from linresp.fourier import differentiate, grid_values
+from linresp.fourier import differentiate, from_real_basis, grid_values, to_real_basis
 
 
 @pytest.fixture(scope="session")
@@ -117,6 +119,22 @@ def complex_minimal_norm(problem, target, weights, order):
     coef = vh[keep].conj().T @ ((u[:, keep].conj().T @ r) / s[keep])
     eps = FourierSeries(scale * coef).hermitian_symmetrized()
     return eps.coeffs, int(np.count_nonzero(keep))
+
+
+def full_system_lstsq(problem, target, weights, order):
+    """One dgelsd call on the whole weighted real system: the block solve's reference.
+
+    Returns the system, its right-hand side, the solution coordinates, the
+    eps coefficients, the rank kept and the singular values.
+    """
+    from linresp.control import _constraint_rhs, _weighted_real_system
+
+    _, scale, system = _weighted_real_system(problem, weights, order)
+    rhs = to_real_basis(_constraint_rhs(problem, target, order))
+    coords, _, rank, s = np.linalg.lstsq(system, rhs, rcond=1e-10)
+    return SimpleNamespace(system=system, rhs=rhs, coords=coords,
+                           epsilon=from_real_basis(scale * coords).coeffs,
+                           rank=int(rank), singular_values=s)
 
 
 def steep_map():

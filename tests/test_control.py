@@ -5,15 +5,16 @@ import pytest
 
 from linresp import (CircleMap, GridFunction, InfeasibleTargetError,
                      ResponseProblem, SobolevWeights, apply_transfer_pointwise,
-                     constant, cosine, dft, differentiate, forward_response,
+                     constant, cosine, dft, differentiate, doubling_map, forward_response,
                      kernel_directions, minimal_norm_control,
                      minimal_norm_truncation_report, next_pow2, sine,
                      sobolev_norm, solve_control, step1_g, step2_epsilon,
                      sup_norm, zeros)
-from linresp.control import _weighted_real_system, constraint_matrix
+from linresp.control import (FEASIBILITY_TOL, PSEUDOINVERSE_CUTOFF, _block_lstsq,
+                             _real_blocks, _weighted_real_system, constraint_matrix)
 
-from conftest import (complex_minimal_norm, direct_galerkin_entries, random_series,
-                      weighted_inner_product)
+from conftest import (complex_minimal_norm, direct_galerkin_entries, full_system_lstsq,
+                      random_series, seeded_maps, steep_map, weighted_inner_product)
 
 TWO_PI = 2 * np.pi
 EPS0_COEFF = 1 / (4 * np.pi)  # cos(4 pi x)/(2 pi) has +-2 coefficients 1/(4 pi)
@@ -171,10 +172,14 @@ class TestRealBasisSolve:
         problem = benchmark_problem
         target = cosine(1) + cosine(3, 0.5)
         weights = SobolevWeights(0.5, 0.0, 0.0, 1.0)
-        ranks = [minimal_norm_control(problem, target, weights, order).rank
-                 for order in (256, 512)]
-        assert ranks == [306, 442]
-        assert solve_control(problem, target, weights).rank is None
+        solutions = [minimal_norm_control(problem, target, weights, order)
+                     for order in (256, 512)]
+        assert [sol.rank for sol in solutions] == [306, 442]
+        # smallest kept and largest dropped singular value over the largest
+        assert solutions[0].margin == pytest.approx((1.0419e-10, 7.714e-12), rel=1e-3)
+        assert solutions[1].margin == pytest.approx((1.0048e-10, 9.912e-11), rel=1e-3)
+        two_step = solve_control(problem, target, weights)
+        assert two_step.rank is None and two_step.margin is None
 
     def test_order_doubled_system_memory(self, benchmark_problem):
         # Blocked assembly and the real basis from rows j >= 0 keep the
@@ -186,6 +191,88 @@ class TestRealBasisSolve:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
+
+
+ODD_MAPS = {"doubling": doubling_map(), "wavy": CircleMap(2, sine(1, 0.1)),
+            "triple": CircleMap(3, zeros(0)),
+            "degree-three": CircleMap(3, sine(1, 0.15) + sine(2, 0.05))}
+NON_ODD_MAPS = {"steep": steep_map(),
+                **{f"seeded-degree{m.degree}": m for m in seeded_maps()},
+                "degree-three": CircleMap(3, sine(1, 0.15) + cosine(2, 0.05))}
+BLOCK_WEIGHTS = SobolevWeights(0.5, 0.0, 0.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def odd_problems():
+    return {name: ResponseProblem.for_map(m, 64) for name, m in ODD_MAPS.items()}
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("name", ODD_MAPS)
+    @pytest.mark.parametrize("order", [16, 32, 64])
+    def test_odd_map_matches_full_system(self, odd_problems, name, order):
+        problem = odd_problems[name]
+        target = sine(1) + cosine(1)
+        reference = full_system_lstsq(problem, target, BLOCK_WEIGHTS, order)
+        # the premise of the split: the cos x cos and sin x sin blocks are rounding
+        cos, sin = slice(0, order + 1), slice(order + 1, None)
+        top = np.max(np.abs(reference.system))
+        assert np.max(np.abs(reference.system[cos, cos])) <= 1e-12 * top
+        assert np.max(np.abs(reference.system[sin, sin])) <= 1e-12 * top
+        assert _real_blocks(problem.map, order) == [(cos, sin), (sin, cos)]
+        sol = minimal_norm_control(problem, target, BLOCK_WEIGHTS, order)
+        assert sol.rank == reference.rank
+        assert sol.residual <= FEASIBILITY_TOL
+        s = reference.singular_values
+        assert sol.margin[0] == pytest.approx(s[sol.rank - 1] / s[0], rel=1e-4)
+        if sol.margin[0] >= 10 * PSEUDOINVERSE_CUTOFF:
+            # near the cutoff, rounding-level changes to A move eps by more
+            gap = np.max(np.abs(sol.epsilon.coeffs - reference.epsilon))
+            assert gap <= 1e-9 * np.max(np.abs(reference.epsilon))
+
+    @pytest.mark.parametrize("name", NON_ODD_MAPS)
+    def test_other_maps_solve_the_whole_system(self, name):
+        # order 96 resolves every map's density; the target need not be feasible
+        circle_map = NON_ODD_MAPS[name]
+        problem = ResponseProblem.for_map(circle_map, 96)
+        reference = full_system_lstsq(problem, sine(1) + cosine(1), BLOCK_WEIGHTS, 96)
+        blocks = _real_blocks(circle_map, 96)
+        assert blocks == [(slice(None), slice(None))]
+        coords, rank, _ = _block_lstsq(reference.system, reference.rhs, blocks)
+        assert np.array_equal(coords, reference.coords)
+        assert rank == reference.rank
+
+    def test_whole_system_solution_is_the_reference(self):
+        problem = ResponseProblem.for_map(NON_ODD_MAPS["degree-three"], 64)
+        target = sine(1) + cosine(1)
+        reference = full_system_lstsq(problem, target, BLOCK_WEIGHTS, 64)
+        sol = minimal_norm_control(problem, target, BLOCK_WEIGHTS)
+        assert np.array_equal(sol.epsilon.coeffs, reference.epsilon)
+        s = reference.singular_values
+        assert sol.margin == (s[sol.rank - 1] / s[0], s[sol.rank] / s[0])
+
+    def test_rounding_level_real_part_is_not_odd(self, wavy):
+        # a real part of 1e-17 breaks the symmetry the split rests on
+        nearly = CircleMap(2, sine(1, 0.1) + cosine(1, 2e-17))
+        assert np.max(np.abs(nearly.periodic_part.coeffs.real)) == 1e-17
+        assert _real_blocks(nearly, 32) == [(slice(None), slice(None))]
+        assert len(_real_blocks(wavy, 32)) == 2
+        problem = ResponseProblem.for_map(nearly, 64)
+        reference = full_system_lstsq(problem, sine(1), BLOCK_WEIGHTS, 32)
+        sol = minimal_norm_control(problem, sine(1), BLOCK_WEIGHTS, 32)
+        assert np.array_equal(sol.epsilon.coeffs, reference.epsilon)
+
+    def test_cutoff_is_global_over_blocks(self, benchmark_problem):
+        # on the benchmark config the blocks' largest singular values are
+        # 1.09e-3 and 0.369: a per-block cutoff would keep rank 527, not 442
+        target = cosine(1) + cosine(3, 0.5)
+        reference = full_system_lstsq(benchmark_problem, target, BLOCK_WEIGHTS, 512)
+        blocks = _real_blocks(benchmark_problem.map, 512)
+        own = [np.linalg.lstsq(reference.system[rows, cols], reference.rhs[rows],
+                               rcond=PSEUDOINVERSE_CUTOFF)[2] for rows, cols in blocks]
+        assert sum(own) == 527
+        _, rank, _ = _block_lstsq(reference.system, reference.rhs, blocks)
+        assert rank == reference.rank == 442
 
 
 class TestMinimalNorm:
@@ -318,3 +405,20 @@ class TestTruncationReport:
                                                 order=32)
         assert report["order"] == 32 and report["order_doubled"] == 64
         assert report["difference"] < 1e-9
+
+    def test_reuses_matching_low_solution(self, doubling_problem):
+        low = minimal_norm_control(doubling_problem, sine(1), order=32)
+        report = minimal_norm_truncation_report(doubling_problem, sine(1), order=32, low=low)
+        assert report["norm"] == low.norm
+
+    def test_refuses_low_at_another_order(self, doubling_problem):
+        low = minimal_norm_control(doubling_problem, sine(1), order=16)
+        with pytest.raises(ValueError, match="order 16, not 32"):
+            minimal_norm_truncation_report(doubling_problem, sine(1), order=32, low=low)
+
+    def test_refuses_low_scored_with_other_weights(self, doubling_problem):
+        low = minimal_norm_control(doubling_problem, sine(1), order=32)
+        with pytest.raises(ValueError, match="other weights"):
+            minimal_norm_truncation_report(doubling_problem, sine(1),
+                                           SobolevWeights(0.5, 0.25, 0.1, 1.0),
+                                           order=32, low=low)
