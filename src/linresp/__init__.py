@@ -11,9 +11,9 @@ from .control import (ControlSolution, InfeasibleTargetError, kernel_directions,
                       minimal_norm_control, minimal_norm_truncation_report,
                       solve_control, step1_g, step2_epsilon)
 from .doubling import exact_control, exact_forward
-from .fourier import (DEFAULT_ORDER, FourierSeries, GridFunction, SobolevWeights,
-                      antiderivative, constant, cosine, dft, differentiate, idft,
-                      next_pow2, sine, sobolev_norm, sup_norm, zeros)
+from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, antiderivative,
+                      constant, cosine, dft, differentiate, grid_values, next_pow2, sine,
+                      sobolev_norm, sup_norm, zeros)
 from .maps import CircleMap, NotExpandingError, PerturbedFamily, PreimageError, doubling_map
 from .response import (ResponseProblem, UnderResolvedError, derivative_operator,
                        forward_response)
@@ -26,14 +26,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CircleMap", "ControlSolution", "DEFAULT_ORDER", "FourierSeries",
-    "GridFunction", "InfeasibleTargetError", "NotExpandingError",
+    "InfeasibleTargetError", "NotExpandingError",
     "PerturbedFamily", "PreimageError", "ResponseProblem", "SobolevWeights",
     "SpectralGapError", "TransferMatrix", "UlamModel", "UnderResolvedError",
     "antiderivative", "apply_transfer", "apply_transfer_pointwise",
     "bin_averages", "compare_l1", "constant", "cosine", "derivative_operator",
     "dft", "differentiate", "doubling_map", "exact_control", "exact_forward",
     "fd_response", "fixed_point_residual", "forward_response",
-    "galerkin_matrix", "idft", "invariant_density", "kernel_directions",
+    "galerkin_matrix", "grid_values", "invariant_density", "kernel_directions",
     "minimal_norm_control", "minimal_norm_truncation_report", "next_pow2",
     "sine", "sobolev_norm", "solve_control", "solve_zero_mean", "step1_g",
     "step2_epsilon", "sup_norm", "ulam_build", "zeros",

@@ -22,10 +22,9 @@ import numpy as np
 from .control import (InfeasibleTargetError, minimal_norm_control,
                       minimal_norm_truncation_report, solve_control)
 from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, as_integer, as_real,
-                      check_keys, cosine, idft, next_pow2, sine, sup_norm)
-from .maps import CircleMap, PerturbedFamily, PreimageError
+                      check_keys, cosine, grid_values, next_pow2, sine, sup_norm)
+from .maps import CircleMap, PerturbedFamily
 from .response import ResponseProblem, forward_response
-from .transfer import SpectralGapError
 from .verify import compare_l1, fd_response
 
 EXIT_OK = 0
@@ -201,8 +200,7 @@ def _write_csv(path: Path, header: tuple[str, str], xs, values) -> None:
 
 def _series_csv(path: Path, series: FourierSeries, grid: int) -> None:
     size = next_pow2(max(grid, 2 * series.order + 2))
-    values = idft(series, size).samples
-    _write_csv(path, ("x", "value"), np.arange(size) / size, values)
+    _write_csv(path, ("x", "value"), np.arange(size) / size, grid_values(series, size))
 
 
 def _problem(config: JobConfig) -> tuple[ResponseProblem, float]:
@@ -362,12 +360,17 @@ def main(argv=None) -> int:
     except InfeasibleTargetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so this clause comes first.
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpectralGapError, PreimageError, RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except OSError as exc:
+        # load_config reports an unreadable config itself, so this is the output.
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def run() -> None:

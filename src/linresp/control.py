@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import (FourierSeries, GridFunction, SobolevWeights,
-                      antiderivative, dft, differentiate, from_real_basis,
-                      grid_values, next_pow2, sobolev_norm, sup_norm, to_real_basis,
-                      to_real_basis_matrix)
+from .fourier import (FourierSeries, SobolevWeights, antiderivative, dft, differentiate,
+                      from_real_basis, grid_values, next_pow2, sobolev_norm, sup_norm,
+                      to_real_basis, to_real_basis_matrix)
 from .maps import CircleMap
 from .response import ResponseProblem, derivative_operator
 from .transfer import (_galerkin_entries, apply_transfer, apply_transfer_pointwise,
@@ -89,7 +88,7 @@ def step1_g(problem: ResponseProblem, target: FourierSeries) -> FourierSeries:
     size = next_pow2(max(4 * out_order, 512))
     image = circle_map.grid_values(size)
     values = f.evaluate(image) * grid_values(rho, size) / rho.evaluate(image)
-    g = dft(GridFunction(values), out_order)
+    g = dft(values, out_order)
     check = np.arange(1024) / 1024
     defect = float(np.max(np.abs(
         apply_transfer_pointwise(circle_map, g, check) - grid_values(f, check.size))))
@@ -117,7 +116,7 @@ def step2_epsilon(problem: ResponseProblem, g: FourierSeries) -> FourierSeries:
     base = circle_map.grid_values(size, 1) / grid_values(rho, size)
     gvals = grid_values(primitive, size)
     c = float(np.mean(base * gvals) / np.mean(base))
-    eps = dft(GridFunction(base * (c - gvals)), out_order)
+    eps = dft(base * (c - gvals), out_order)
 
     check = 1024
     tp = circle_map.grid_values(check, 1)
@@ -153,7 +152,7 @@ def constraint_matrix(problem: ResponseProblem, order: int) -> np.ndarray:
     """
     circle_map, rho = problem.map, problem.density
     size = next_pow2(max(8 * order, 256))
-    mult = dft(GridFunction(grid_values(rho, size) / circle_map.grid_values(size, 1)), order)
+    mult = dft(grid_values(rho, size) / circle_map.grid_values(size, 1), order)
 
     # Quadrature for products of order-N data with the order-N multiplier.
     quad = quadrature_size(circle_map, order, max(16 * order, 256))

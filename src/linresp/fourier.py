@@ -1,11 +1,12 @@
 """Truncated Fourier algebra for real 1-periodic functions.
 
-Functions live on the unit circle and are represented either by complex
-Fourier coefficients (mode n multiplies e^{2 pi i n x}, n = -N..N) or by
-samples on the uniform grid x_j = j/M.  Real-valuedness is encoded as the
-Hermitian symmetry coeffs[-n] == conj(coeffs[n]); every operation here
-preserves that symmetry exactly.  All values are immutable and all
-operations are pure, so everything is safe to share across threads.
+Functions live on the unit circle as complex Fourier coefficients (mode n
+multiplies e^{2 pi i n x}, n = -N..N).  Samples on the uniform grid
+x_j = j/M are plain float arrays, with one route each way: ``grid_values``
+(one inverse FFT) and ``dft``.  Real-valuedness is encoded as the Hermitian
+symmetry coeffs[-n] == conj(coeffs[n]); every operation here preserves that
+symmetry exactly.  Series are immutable and all operations are pure, so
+everything is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -139,11 +140,6 @@ class FourierSeries:
         return complex(self.coeffs[n + self.order])
 
     @property
-    def mean(self) -> float:
-        """Integral over one period (real part of mode 0)."""
-        return float(self.coeffs[self.order].real)
-
-    @property
     def hermitian_defect(self) -> float:
         """Max deviation from coeffs[-n] == conj(coeffs[n])."""
         return float(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))))
@@ -161,9 +157,6 @@ class FourierSeries:
         z = np.exp(2j * np.pi * xa.ravel())
         vals = real_horner(half_spectrum(self), z)[0].reshape(xa.shape)
         return float(vals) if xa.ndim == 0 else vals
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def with_order(self, order: int) -> "FourierSeries":
         """Zero-pad or truncate to the given order."""
@@ -364,51 +357,23 @@ def cosine(k: int, amplitude: float = 1.0) -> FourierSeries:
     return FourierSeries(c)
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Real samples at the uniform nodes x_j = j/M, with M a power of two."""
+def dft(samples, order: int) -> FourierSeries:
+    """Discrete Fourier coefficients of real samples at x_j = j/M, Hermitian-symmetrized.
 
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.array(self.samples, dtype=float)
-        if s.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if s.size < 2 or s.size & (s.size - 1):
-            raise ValueError(f"grid size must be a power of two >= 2, got {s.size}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("samples must be finite")
-        s.flags.writeable = False
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def size(self) -> int:
-        return self.samples.size
-
-
-def dft(grid: GridFunction, order: int) -> FourierSeries:
-    """Discrete Fourier coefficients of the samples, Hermitian-symmetrized.
-
-    Exact for trigonometric polynomials of degree <= order sampled on
+    Exact for trigonometric polynomials of degree <= order sampled on any
     M >= 2*order + 1 points; smaller grids alias and are rejected.
     """
+    s = np.asarray(samples, dtype=float)
+    if s.ndim != 1:
+        raise ValueError("samples must be one-dimensional")
     if order < 0:
         raise ValueError("order must be >= 0")
-    if grid.size < 2 * order + 1:
-        raise ValueError(
-            f"grid size {grid.size} < 2*{order}+1 aliases mode +-{order}")
-    spectrum = np.fft.fft(grid.samples) / grid.size
+    if s.size < 2 * order + 1:
+        raise ValueError(f"grid size {s.size} < 2*{order}+1 aliases mode +-{order}")
+    spectrum = np.fft.fft(s) / s.size
     n = np.arange(-order, order + 1)
-    c = spectrum[n % grid.size]
+    c = spectrum[n % s.size]
     return FourierSeries(0.5 * (c + np.conj(c[::-1])))
-
-
-def idft(series: FourierSeries, size: int) -> GridFunction:
-    """Samples on the M-point grid; M must be a power of two >= 2N+1."""
-    if size < 2 * series.order + 1:
-        raise ValueError(
-            f"grid size {size} < 2*{series.order}+1 cannot carry all modes")
-    return GridFunction(grid_values(series, size))
 
 
 def differentiate(series: FourierSeries, order: int = 1) -> FourierSeries:
@@ -445,4 +410,4 @@ def sobolev_norm(series: FourierSeries, weights: SobolevWeights) -> float:
 
 def sup_norm(series: FourierSeries, grid: int = 4096) -> float:
     size = next_pow2(max(grid, 2 * series.order + 2))
-    return float(np.max(np.abs(idft(series, size).samples)))
+    return float(np.max(np.abs(grid_values(series, size))))

@@ -118,9 +118,9 @@ class CircleMap:
         object.__setattr__(self, "_lift0", float(self.periodic_part.evaluate(0.0)))
 
     @cached_property
-    def _derivs(self) -> tuple[FourierSeries, FourierSeries, FourierSeries]:
+    def _derivs(self) -> tuple[FourierSeries, FourierSeries]:
         p1 = differentiate(self.periodic_part)
-        return p1, differentiate(p1), differentiate(p1, 2)
+        return p1, differentiate(p1)
 
     @property
     def min_derivative(self) -> float:
@@ -145,17 +145,14 @@ class CircleMap:
         raise ValueError("deriv must be in 0..2")
 
     def evaluate(self, x, deriv: int = 0):
-        """Map value (mod 1) for deriv=0; T', T'', T''' for deriv=1..3."""
+        """Map value (mod 1) for deriv=0; T', T'' for deriv=1, 2."""
         if deriv == 0:
             return np.mod(self.lift(x), 1.0)
         if deriv == 1:
             return self.degree + self._derivs[0].evaluate(x)
-        if deriv in (2, 3):
-            return self._derivs[deriv - 1].evaluate(x)
-        raise ValueError("deriv must be in 0..3")
-
-    def __call__(self, x):
-        return self.evaluate(x)
+        if deriv == 2:
+            return self._derivs[1].evaluate(x)
+        raise ValueError("deriv must be in 0..2")
 
     @cached_property
     def _half(self) -> np.ndarray:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fourier import (DEFAULT_ORDER, FourierSeries, GridFunction, dft,
-                      differentiate, grid_values, next_pow2, sup_norm)
+from .fourier import (DEFAULT_ORDER, FourierSeries, dft, differentiate, grid_values,
+                      next_pow2, sup_norm)
 from .maps import CircleMap
 from .transfer import (TransferMatrix, apply_transfer, fixed_point_residual,
                        galerkin_matrix, invariant_density, solve_zero_mean)
@@ -81,13 +81,12 @@ def derivative_operator(problem: ResponseProblem, direction: FourierSeries,
     ev = grid_values(direction, size)
     wv = grid_values(w, size)
     tp = circle_map.grid_values(size, 1)
-    product = dft(GridFunction(ev * wv / tp), pad)
+    product = dft(ev * wv / tp, pad)
     result = apply_transfer(circle_map, -differentiate(product), out_order=order)
     epv = grid_values(differentiate(direction), size)
     wpv = grid_values(differentiate(w), size)
     tpp = circle_map.grid_values(size, 2)
-    combined = dft(GridFunction(-wv * epv / tp - ev * wpv / tp
-                                + ev * tpp * wv / tp**2), pad)
+    combined = dft(-wv * epv / tp - ev * wpv / tp + ev * tpp * wv / tp**2, pad)
     alt = apply_transfer(circle_map, combined, out_order=order)
     gap = sup_norm(result - alt, grid=1024)
     if gap > CROSS_CHECK_TOL:

@@ -9,6 +9,8 @@ needed for matrix entries; each row is one FFT.  Its restricted I - M is
 inverted once and serves both the invariant density and every zero-mean
 solve.  The same duality applies L to a series; Newton preimages serve the
 pointwise checks only (``apply_transfer_pointwise``, ``fixed_point_residual``).
+Uniform-grid samples, such as the density's positivity check, come from
+``fourier.grid_values``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import FourierSeries, grid_values, idft, next_pow2
+from .fourier import FourierSeries, grid_values, next_pow2
 from .maps import CircleMap
 
 QUADRATURE_FACTOR = 8
@@ -175,7 +177,7 @@ def invariant_density(matrix: TransferMatrix) -> FourierSeries:
     if residual > DENSITY_TOL:
         raise SpectralGapError(
             f"density Galerkin residual {residual:.3e} > {DENSITY_TOL:.0e}")
-    samples = idft(rho, next_pow2(max(4096, 2 * mid + 2))).samples
+    samples = grid_values(rho, next_pow2(max(4096, 2 * mid + 2)))
     if float(np.min(samples)) <= 0.0:
         raise SpectralGapError(
             "computed density is not strictly positive; truncation too small?")

@@ -3,11 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from linresp import (CircleMap, FourierSeries, GridFunction, PerturbedFamily, ResponseProblem,
+from linresp import (CircleMap, FourierSeries, PerturbedFamily, ResponseProblem,
                      antiderivative, apply_transfer_pointwise, constant, cosine, dft, doubling_map,
-                     forward_response, galerkin_matrix, idft, invariant_density, next_pow2, sine,
-                     zeros)
-from linresp.fourier import differentiate, from_real_basis, grid_values, to_real_basis
+                     forward_response, galerkin_matrix, grid_values, invariant_density, next_pow2,
+                     sine, zeros)
+from linresp.fourier import differentiate, from_real_basis, to_real_basis
 
 
 @pytest.fixture(scope="session")
@@ -249,7 +249,7 @@ def multiply(f, g):
     """Pointwise product at order N_f + N_g, exact on a 2x zero-padded grid."""
     order = f.order + g.order
     size = next_pow2(2 * order + 2)
-    return dft(GridFunction(idft(f, size).samples * idft(g, size).samples), order)
+    return dft(grid_values(f, size) * grid_values(g, size), order)
 
 
 def weighted_inner_product(f, g, weights):
@@ -276,7 +276,7 @@ def finite_difference_response_check(problem, direction, delta, grid=4096):
     rho_plus, rho_minus = (invariant_density(galerkin_matrix(family.member(s), problem.order))
                            for s in (delta, -delta))
     gap = (rho_plus - rho_minus) * (0.5 / delta) - forward_response(problem, direction)
-    return float(np.mean(np.abs(idft(gap, next_pow2(max(grid, 2 * gap.order + 2))).samples)))
+    return float(np.mean(np.abs(grid_values(gap, next_pow2(max(grid, 2 * gap.order + 2))))))
 
 
 class CircleDiffeo:
@@ -331,7 +331,7 @@ def build_conjugate(circle_map, diffeo, order=128):
     x = np.arange(size) / size
     lifted = circle_map.lift(diffeo.invert(x))
     outer = lifted + diffeo.displacement.evaluate(lifted)
-    return CircleMap(circle_map.degree, dft(GridFunction(outer - circle_map.degree * x), order))
+    return CircleMap(circle_map.degree, dft(outer - circle_map.degree * x, order))
 
 
 def transfer_conjugacy_check(circle_map, diffeo, w, grid=1024, conjugate_order=128):
@@ -344,7 +344,6 @@ def transfer_conjugacy_check(circle_map, diffeo, w, grid=1024, conjugate_order=1
     left = apply_transfer_pointwise(conjugate, w, np.mod(diffeo.evaluate(x), 1.0))
     size = next_pow2(max(8 * conjugate_order, 1024))
     xs = np.arange(size) / size
-    composed = dft(GridFunction(w.evaluate(diffeo.evaluate(xs)) * diffeo.deriv(xs)),
-                   conjugate_order)
+    composed = dft(w.evaluate(diffeo.evaluate(xs)) * diffeo.deriv(xs), conjugate_order)
     right = apply_transfer_pointwise(circle_map, composed, x) / diffeo.deriv(x)
     return float(np.max(np.abs(left - right)))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from linresp import (GridFunction, PerturbedFamily, SobolevWeights, apply_transfer,
+from linresp import (PerturbedFamily, SobolevWeights, apply_transfer,
                      compare_l1, constant, cosine, derivative_operator, dft,
                      differentiate, exact_control, fd_response, fixed_point_residual,
                      forward_response, kernel_directions, minimal_norm_control,
@@ -211,10 +211,10 @@ def test_criterion_7_operator_invariants(doubling_problem, wavy_problem):
         size = next_pow2(2 * pad + 2)
         x = np.arange(size) / size
         tp = problem.map.evaluate(x, 1)
-        combined = dft(GridFunction(
+        combined = dft(
             -w.evaluate(x) * differentiate(eps).evaluate(x) / tp
             - eps.evaluate(x) * differentiate(w).evaluate(x) / tp
-            + eps.evaluate(x) * problem.map.evaluate(x, 2) * w.evaluate(x) / tp**2),
+            + eps.evaluate(x) * problem.map.evaluate(x, 2) * w.evaluate(x) / tp**2,
             pad)
         three_term = apply_transfer(problem.map, combined,
                                     out_order=problem.order)

@@ -5,7 +5,7 @@ import pytest
 
 import linresp.cli as cli
 import linresp.response
-from linresp import FourierSeries, cosine, sine
+from linresp import FourierSeries, SpectralGapError, cosine, sine
 from linresp.cli import JobConfig, canonical_json, main
 
 DOUBLING = {"degree": 2, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}
@@ -342,13 +342,23 @@ class TestDeterminism:
         assert err.startswith("solver failure:") and "fixed-point residual" in err
         assert "Traceback" not in err
 
-    def test_solver_failure_exit_code(self, tmp_path, monkeypatch):
-        from linresp import SpectralGapError
-
+    # LinAlgError subclasses ValueError, yet a failed LAPACK call is no config error.
+    @pytest.mark.parametrize("error", [SpectralGapError, np.linalg.LinAlgError])
+    def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys, error):
         def boom(*args, **kwargs):
-            raise SpectralGapError("no gap")
+            raise error("Singular matrix")
 
         monkeypatch.setattr(linresp.response, "invariant_density", boom)
         path = write_config(tmp_path)
         assert main(["density", "--config", str(path), "--out",
                      str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("solver failure:")
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["density", "--config", str(path), "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output:")
+        assert "Traceback" not in err

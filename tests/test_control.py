@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linresp import (CircleMap, GridFunction, InfeasibleTargetError,
+from linresp import (CircleMap, InfeasibleTargetError,
                      ResponseProblem, SobolevWeights, apply_transfer_pointwise,
                      constant, cosine, dft, differentiate, doubling_map, forward_response,
                      kernel_directions, minimal_norm_control,
@@ -34,8 +34,7 @@ class TestStepOne:
     def test_wavy_self_verification(self, wavy, wavy_problem):
         g = step1_g(wavy_problem, sine(1))
         f = sine(1).with_order(64) - \
-            dft(GridFunction(apply_transfer_pointwise(
-                wavy, sine(1), np.arange(512) / 512)), 64)
+            dft(apply_transfer_pointwise(wavy, sine(1), np.arange(512) / 512), 64)
         x = np.arange(1024) / 1024
         defect = np.max(np.abs(apply_transfer_pointwise(wavy, g, x) - f.evaluate(x)))
         assert defect < 1e-9
@@ -106,7 +105,7 @@ def product_form_constraint(problem, order):
     circle_map, rho = problem.map, problem.density
     size = next_pow2(max(8 * order, 256))
     x = np.arange(size) / size
-    mult = dft(GridFunction(rho.evaluate(x) / circle_map.evaluate(x, 1)), order)
+    mult = dft(rho.evaluate(x) / circle_map.evaluate(x, 1), order)
     wide = 2 * order
     k = np.arange(-wide, wide + 1)
     offset = k[:, None] - np.arange(-order, order + 1)[None, :]
@@ -385,9 +384,8 @@ class TestKernelDirections:
         # count is every null direction at N = 64, so none is missing or extra
         circle_map, rho = wavy_problem.map, wavy_problem.density
         x = np.arange(1024) / 1024
-        eps = dft(GridFunction(1.0 / rho.evaluate(circle_map.evaluate(x))
-                               - circle_map.evaluate(x, 1) / rho.evaluate(x)),
-                  wavy_problem.order)
+        eps = dft(1.0 / rho.evaluate(circle_map.evaluate(x))
+                  - circle_map.evaluate(x, 1) / rho.evaluate(x), wavy_problem.order)
         assert sup_norm(forward_response(wavy_problem, eps)) < 1e-10
         outside = eps
         for v in kernel_directions(wavy_problem, count=count, weights=weights):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from linresp import (FourierSeries, GridFunction, SobolevWeights, antiderivative,
-                     constant, cosine, dft, differentiate, idft, sine, sobolev_norm,
-                     sup_norm, zeros)
+from linresp import (FourierSeries, SobolevWeights, antiderivative, constant, cosine, dft,
+                     differentiate, grid_values, sine, sobolev_norm, sup_norm, zeros)
 from linresp.fourier import from_real_basis, to_real_basis, to_real_basis_matrix
 
 from conftest import multiply, random_series
@@ -17,57 +16,53 @@ def grid(size):
 
 class TestDft:
     def test_sin_on_eight_points(self):
-        g = GridFunction(np.sin(TWO_PI * grid(8)))
-        f = dft(g, 1)
+        f = dft(np.sin(TWO_PI * grid(8)), 1)
         assert f.coeff(1) == pytest.approx(1 / 2j, abs=1e-15)
         assert f.coeff(-1) == pytest.approx(-1 / 2j, abs=1e-15)
         assert abs(f.coeff(0)) < 1e-15
 
     def test_constant(self):
-        f = dft(GridFunction(np.ones(8)), 2)
+        f = dft(np.ones(8), 2)
         assert f.coeff(0) == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(f.coeffs[f.modes != 0])) < 1e-15
 
     def test_cos_over_two_pi(self):
-        g = GridFunction(np.cos(2 * TWO_PI * grid(16)) / TWO_PI)
-        f = dft(g, 2)
+        f = dft(np.cos(2 * TWO_PI * grid(16)) / TWO_PI, 2)
         assert f.coeff(2) == pytest.approx(1 / (4 * np.pi), abs=1e-15)
         assert f.coeff(-2) == pytest.approx(1 / (4 * np.pi), abs=1e-15)
 
     def test_rejects_aliasing_grid(self):
         with pytest.raises(ValueError, match="alias"):
-            dft(GridFunction(np.ones(8)), 4)
+            dft(np.ones(8), 4)
 
     def test_exact_for_resolved_polynomials(self):
         rng = np.random.default_rng(3)
         f = random_series(rng, 5)
-        g = idft(f, 16)
-        back = dft(g, 5)
+        back = dft(grid_values(f, 16), 5)
         np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-14)
 
 
 class TestIdft:
     def test_sin_samples(self):
         f = sine(1)
-        g = idft(f, 8)
-        np.testing.assert_allclose(g.samples, np.sin(TWO_PI * grid(8)), atol=1e-15)
+        np.testing.assert_allclose(grid_values(f, 8), np.sin(TWO_PI * grid(8)), atol=1e-15)
 
     def test_zero_series(self):
-        assert np.all(idft(zeros(3), 16).samples == 0)
+        assert np.all(grid_values(zeros(3), 16) == 0)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(7)
         f = random_series(rng, 10)
-        assert np.max(np.abs(dft(idft(f, 32), 10).coeffs - f.coeffs)) < 1e-12
-        # and on the sample side: dft then idft at the same resolution
-        g = idft(f, 32)
-        back = idft(dft(g, 10), 32)
-        assert np.max(np.abs(back.samples - g.samples)) < 1e-12
+        assert np.max(np.abs(dft(grid_values(f, 32), 10).coeffs - f.coeffs)) < 1e-12
+        # and on the sample side: dft then grid_values at the same resolution
+        g = grid_values(f, 32)
+        back = grid_values(dft(g, 10), 32)
+        assert np.max(np.abs(back - g)) < 1e-12
 
     def test_broken_symmetry_detected(self):
         crooked = FourierSeries(np.array([0.0, 0.0, 1.0], dtype=complex))
         with pytest.raises(ValueError, match="Hermitian"):
-            idft(crooked, 8)
+            grid_values(crooked, 8)
 
     def test_evaluate_refuses_broken_symmetry(self):
         # evaluation reads modes 0..N only, so the check is on the coefficients
@@ -79,11 +74,9 @@ class TestIdft:
 
     def test_grid_values_fold_high_modes(self):
         # modes beyond size/2 fold onto n mod size: exact point values
-        from linresp.fourier import grid_values
         f = random_series(np.random.default_rng(11), 40)
         x = np.arange(16) / 16
         np.testing.assert_allclose(grid_values(f, 16), f.evaluate(x), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(grid_values(f, 128), idft(f, 128).samples, rtol=0, atol=0)
 
 
 class TestDifferentiate:
@@ -183,7 +176,7 @@ class TestSobolevNorm:
     def test_parseval_matches_quadrature(self):
         rng = np.random.default_rng(23)
         f = random_series(rng, 12)
-        vals = idft(f, 1024).samples
+        vals = grid_values(f, 1024)
         assert sobolev_norm(f, SobolevWeights()) == pytest.approx(np.sqrt(np.mean(vals**2)),
                                                                   abs=1e-10)
 
@@ -214,7 +207,7 @@ class TestSeriesBasics:
         f = random_series(rng, 6)
         g = random_series(rng, 3)
         for result in (f + g, f - g, 2.5 * f, -f, differentiate(f),
-                       antiderivative(f - constant(f.mean)), multiply(f, g)):
+                       antiderivative(f - constant(f.coeff(0).real)), multiply(f, g)):
             assert result.hermitian_defect == 0.0
 
     def test_serialization_round_trip(self):
@@ -236,9 +229,12 @@ class TestSeriesBasics:
         with pytest.raises(ValueError, match=match):
             FourierSeries.from_dict(block)
 
-    def test_grid_requires_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            GridFunction(np.ones(12))
+    def test_dft_exact_on_any_resolving_grid(self):
+        f = random_series(np.random.default_rng(5), 5)
+        x = grid(12)  # 12 >= 2*5 + 1 points, not a power of two
+        np.testing.assert_allclose(dft(f.evaluate(x), 5).coeffs, f.coeffs, rtol=0, atol=1e-14)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            dft(np.ones((2, 12)), 5)
 
     def test_complex_scalar_rejected(self):
         with pytest.raises(TypeError):

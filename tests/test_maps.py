@@ -15,7 +15,8 @@ class TestCircleMap:
         assert doubling.evaluate(0.3) == pytest.approx(0.6, abs=1e-15)
         assert doubling.evaluate(0.3, 1) == 2.0
         assert doubling.evaluate(0.3, 2) == 0.0
-        assert doubling.evaluate(0.3, 3) == 0.0
+        with pytest.raises(ValueError, match="0..2"):
+            doubling.evaluate(0.3, 3)
 
     def test_non_hermitian_periodic_part_refused(self):
         crooked = FourierSeries(np.array([0.0, 0.0, 0.05], dtype=complex))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from linresp import (GridFunction, constant, cosine, derivative_operator, dft,
-                     forward_response, sine, sup_norm, zeros)
+from linresp import (constant, cosine, derivative_operator, dft, forward_response, sine,
+                     sup_norm, zeros)
 
 from conftest import finite_difference_response_check, random_series
 
@@ -11,7 +11,7 @@ TWO_PI = 2 * np.pi
 
 def series_of(values_fn, order, size=1024):
     x = np.arange(size) / size
-    return dft(GridFunction(values_fn(x)), order)
+    return dft(values_fn(x), order)
 
 
 class TestResponseProblem:
