@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import (FourierSeries, SobolevWeights, antiderivative, dft, differentiate,
-                      from_real_basis, grid_values, next_pow2, sobolev_norm, sup_norm,
-                      to_real_basis, to_real_basis_matrix)
+from .fourier import (FourierSeries, SobolevWeights, antiderivative, as_integer, dft,
+                      differentiate, from_real_basis, grid_values, next_pow2, sobolev_norm,
+                      sup_norm, to_real_basis, to_real_basis_matrix)
 from .maps import CircleMap
 from .response import ResponseProblem, derivative_operator
 from .transfer import (_galerkin_entries, apply_transfer, apply_transfer_pointwise,
@@ -281,8 +281,10 @@ def kernel_directions(problem: ResponseProblem, order: int | None = None,
 
     Perturbations along these directions change the invariant density only
     at second order.  If fewer than ``count`` null directions exist at this
-    truncation, the available ones are returned with a warning.
+    truncation, the available ones are returned with a warning; a ``count``
+    that is not an integer >= 1 is a ValueError.
     """
+    count = as_integer("count", count, 1)
     if order is None:
         order = problem.order
     _, scale, system = _weighted_real_system(problem, weights, order)

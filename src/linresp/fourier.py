@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,7 +32,7 @@ def next_pow2(n: int) -> int:
 
 def as_integer(what: str, value, low: int) -> int:
     """An integral number >= low as an int; booleans and fractions are refused."""
-    if isinstance(value, bool) or not (isinstance(value, int) or
+    if isinstance(value, bool) or not (isinstance(value, Integral) or
                                        (isinstance(value, float) and value.is_integer())):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < low:
@@ -144,9 +144,6 @@ class FourierSeries:
         """Max deviation from coeffs[-n] == conj(coeffs[n])."""
         return float(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))))
 
-    def hermitian_symmetrized(self) -> "FourierSeries":
-        return FourierSeries(0.5 * (self.coeffs + np.conj(self.coeffs[::-1])))
-
     def evaluate(self, x):
         """Evaluate at points x (scalar or array); returns real values.
 
@@ -212,7 +209,7 @@ def half_spectrum(*series: FourierSeries) -> np.ndarray:
     if a series is not Hermitian: the negative modes are never read again.
     """
     for s in series:
-        _require_hermitian(s)
+        _require_hermitian(s.coeffs)
     rows = np.stack([s.coeffs[s.order:] for s in series])
     rows[:, 0] *= 0.5
     return rows
@@ -243,7 +240,7 @@ def grid_values(series: FourierSeries, size: int) -> np.ndarray:
     Modes with |n| > size/2 fold onto n mod size, which is exact for point
     values.  Raises if the coefficients are not Hermitian.
     """
-    _require_hermitian(series)
+    _require_hermitian(series.coeffs)
     spectrum = np.zeros(size, dtype=complex)
     np.add.at(spectrum, series.modes % size, series.coeffs)
     return np.fft.ifft(spectrum).real * size
@@ -257,38 +254,34 @@ def _real_scalar(scalar) -> float:
     return float(scalar)
 
 
-def _require_hermitian(series: FourierSeries) -> None:
-    defect = series.hermitian_defect
-    if defect > 1e-12 * max(1.0, float(np.sum(np.abs(series.coeffs)))):
+def _require_hermitian(coeffs: np.ndarray) -> None:
+    defect = float(np.max(np.abs(coeffs - np.conj(coeffs[::-1]))))
+    if defect > 1e-12 * max(1.0, float(np.sum(np.abs(coeffs)))):
         raise ValueError(f"Hermitian defect {defect:.3e} exceeds tolerance; "
                          "the series is not real-valued")
 
 
-def _check_imag(residue: float, coeff_mass: float) -> None:
-    if residue > 1e-12 * max(1.0, coeff_mass):
-        raise ValueError(
-            f"imaginary residue {residue:.3e} exceeds tolerance; "
-            "Hermitian symmetry is broken")
-
-
-def _real_rows(values: np.ndarray) -> np.ndarray:
-    """Q^H applied along axis 0, for the unitary Q of ``from_real_basis``."""
-    n = (values.shape[0] - 1) // 2
-    pos, neg = values[n + 1:], values[:n][::-1]
-    return np.concatenate((values[n:n + 1], (pos + neg) / np.sqrt(2),
-                           1j * (pos - neg) / np.sqrt(2)))
+def _real_coordinates(upper: np.ndarray) -> np.ndarray:
+    """Q^H v from the rows j >= 0 of Hermitian columns v: Re row 0, sqrt(2) Re, -sqrt(2) Im."""
+    n = upper.shape[0] - 1
+    real = np.empty((2 * n + 1,) + upper.shape[1:])
+    real[0] = upper[0].real
+    np.multiply(upper[1:].real, np.sqrt(2), out=real[1:n + 1])
+    np.multiply(upper[1:].imag, -np.sqrt(2), out=real[n + 1:])
+    return real
 
 
 def to_real_basis(coeffs: np.ndarray) -> np.ndarray:
     """Orthonormal real coordinates (a_0, a_1..a_N, b_1..b_N) of Hermitian coefficients.
 
     The function is a_0 + sqrt(2) sum_n (a_n cos 2 pi n x + b_n sin 2 pi n x),
-    so the map is an isometry from coefficients to coordinates.  Raises if
-    the coefficients are not Hermitian to rounding.
+    so the map is an isometry from coefficients to coordinates.  Only the
+    modes n >= 0 are read, so a Hermitian defect above 1e-12 max(1, sum |c|)
+    is refused with a ValueError.
     """
-    real = _real_rows(np.asarray(coeffs))
-    _check_imag(float(np.max(np.abs(real.imag))), float(np.sum(np.abs(coeffs))))
-    return real.real
+    c = np.asarray(coeffs)
+    _require_hermitian(c)
+    return _real_coordinates(c[(c.size - 1) // 2:])
 
 
 def from_real_basis(coords: np.ndarray) -> FourierSeries:
@@ -314,7 +307,9 @@ def to_real_basis_matrix(matrix: np.ndarray) -> np.ndarray:
     upper, mirror = a[n:], a[n::-1, ::-1]
     residue = max(float(np.max(np.abs(upper.real - mirror.real))),
                   float(np.max(np.abs(upper.imag + mirror.imag))))
-    _check_imag(residue, float(np.max(np.abs(a))))
+    if residue > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
+        raise ValueError(f"imaginary residue {residue:.3e} exceeds tolerance; "
+                         "Hermitian symmetry is broken")
     pos, neg = upper[:, n + 1:], upper[:, n - 1::-1]
     columns = np.empty(upper.shape, dtype=complex)  # rows j >= 0 of A Q
     columns[:, 0] = upper[:, n]
@@ -322,11 +317,7 @@ def to_real_basis_matrix(matrix: np.ndarray) -> np.ndarray:
     columns[:, 1:n + 1] /= np.sqrt(2)
     np.subtract(pos, neg, out=columns[:, n + 1:])
     columns[:, n + 1:] *= -1j / np.sqrt(2)
-    real = np.empty(a.shape)
-    real[0] = columns[0].real
-    np.multiply(columns[1:].real, np.sqrt(2), out=real[1:n + 1])
-    np.multiply(columns[1:].imag, -np.sqrt(2), out=real[n + 1:])
-    return real
+    return _real_coordinates(columns)
 
 
 def zeros(order: int = 0) -> FourierSeries:

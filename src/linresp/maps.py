@@ -98,9 +98,7 @@ class CircleMap:
     periodic_part: FourierSeries
 
     def __post_init__(self) -> None:
-        d = int(self.degree)
-        if d < 2:
-            raise ValueError(f"degree must be >= 2, got {self.degree}")
+        d = as_integer("map degree", self.degree, 2)
         object.__setattr__(self, "degree", d)
         size = _validation_size(self.periodic_part.order)
         deriv = d + grid_values(self._derivs[0], size)
@@ -205,8 +203,7 @@ class CircleMap:
         """The map of ``to_dict``: keys degree and periodic_part only, an integral degree."""
         keys = ("degree", "periodic_part")
         check_keys("map", data, keys, required=keys)
-        return cls(as_integer("map degree", data.get("degree"), 2),
-                   FourierSeries.from_dict(data["periodic_part"]))
+        return cls(data["degree"], FourierSeries.from_dict(data["periodic_part"]))
 
 
 def doubling_map() -> CircleMap:

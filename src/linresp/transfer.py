@@ -5,10 +5,13 @@ densities forward, preserves the integral, and on the zero-mean subspace
 I - L is invertible (spectral gap), which is what the response and control
 solvers exploit.  The Galerkin matrix in the Fourier basis is assembled via
 the duality  integral (L w) phi = integral w (phi o T), so no preimages are
-needed for matrix entries; each row is one FFT.  Its restricted I - M is
-inverted once and serves both the invariant density and every zero-mean
-solve.  The same duality applies L to a series; Newton preimages serve the
-pointwise checks only (``apply_transfer_pointwise``, ``fixed_point_residual``).
+needed for matrix entries; each row is one FFT.  M maps real functions to
+real ones, so I - M is factored in the real coordinates of
+``fourier.to_real_basis``: without the a_0 coordinate it is a real 2N x 2N
+matrix, inverted once, and it serves both the invariant density and every
+zero-mean solve, whose outputs are Hermitian by construction.  The same
+duality applies L to a series; Newton preimages serve the pointwise checks
+only (``apply_transfer_pointwise``, ``fixed_point_residual``).
 Uniform-grid samples, such as the density's positivity check, come from
 ``fourier.grid_values``.
 """
@@ -21,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import FourierSeries, grid_values, next_pow2
+from .fourier import (FourierSeries, from_real_basis, grid_values, next_pow2, to_real_basis,
+                      to_real_basis_matrix)
 from .maps import CircleMap
 
 QUADRATURE_FACTOR = 8
@@ -57,16 +61,15 @@ class TransferMatrix:
 
     @property
     def restricted_condition(self) -> float:
-        """1-norm condition number of I - M restricted to the nonzero modes."""
+        """1-norm condition number of the real restricted system R (``_factorization``)."""
         return self._factorization[1]
 
     @cached_property
     def _factorization(self) -> tuple[np.ndarray, float]:
-        # Inverted once: the density and every zero-mean solve are products.
-        # The restricted system lives only long enough for its norm.
-        mid = self.order
-        system = np.eye(2 * self.order + 1, dtype=complex) - self.entries
-        system = np.delete(np.delete(system, mid, axis=0), mid, axis=1)
+        # R = I - Q^H M Q without the a_0 row and column: real, 2N x 2N.  It is
+        # inverted once; the density and every zero-mean solve are products,
+        # and R lives only long enough for its norm.
+        system = np.eye(2 * self.order) - to_real_basis_matrix(self.entries)[1:, 1:]
         inverse = np.linalg.inv(system)
         return inverse, float(np.linalg.norm(system, 1) * np.linalg.norm(inverse, 1))
 
@@ -164,15 +167,16 @@ def fixed_point_residual(circle_map: CircleMap, density: FourierSeries,
 def invariant_density(matrix: TransferMatrix) -> FourierSeries:
     """Invariant density: the fixed point of the Galerkin matrix with mean 1.
 
-    Row 0 of M is e_0 (L preserves the integral), so rho_0 = 1 and the other
-    modes solve (I - M)_rr rho_r = M[r, 0]: one product with the restricted
-    inverse that every zero-mean solve uses.  Verified to satisfy
+    Row 0 of M is e_0 (L preserves the integral), so in real coordinates
+    a_0 = 1 and the others solve R u = (Q^H M Q)[1:, 0], the real coordinates
+    of column 0 of M: one product with the restricted inverse that every
+    zero-mean solve uses.  Verified to satisfy
     ||M rho - rho||_inf <= 1e-10 and to be strictly positive on a 4096-point
     grid; either failure is a SpectralGapError.
     """
     mid = matrix.order
-    modes = matrix._factorization[0] @ np.delete(matrix.entries[:, mid], mid)
-    rho = FourierSeries(np.insert(modes, mid, 1.0)).hermitian_symmetrized()
+    column = to_real_basis(matrix.entries[:, mid])
+    rho = from_real_basis(np.concatenate(([1.0], matrix._factorization[0] @ column[1:])))
     residual = float(np.max(np.abs(matrix.entries @ rho.coeffs - rho.coeffs)))
     if residual > DENSITY_TOL:
         raise SpectralGapError(
@@ -201,12 +205,12 @@ def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries
         warnings.warn(
             f"restricted system condition {matrix.restricted_condition:.3e} > "
             f"{CONDITION_LIMIT:.0e}: truncation under-resolved", RuntimeWarning)
-    b = np.delete(rhs.with_order(mid).coeffs, mid)
-    sol = matrix._factorization[0] @ b
-    result = FourierSeries(np.insert(sol, mid, 0.0)).hermitian_symmetrized()
-    # (I - M) v off mode 0, which is the restricted system's product since v_0 = 0.
+    b = rhs.with_order(mid).coeffs
+    coords = matrix._factorization[0] @ to_real_basis(b)[1:]
+    result = from_real_basis(np.concatenate(([0.0], coords)))
+    # (I - M) v - b off mode 0, the restricted system's residual since v_0 = 0.
     v = result.coeffs
-    residual = float(np.max(np.abs(np.delete(v - matrix.entries @ v, mid) - b)))
+    residual = float(np.max(np.abs(np.delete(v - matrix.entries @ v - b, mid))))
     if residual > 1e-10:
         raise SpectralGapError(f"zero-mean solve residual {residual:.3e} > 1e-10")
     return result

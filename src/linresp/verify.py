@@ -223,7 +223,10 @@ def fd_response(family: PerturbedFamily, delta: float, bins: int,
 
     The degree-2 default keeps the oracle's discretization error far below the
     O(delta^2) term, so the difference converges at second order in delta.
+    A step that is not positive is a ValueError.
     """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     plus = ulam_build(family.member(delta), bins, degree).stationary
     minus = ulam_build(family.member(-delta), bins, degree).stationary
     return (plus - minus) / (2.0 * delta)

@@ -41,7 +41,7 @@ def random_series(rng, order, decay=0.5, zero_mean=False):
     c = rng.normal(size=2 * order + 1) + 1j * rng.normal(size=2 * order + 1)
     n = np.arange(-order, order + 1)
     c *= np.exp(-decay * np.abs(n))
-    series = FourierSeries(c).hermitian_symmetrized()
+    series = FourierSeries(0.5 * (c + np.conj(c[::-1])))
     if zero_mean:
         c = np.array(series.coeffs)
         c[order] = 0.0
@@ -117,8 +117,25 @@ def complex_minimal_norm(problem, target, weights, order):
     r = _constraint_rhs(problem, target, order)
     keep = s > 1e-10 * s[0]
     coef = vh[keep].conj().T @ ((u[:, keep].conj().T @ r) / s[keep])
-    eps = FourierSeries(scale * coef).hermitian_symmetrized()
-    return eps.coeffs, int(np.count_nonzero(keep))
+    eps = scale * coef
+    return 0.5 * (eps + np.conj(eps[::-1])), int(np.count_nonzero(keep))
+
+
+def complex_restricted_solves(matrix, rhs):
+    """Density and zero-mean solve by the complex restricted inverse: the real route's reference.
+
+    I - M without the row and column of mode 0 is inverted as a complex
+    (2N) x (2N) matrix; rho = (1, R^{-1} M[r, 0]) and v = (0, R^{-1} b_r),
+    each Hermitian-symmetrized.  Returns the coefficients of rho and of v.
+    """
+    mid = matrix.order
+    system = np.eye(2 * mid + 1) - matrix.entries
+    inverse = np.linalg.inv(np.delete(np.delete(system, mid, axis=0), mid, axis=1))
+    solves = []
+    for value, column in ((1.0, matrix.entries[:, mid]), (0.0, rhs.with_order(mid).coeffs)):
+        c = np.insert(inverse @ np.delete(column, mid), mid, value)
+        solves.append(0.5 * (c + np.conj(c[::-1])))
+    return solves
 
 
 def full_system_lstsq(problem, target, weights, order):

@@ -396,6 +396,12 @@ class TestKernelDirections:
         with pytest.warns(RuntimeWarning, match="null directions"):
             kernel_directions(doubling_problem, order=4, count=50)
 
+    @pytest.mark.parametrize("count", [0, -2, 2.5, True])
+    def test_refuses_count_below_one(self, wavy_problem, count):
+        # Unchecked, count=-2 would slice null[:-2] and drop the last two directions.
+        with pytest.raises(ValueError, match="count"):
+            kernel_directions(wavy_problem, order=16, count=count)
+
 
 class TestTruncationReport:
     def test_doubling_norms_stable(self, doubling_problem):

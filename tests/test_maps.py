@@ -40,6 +40,16 @@ class TestCircleMap:
         with pytest.raises(ValueError):
             CircleMap(1, zeros(0))
 
+    @pytest.mark.parametrize("degree", [2.5, 2.9, True], ids=["half", "near-three", "bool"])
+    def test_constructor_refuses_non_integral_degree(self, degree):
+        # The constructor and from_dict share one rule: no silent truncation to 2.
+        with pytest.raises(ValueError, match="map degree must be an integer"):
+            CircleMap(degree, sine(1, 0.1))
+
+    @pytest.mark.parametrize("degree", [np.int64(3), 3.0])
+    def test_constructor_takes_integral_numbers(self, degree):
+        assert type(CircleMap(degree, zeros(0)).degree) is int
+
     def test_from_dict_round_trip(self, wavy):
         back = CircleMap.from_dict(wavy.to_dict())
         assert back.degree == 2

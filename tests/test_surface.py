@@ -49,6 +49,9 @@ def test_removed_names_stay_out():
     assert [(m.__name__, n) for m in modules for n in REMOVED if hasattr(m, n)] == []
     assert not hasattr(linresp.FourierSeries, "plus_constant")
     assert not hasattr(linresp.FourierSeries, "mean")
+    # Solves return Hermitian series by construction, with no repair step.
+    assert not hasattr(linresp.FourierSeries, "hermitian_symmetrized")
+    assert not hasattr(linresp.fourier, "_real_rows")
     assert not callable(linresp.sine(1))
     assert not callable(linresp.doubling_map())
     assert not hasattr(linresp.PerturbedFamily, "preimage_shift")

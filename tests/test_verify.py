@@ -144,6 +144,12 @@ class TestFdResponse:
         binned = fd_response(family, 1e-3, 2**14)
         assert compare_l1(binned, zeros(1)) < 5e-2
 
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, float("nan")])
+    def test_refuses_non_positive_step(self, doubling, delta):
+        family = PerturbedFamily(doubling, cosine(2, 0.01))
+        with pytest.raises(ValueError, match="delta must be positive"):
+            fd_response(family, delta, 2**10)
+
 
 class TestCompareL1:
     def test_identical_data(self):
