@@ -293,8 +293,9 @@ def cmd_verify(config: JobConfig, out: Path) -> int:
     family = PerturbedFamily(config.map, eps)
     settings = config.verify
     # Ulam's oracle (degree 0) meets VERIFY_BUDGET with a wide margin; degree 2
-    # costs about 3.1x as much at 2^16 bins (0.69 s against 0.24 s per
-    # fd_response, medians of three runs on a 2-vCPU host).
+    # costs about 4.3x as much at 2^16 bins (0.62 s against 0.14 s per
+    # fd_response of the wavy map with the minimal-norm eps for "mix" at N=64,
+    # delta 1e-3: in-process medians of five runs on a 2-vCPU host).
     binned = fd_response(family, settings.delta, settings.bins, degree=0)
     discrepancy = compare_l1(binned, config.target)
     passed = bool(discrepancy < VERIFY_BUDGET)

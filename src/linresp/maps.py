@@ -2,11 +2,13 @@
 
 The periodic part p is a trigonometric polynomial, so derivatives to any
 order are exact and branch inverses can be found by Newton iteration on the
-strictly increasing lift, seeded by interpolating the lift's inverse from
-samples on a uniform grid.  That inverter is the only one in the package, and
-only the pointwise checks and the Ulam oracle call it.  One-parameter
-families T_delta = T0 + delta*eps model first-order perturbations of the
-dynamics.
+strictly increasing lift.  Newton is seeded by cubic Hermite interpolation of
+the lift's inverse, whose values and slopes are known at the images of the
+uniform grid that the construction checks sample; on smooth maps the seed
+already meets the tolerance, so the first residual sweep ends the iteration.
+That inverter is the only one in the package, and only the pointwise checks
+and the Ulam oracle call it.  One-parameter families T_delta = T0 + delta*eps
+model first-order perturbations of the dynamics.
 """
 
 from __future__ import annotations
@@ -34,20 +36,26 @@ class PreimageError(RuntimeError):
 
 
 def _validation_size(order: int) -> int:
-    # The construction checks' samples of p also seed Newton: sized from the
-    # order of p, never from the targets of an inversion.
+    # The construction checks' samples of p and p' also seed Newton: sized
+    # from the order of p, never from the targets of an inversion.
     return next_pow2(max(16 * (order + 1), 4096))
 
 
-def _interpolated_inverse(slope: float, samples: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Newton seed for y -> slope*y + p(y) = t, by linear interpolation of its inverse.
+def _interpolated_inverse(table: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Newton seed for L(y) = t, by cubic Hermite interpolation of the inverse lift.
 
-    The inverse is (t - g(t)) / slope with g = p o inverse, which is
-    slope-periodic in t and known at the images of the grid nodes.
+    ``table`` holds the nodes t_i = L(x_i) on the construction grid with a
+    wrap node t_n = t_0 + d, the values x_i and the slopes 1/L'(x_i).  On
+    [t_k, t_k+1] the seed is the cubic in u = (t - t_k)/h that matches the
+    values and slopes at both ends.  The targets lie in [t_0, t_0 + d) up to
+    the last bit, so the interval index is clipped to the table.
     """
-    x = np.arange(samples.size) / samples.size
-    g = np.interp(targets, slope * x + samples, samples, period=slope)
-    return (targets - g) / slope
+    t, y, s = table
+    k = np.clip(np.searchsorted(t, targets, side="right") - 1, 0, t.size - 2)
+    h = t[k + 1] - t[k]
+    u = (targets - t[k]) / h
+    dy, m0, m1 = y[k + 1] - y[k], h * s[k], h * s[k + 1]
+    return y[k] + u * (m0 + u * (3.0 * dy - 2.0 * m0 - m1 + u * (m0 + m1 - 2.0 * dy)))
 
 
 def _solve_increasing(value, target, seed, lo, hi,
@@ -112,7 +120,9 @@ class CircleMap:
         object.__setattr__(self, "_max_deriv", float(np.max(deriv)))
         object.__setattr__(self, "_p_lo", float(np.min(pvals)) - pad)
         object.__setattr__(self, "_p_hi", float(np.max(pvals)) + pad)
-        object.__setattr__(self, "_samples", pvals)
+        x = np.arange(size + 1) / size
+        object.__setattr__(self, "_inverse_table", np.stack(
+            (d * x + np.append(pvals, pvals[0]), x, 1.0 / np.append(deriv, deriv[0]))))
         object.__setattr__(self, "_lift0", float(self.periodic_part.evaluate(0.0)))
 
     @cached_property
@@ -172,7 +182,7 @@ class CircleMap:
             return np.zeros(t.shape)
         shift = np.floor((tf - self._lift0) / self.degree)
         base = tf - self.degree * shift  # now within [L(0), L(0)+d)
-        seed = _interpolated_inverse(self.degree, self._samples, base)
+        seed = _interpolated_inverse(self._inverse_table, base)
         lo = (base - self._p_hi) / self.degree
         hi = (base - self._p_lo) / self.degree
         y = _solve_increasing(self._lift_value, base, seed, lo, hi) + shift

@@ -204,6 +204,13 @@ def _all_maps(doubling, wavy, triple):
     return [doubling, wavy, triple, shifted, steep_map()] + seeded_maps()
 
 
+def _perturbed_wavy(wavy, wavy_problem):
+    """The wavy map perturbed by an order-64 minimal-norm control, as ``linresp verify`` runs it."""
+    target = cosine(1) + cosine(3, 0.5)
+    eps = minimal_norm_control(wavy_problem, target, SobolevWeights(a=0.5, d=1.0)).epsilon
+    return PerturbedFamily(wavy, eps).member(1e-3)
+
+
 class TestEmptyInput:
     def test_invert_lift(self, wavy):
         assert wavy.invert_lift(np.array([])).shape == (0,)
@@ -225,6 +232,18 @@ class TestAgainstReference:
         for circle_map in _all_maps(doubling, wavy, triple):
             # several periods of the lift on either side of [L(0), L(0) + d)
             t = rng.uniform(-2.0, circle_map.degree + 2.0, 500)
+            np.testing.assert_allclose(circle_map.invert_lift(t),
+                                       reference_invert_lift(circle_map, t),
+                                       rtol=0, atol=1e-13)
+
+    def test_invert_lift_at_table_ends(self, doubling, wavy, wavy_problem):
+        # L(0) + k d, its neighbours and the grid's p(0) (FFT, not Horner) clip
+        # the seed table's index at either end
+        for circle_map in (doubling, wavy, _perturbed_wavy(wavy, wavy_problem), steep_map()):
+            d, lift0 = circle_map.degree, circle_map.lift(0.0)
+            ends = [lift0 + k * d for k in range(-2, 4)] + [circle_map.grid_values(4096)[0]]
+            t = np.array(ends + [np.nextafter(e, side) for e in ends
+                                 for side in (-np.inf, np.inf)])
             np.testing.assert_allclose(circle_map.invert_lift(t),
                                        reference_invert_lift(circle_map, t),
                                        rtol=0, atol=1e-13)
@@ -266,28 +285,33 @@ class TestAgainstReference:
 
 @pytest.fixture
 def newton_calls(monkeypatch):
-    """Records the number of value calls of every ``_solve_increasing`` run."""
+    """Records (value calls, slope calls) of every ``_solve_increasing`` run."""
     calls = []
     original = maps._solve_increasing
 
     def counting(value, *args, **kwargs):
-        count = [0]
+        n = [0, 0]
 
         def counted(y):
-            count[0] += 1
-            return value(y)
+            n[0] += 1
+            f, slope = value(y)
+
+            def counted_slope():
+                n[1] += 1
+                return slope()
+            return f, counted_slope
 
         try:
             return original(counted, *args, **kwargs)
         finally:
-            calls.append(count[0])
+            calls.append(tuple(n))
 
     monkeypatch.setattr(maps, "_solve_increasing", counting)
     return calls
 
 
 class TestNewtonSweeps:
-    """Interpolated seeds leave at most two Newton steps (three evaluations)."""
+    """Hermite seeds leave at most one Newton step (two evaluations)."""
 
     def _check(self, circle_map, calls):
         calls.clear()
@@ -296,13 +320,10 @@ class TestNewtonSweeps:
         circle_map.invert_lift(circle_map.lift(0.0)
                                + np.linspace(0.0, circle_map.degree, 4097))
         assert len(calls) == 2
-        assert max(calls) <= 3, calls
+        assert max(values for values, _ in calls) <= 2, calls
 
     def test_perturbed_wavy(self, wavy, wavy_problem, newton_calls):
-        target = cosine(1) + cosine(3, 0.5)
-        eps = minimal_norm_control(wavy_problem, target,
-                                   SobolevWeights(a=0.5, d=1.0)).epsilon
-        self._check(PerturbedFamily(wavy, eps).member(1e-3), newton_calls)
+        self._check(_perturbed_wavy(wavy, wavy_problem), newton_calls)
 
     @pytest.mark.parametrize("index", range(5))
     def test_seeded(self, index, newton_calls):
@@ -311,32 +332,21 @@ class TestNewtonSweeps:
     def test_steep(self, newton_calls):
         self._check(steep_map(), newton_calls)
 
-    def test_slope_only_before_a_step(self, wavy, monkeypatch):
-        # the converged sweep evaluates the value alone
-        counts = []
-        original = maps._solve_increasing
+    def test_slope_only_before_a_step(self, newton_calls):
+        # the converged sweep evaluates the value alone; the steep map still takes a step
+        steep_map().invert_lift(np.linspace(0.0, 5.0, 1001))
+        assert len(newton_calls) == 1
+        assert all(values >= 2 and slopes == values - 1
+                   for values, slopes in newton_calls), newton_calls
 
-        def counting(value, *args, **kwargs):
-            n = [0, 0]  # value calls, slope calls
-
-            def counted(y):
-                n[0] += 1
-                f, slope = value(y)
-
-                def counted_slope():
-                    n[1] += 1
-                    return slope()
-                return f, counted_slope
-
-            try:
-                return original(counted, *args, **kwargs)
-            finally:
-                counts.append(tuple(n))
-
-        monkeypatch.setattr(maps, "_solve_increasing", counting)
-        wavy.invert_lift(np.linspace(0.0, 2.0, 1001))
-        assert len(counts) == 1
-        assert all(values >= 2 and slopes == values - 1 for values, slopes in counts), counts
+    def test_one_pass_on_ulam_edges(self, wavy, wavy_problem, newton_calls):
+        # the 2^17 + 1 bin edges of a 2^16-bin Ulam build: one value pass
+        # both seeds and checks, and no slope is taken
+        member = _perturbed_wavy(wavy, wavy_problem)
+        bins = 2 ** 16
+        edges = (np.ceil(member.lift(0.0) * bins) + np.arange(2 * bins + 1)) / bins
+        member.invert_lift(edges)
+        assert newton_calls == [(1, 0)]
 
 
 class TestNewtonFallback:
@@ -347,7 +357,7 @@ class TestNewtonFallback:
         hi = (base - steep._p_lo) / 5
         seed = (base - steep.lift(0.0)) / 5
         y = maps._solve_increasing(steep._lift_value, base, seed, lo, hi, maxit=1)
-        assert newton_calls[-1] > 100  # the bisection sweeps ran
+        assert newton_calls[-1][0] > 100  # the bisection sweeps ran
         assert np.max(np.abs(steep._lift_value(y)[0] - base)) < maps.NEWTON_TOL
         np.testing.assert_allclose(y, steep.invert_lift(base), rtol=0, atol=1e-13)
 
