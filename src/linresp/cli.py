@@ -293,7 +293,7 @@ def cmd_verify(config: JobConfig, out: Path) -> int:
     family = PerturbedFamily(config.map, eps)
     settings = config.verify
     # Ulam's oracle (degree 0) meets VERIFY_BUDGET with a wide margin; degree 2
-    # costs about 4.3x as much at 2^16 bins (0.62 s against 0.14 s per
+    # costs about 5.3x as much at 2^16 bins (0.70 s against 0.13 s per
     # fd_response of the wavy map with the minimal-norm eps for "mix" at N=64,
     # delta 1e-3: in-process medians of five runs on a 2-vCPU host).
     binned = fd_response(family, settings.delta, settings.bins, degree=0)

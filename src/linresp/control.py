@@ -148,14 +148,14 @@ def constraint_matrix(problem: ResponseProblem, order: int) -> np.ndarray:
     With m the order-``order`` truncation of rho/T', integration by parts
     against the Galerkin test functions z^j = e^{-2 pi i j T} gives
     A[j, n] = -integral (e_n m)' z^j = -2 pi i j integral e_n m T' z^j: one
-    Galerkin block weighted by m T', exact up to spectral quadrature.
+    Galerkin block weighted by m T', of order N + K for a periodic part of
+    order K, on the ``quadrature_size`` grid for orders (N, 2N + K).
     """
     circle_map, rho = problem.map, problem.density
     size = next_pow2(max(8 * order, 256))
     mult = dft(grid_values(rho, size) / circle_map.grid_values(size, 1), order)
 
-    # Quadrature for products of order-N data with the order-N multiplier.
-    quad = quadrature_size(circle_map, order, max(16 * order, 256))
+    quad = quadrature_size(circle_map, order, 2 * order + circle_map.periodic_part.order)
     weight = grid_values(mult, quad) * circle_map.grid_values(quad, 1)
     j = np.arange(-order, order + 1)
     matrix = _galerkin_entries(circle_map, order, order, quad, weight)

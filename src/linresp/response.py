@@ -55,14 +55,14 @@ class ResponseProblem:
 
     @classmethod
     def for_map(cls, circle_map: CircleMap, order: int = DEFAULT_ORDER) -> "ResponseProblem":
-        """The problem at ``order``, its density computed from its Galerkin matrix.
+        """The problem at an integer ``order`` >= 1, its density from its Galerkin matrix.
 
         A density that fails the pointwise check raises UnderResolvedError.
         """
         matrix = galerkin_matrix(circle_map, order)
         rho = invariant_density(matrix)
         try:
-            return cls(circle_map, rho, order, matrix)
+            return cls(circle_map, rho, matrix.order, matrix)
         except ValueError as exc:
             raise UnderResolvedError(f"{exc} at truncation {order}; raise N") from None
 

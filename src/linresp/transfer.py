@@ -5,15 +5,16 @@ densities forward, preserves the integral, and on the zero-mean subspace
 I - L is invertible (spectral gap), which is what the response and control
 solvers exploit.  The Galerkin matrix in the Fourier basis is assembled via
 the duality  integral (L w) phi = integral w (phi o T), so no preimages are
-needed for matrix entries; each row is one FFT.  M maps real functions to
-real ones, so I - M is factored in the real coordinates of
+needed for matrix entries; each row is one FFT.  The same duality applies L
+to a series.  Each of these integrals is a grid mean on the grid that
+``quadrature_size`` derives from the map and the orders involved.  M maps
+real functions to real ones, so I - M is factored in the real coordinates of
 ``fourier.to_real_basis``: without the a_0 coordinate it is a real 2N x 2N
 matrix, inverted once, and it serves both the invariant density and every
-zero-mean solve, whose outputs are Hermitian by construction.  The same
-duality applies L to a series; Newton preimages serve the pointwise checks
-only (``apply_transfer_pointwise``, ``fixed_point_residual``).
-Uniform-grid samples, such as the density's positivity check, come from
-``fourier.grid_values``.
+zero-mean solve, whose outputs are Hermitian by construction.  Newton
+preimages serve the pointwise checks only (``apply_transfer_pointwise``,
+``fixed_point_residual``).  Uniform-grid samples, such as the density's
+positivity check, come from ``fourier.grid_values``.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import (FourierSeries, from_real_basis, grid_values, next_pow2, to_real_basis,
-                      to_real_basis_matrix)
+from .fourier import (FourierSeries, as_integer, from_real_basis, grid_values, next_pow2,
+                      to_real_basis, to_real_basis_matrix)
 from .maps import CircleMap
 
-QUADRATURE_FACTOR = 8
 CONDITION_LIMIT = 1e12
 DENSITY_TOL = 1e-10
 ASSEMBLY_BLOCK = 1 << 15  # complex grid samples per assembly block (512 KB)
@@ -103,18 +103,23 @@ def _galerkin_entries(circle_map: CircleMap, row_order: int, col_order: int,
     return entries
 
 
-def quadrature_size(circle_map: CircleMap, order: int, floor: int) -> int:
-    """Grid for integrands e^{-2 pi i j T} e^{2 pi i k x}, |j|, |k| <= order.
+def quadrature_size(circle_map: CircleMap, out_order: int, in_order: int) -> int:
+    """Grid for the mean of (order-``in_order`` data) e^{-2 pi i j T}, |j| <= ``out_order``.
 
-    e^{-2 pi i j T} has a bandwidth of about j max T', so the grid covers
-    order (1 + max T') and never drops below ``floor``; a power of two.
+    The next power of two above in_order + j max T' + tail, where the tail of
+    e^{-2 pi i j p} is 15 Airy widths (pi j B3)^{1/3} / (2 pi), B3 = sum
+    |c_n| (2 pi n)^3 >= |p'''| (Ai(15) < 1e-17), plus 16 (K+1) for small j.
     """
-    return next_pow2(max(floor, int(np.ceil(order * (1.0 + circle_map.max_derivative)))))
+    p = circle_map.periodic_part
+    b3 = float(np.sum(np.abs(p.coeffs) * (2 * np.pi * np.abs(p.modes)) ** 3))
+    tail = 15 / (2 * np.pi) * (np.pi * out_order * b3) ** (1 / 3) + 16 * (p.order + 1)
+    return next_pow2(int(in_order + out_order * circle_map.max_derivative + tail) + 1)
 
 
 def galerkin_matrix(circle_map: CircleMap, order: int) -> TransferMatrix:
-    """Galerkin matrix at truncation ``order`` (quadrature >= 8*order, sized by max T')."""
-    quad_size = quadrature_size(circle_map, order, max(QUADRATURE_FACTOR * order, 128))
+    """Galerkin matrix at truncation ``order``, an integer >= 1."""
+    order = as_integer("truncation order", order, 1)
+    quad_size = quadrature_size(circle_map, order, order)
     return TransferMatrix(_galerkin_entries(circle_map, order, order, quad_size),
                           order, quad_size)
 
@@ -141,11 +146,7 @@ def apply_transfer(circle_map: CircleMap, w: FourierSeries,
         raise TypeError("w must be a FourierSeries")
     if out_order is None:
         out_order = w.order
-    # w z^j has a bandwidth of about w.order + j max T'; the margin of 16(K+1)
-    # for a periodic part of order K covers the tail of e^{-2 pi i j p}.
-    reach = w.order + out_order * circle_map.max_derivative
-    size = next_pow2(max(QUADRATURE_FACTOR * out_order, 2 * w.order + 2, 128,
-                         int(np.ceil(reach)) + 16 * (circle_map.periodic_part.order + 1)))
+    size = quadrature_size(circle_map, out_order, w.order)
     z = np.exp(-2j * np.pi * circle_map.grid_values(size))
     acc = grid_values(w, size).astype(complex)
     upper = np.empty(out_order + 1, dtype=complex)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSeries
+from .fourier import FourierSeries, as_integer
 from .maps import CircleMap, PerturbedFamily
 
 STATIONARY_TOL = 1e-12
@@ -208,10 +208,8 @@ def ulam_build(circle_map: CircleMap, bins: int, degree: int = 0) -> UlamModel:
     Degree 0 is Ulam's method: transition fractions from branch-wise
     preimages of the bin endpoints.
     """
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    bins = as_integer("bins", bins, 2)
+    degree = as_integer("oracle degree", degree, 0)
     matrix = _transition_matrix(circle_map, bins, degree)
     coefficients = _stationary_vector(matrix, bins)
     return UlamModel(bins, degree, matrix, coefficients[::degree + 1])
@@ -223,7 +221,7 @@ def fd_response(family: PerturbedFamily, delta: float, bins: int,
 
     The degree-2 default keeps the oracle's discretization error far below the
     O(delta^2) term, so the difference converges at second order in delta.
-    A step that is not positive is a ValueError.
+    A step that is not positive, or ``bins`` not an integer >= 2, is a ValueError.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")

@@ -8,6 +8,8 @@ import linresp.response
 from linresp import FourierSeries, SpectralGapError, cosine, sine
 from linresp.cli import JobConfig, canonical_json, main
 
+from conftest import seeded_maps, steep_map
+
 DOUBLING = {"degree": 2, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}
 WAVY = {"degree": 2,
         "periodic_part": {"N": 1, "coeffs": [[0.0, 0.05], [0.0, 0.0], [0.0, -0.05]]}}
@@ -168,6 +170,19 @@ class TestDensity:
                      "--modes", "128"]) == 0
         payload = json.loads((out / "density.json").read_text())
         assert payload["pointwise_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("name, order, code", [
+        ("steep", 109, 0), ("seeded-degree5", 64, 0), ("seeded-degree6", 105, 0),
+        ("steep", 64, 2)])
+    def test_exit_code_follows_the_truncation_not_the_grid(self, tmp_path, name, order, code):
+        # A Galerkin grid without a tail margin aliased on the first three
+        # (exit 2); the steep map at N=64 is truncated and stays refused.
+        circle_map = {"steep": steep_map(), "seeded-degree5": seeded_maps()[3],
+                      "seeded-degree6": seeded_maps()[4]}[name]
+        path = write_config(tmp_path, map=circle_map.to_dict(), N=order)
+        out = tmp_path / "out"
+        assert main(["density", "--config", str(path), "--out", str(out)]) == code
+        assert (out / "density.json").exists() == (code == 0)
 
 
 class TestRespond:

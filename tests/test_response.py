@@ -4,7 +4,7 @@ import pytest
 from linresp import (constant, cosine, derivative_operator, dft, forward_response, sine,
                      sup_norm, zeros)
 
-from conftest import finite_difference_response_check, random_series
+from conftest import finite_difference_response_check, random_series, seeded_maps, steep_map
 
 TWO_PI = 2 * np.pi
 
@@ -34,6 +34,28 @@ class TestResponseProblem:
         problem = ResponseProblem.for_map(steep, 128)
         assert problem.matrix.quad_size == 2048
         assert problem.pointwise_residual <= 1e-9
+
+    @pytest.mark.parametrize("name, order", [("steep", 109), ("seeded-degree5", 64),
+                                             ("seeded-degree6", 105)])
+    def test_resolves_where_an_aliased_grid_refused(self, name, order):
+        # A Galerkin grid without a tail margin aliased here: pointwise
+        # residuals 3.3e-9, 4.3e-9 and 1.2e-7, refused as under-resolved.
+        from linresp import ResponseProblem
+        circle_map = {"steep": steep_map(), "seeded-degree5": seeded_maps()[3],
+                      "seeded-degree6": seeded_maps()[4]}[name]
+        assert ResponseProblem.for_map(circle_map, order).pointwise_residual <= 1e-9
+
+    def test_steep_degree_five_map_truncated_at_64(self):
+        # Residual 1.2e-9 from truncation, not from the grid: still refused.
+        from linresp import ResponseProblem, UnderResolvedError
+        with pytest.raises(UnderResolvedError, match="residual 1.2"):
+            ResponseProblem.for_map(steep_map(), 64)
+
+    @pytest.mark.parametrize("order", [-3, 0, 2.5, True, "64"])
+    def test_refuses_order_not_an_integer_of_at_least_one(self, wavy, order):
+        from linresp import ResponseProblem
+        with pytest.raises(ValueError, match="truncation order must be"):
+            ResponseProblem.for_map(wavy, order)
 
     def test_rejects_unnormalized_density(self, doubling):
         from linresp import ResponseProblem

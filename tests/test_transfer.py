@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linresp import (CircleMap, SobolevWeights, apply_transfer, compare_l1,
-                     constant, cosine, derivative_operator, dft, fixed_point_residual,
-                     forward_response, galerkin_matrix, grid_values, invariant_density, sine,
-                     solve_zero_mean, sup_norm, ulam_build, zeros)
+from linresp import (CircleMap, ResponseProblem, SobolevWeights, apply_transfer, compare_l1,
+                     constant, cosine, derivative_operator, dft, doubling_map,
+                     fixed_point_residual, forward_response, galerkin_matrix, grid_values,
+                     invariant_density, sine, solve_zero_mean, sup_norm, ulam_build, zeros)
 from linresp.control import minimal_norm_control
 from linresp import transfer
-from linresp.transfer import apply_transfer_pointwise
+from linresp.transfer import apply_transfer_pointwise, quadrature_size
 
 from conftest import (CircleDiffeo, build_conjugate, complex_restricted_solves,
                       direct_galerkin_entries, multiply, random_series, seeded_maps, steep_map,
@@ -17,6 +17,7 @@ from conftest import (CircleDiffeo, build_conjugate, complex_restricted_solves,
 
 GALERKIN_MAPS = {"wavy": CircleMap(2, sine(1, 0.1)), "steep": steep_map(),
                  **{f"seeded-degree{m.degree}": m for m in seeded_maps()}}
+ALIASING_MAPS = {**GALERKIN_MAPS, "triple": CircleMap(3, zeros(0)), "doubling": doubling_map()}
 
 
 class TestApplyTransfer:
@@ -157,20 +158,67 @@ class TestGalerkinMatrix:
             for got, expected in zip(other, results[0]):
                 assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("order", [8, 64, 256])
-    def test_quadrature_floors_kept_for_mild_maps(self, wavy, order):
-        from linresp.transfer import quadrature_size
-        assert galerkin_matrix(wavy, order).quad_size == max(8 * order, 128)
-        assert quadrature_size(wavy, order, max(16 * order, 256)) == max(16 * order, 256)
+    @pytest.mark.parametrize("order", [-3, 0, 2.5, True, "8"])
+    def test_refuses_order_not_an_integer_of_at_least_one(self, wavy, order):
+        with pytest.raises(ValueError, match="truncation order must be"):
+            galerkin_matrix(wavy, order)
 
-    def test_quadrature_grows_with_max_derivative(self):
-        from linresp import CircleMap
-        from linresp.transfer import quadrature_size
-        steep = CircleMap(5, sine(1, 0.4) + cosine(7, 0.02))
-        fine = np.arange(2**16) / 2**16
-        assert steep.max_derivative == pytest.approx(np.max(steep.evaluate(fine, 1)), rel=1e-6)
-        assert quadrature_size(steep, 128, 1024) == 2048
-        assert quadrature_size(steep, 128, 4096) == 4096
+
+def last_order_within(grid, size_of):
+    """The largest order n with size_of(n) <= grid: its band lies just under ``grid``."""
+    n = 1
+    while size_of(n + 1) <= grid:
+        n += 1
+    return n
+
+
+class TestQuadratureSize:
+    """Each integral on its grid against a 16 times finer one.
+
+    At the largest order that a grid holds, the band in_order + out_order
+    max T' + tail lies within about 1 + max T' modes of the power of two, so
+    a tail that falls short shows as aliasing.  A fixed 16 (K+1) tail is off
+    by up to 1.8e-6 (seeded degree 6, grid 4096) and a grid without one by
+    more.
+    """
+
+    @pytest.mark.parametrize("name, grid", [*((name, 1024) for name in ALIASING_MAPS),
+                                            ("steep", 4096), ("seeded-degree6", 4096)])
+    def test_galerkin_rows(self, name, grid):
+        circle_map = ALIASING_MAPS[name]
+        order = last_order_within(grid, lambda n: quadrature_size(circle_map, n, n))
+        m = galerkin_matrix(circle_map, order)
+        assert m.quad_size == grid
+        fine = transfer._galerkin_entries(circle_map, order, order, 16 * grid)
+        assert np.max(np.abs(m.entries - fine)) < 1e-13
+
+    @pytest.mark.parametrize("name", list(ALIASING_MAPS))
+    def test_apply_transfer(self, name, monkeypatch):
+        circle_map = ALIASING_MAPS[name]
+        rng = np.random.default_rng(59)
+        w = random_series(rng, 96, decay=0.0)
+        out = last_order_within(1024, lambda n: quadrature_size(circle_map, n, w.order))
+        coarse = apply_transfer(circle_map, w, out)
+        monkeypatch.setattr(transfer, "quadrature_size", lambda *a: 16 * quadrature_size(*a))
+        fine = apply_transfer(circle_map, w, out)
+        assert np.max(np.abs(coarse.coeffs - fine.coeffs)) < 1e-13 * np.sum(np.abs(w.coeffs))
+
+    @pytest.mark.parametrize("name", list(ALIASING_MAPS))
+    def test_constraint_weight(self, name):
+        # constraint_matrix scales the Galerkin block of w = m T' by -2 pi i j,
+        # m the order-N truncation of rho/T', on the grid for orders (N, 2N + K).
+        circle_map = ALIASING_MAPS[name]
+        rho = ResponseProblem.for_map(circle_map, 128).density
+        k = circle_map.periodic_part.order
+        order = last_order_within(1024, lambda n: quadrature_size(circle_map, n, 2 * n + k))
+        mult = dft(grid_values(rho, 4096) / circle_map.grid_values(4096, 1), order)
+
+        def block(size):
+            weight = grid_values(mult, size) * circle_map.grid_values(size, 1)
+            return transfer._galerkin_entries(circle_map, order, order, size, weight)
+
+        size = quadrature_size(circle_map, order, 2 * order + k)
+        assert np.max(np.abs(block(size) - block(16 * size))) < 1e-13
 
 
 class TestInvariantDensity:

@@ -79,6 +79,11 @@ class TestUlamBuild:
         with pytest.raises(ValueError):
             ulam_build(doubling, 1)
 
+    @pytest.mark.parametrize("bins", [2.5, 3.7, True, "64"])
+    def test_refuses_bins_not_an_integer(self, doubling, bins):
+        with pytest.raises(ValueError, match="bins must be an integer"):
+            ulam_build(doubling, bins)
+
     def test_rejects_negative_degree(self, doubling):
         with pytest.raises(ValueError):
             ulam_build(doubling, 4, degree=-1)
@@ -143,6 +148,12 @@ class TestFdResponse:
         family = PerturbedFamily(doubling, sine(1))
         binned = fd_response(family, 1e-3, 2**14)
         assert compare_l1(binned, zeros(1)) < 5e-2
+
+    @pytest.mark.parametrize("bins", [1, 2.5, 3.7, True])
+    def test_refuses_bins_not_an_integer_of_at_least_two(self, doubling, bins):
+        family = PerturbedFamily(doubling, cosine(2, 0.01))
+        with pytest.raises(ValueError, match="bins must be"):
+            fd_response(family, 1e-3, bins)
 
     @pytest.mark.parametrize("delta", [0.0, -1e-3, float("nan")])
     def test_refuses_non_positive_step(self, doubling, delta):
