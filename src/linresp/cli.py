@@ -203,40 +203,33 @@ def _series_csv(path: Path, series: FourierSeries, grid: int) -> None:
     _write_csv(path, ("x", "value"), np.arange(size) / size, grid_values(series, size))
 
 
-def _problem(config: JobConfig) -> tuple[ResponseProblem, float]:
-    """The configured problem and its Galerkin residual sup |M rho - rho|."""
-    problem = ResponseProblem.for_map(config.map, config.order)
-    rho = problem.density.coeffs
-    return problem, float(np.max(np.abs(problem.matrix.entries @ rho - rho)))
-
-
 def cmd_density(config: JobConfig, out: Path) -> int:
-    problem, residual = _problem(config)
+    problem = ResponseProblem.for_map(config.map, config.order)
     payload = {
         "command": "density",
         "config_sha256": config.sha256,
         "N": config.order,
-        "residual": residual,
+        "residual": problem.galerkin_residual,
         "pointwise_residual": problem.pointwise_residual,
         "density": problem.density.to_dict(),
     }
     _write_json(out / "density.json", payload)
     _series_csv(out / "density.csv", problem.density, config.grid)
-    print(f"density: residual {residual:.3e} -> {out / 'density.json'}")
+    print(f"density: residual {problem.galerkin_residual:.3e} -> {out / 'density.json'}")
     return EXIT_OK
 
 
 def cmd_respond(config: JobConfig, out: Path) -> int:
     if config.epsilon is None:
         raise ConfigError("respond needs an 'epsilon' entry")
-    problem, residual = _problem(config)
+    problem = ResponseProblem.for_map(config.map, config.order)
     response = forward_response(problem, config.epsilon)
     magnitude = sup_norm(response)
     payload = {
         "command": "respond",
         "config_sha256": config.sha256,
         "N": config.order,
-        "density_residual": residual,
+        "density_residual": problem.galerkin_residual,
         "response_sup_norm": magnitude,
         "negligible": bool(magnitude < NEGLIGIBLE_RESPONSE),
         "response": response.to_dict(),
@@ -251,7 +244,7 @@ def cmd_respond(config: JobConfig, out: Path) -> int:
 def cmd_control(config: JobConfig, out: Path) -> int:
     if config.target is None:
         raise ConfigError("control needs a 'target' entry")
-    problem, residual = _problem(config)
+    problem = ResponseProblem.for_map(config.map, config.order)
     two_step = solve_control(problem, config.target, config.weights)
     minimal = minimal_norm_control(problem, config.target, config.weights)
     roundtrip = sup_norm(forward_response(problem, minimal.epsilon) - config.target)
@@ -261,7 +254,7 @@ def cmd_control(config: JobConfig, out: Path) -> int:
         "command": "control",
         "config_sha256": config.sha256,
         "N": config.order,
-        "density_residual": residual,
+        "density_residual": problem.galerkin_residual,
         "two_step": two_step.to_dict(),
         "minimal_norm": minimal.to_dict(),
         "roundtrip_sup_error": roundtrip,
@@ -280,7 +273,7 @@ def cmd_verify(config: JobConfig, out: Path) -> int:
         raise ConfigError("verify needs a 'verify' block with delta and bins")
     if config.target is None:
         raise ConfigError("verify needs a 'target' entry")
-    problem, residual = _problem(config)
+    problem = ResponseProblem.for_map(config.map, config.order)
     if config.epsilon is not None:
         eps = config.epsilon
         source = "config"
@@ -303,7 +296,7 @@ def cmd_verify(config: JobConfig, out: Path) -> int:
         "command": "verify",
         "config_sha256": config.sha256,
         "N": config.order,
-        "density_residual": residual,
+        "density_residual": problem.galerkin_residual,
         "epsilon_source": source,
         "solution_residual": solution_residual,
         "delta": settings.delta,

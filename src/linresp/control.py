@@ -78,13 +78,14 @@ def step1_g(problem: ResponseProblem, target: FourierSeries) -> FourierSeries:
     satisfies L0(g) = f exactly (the conjugacy to a Haar-preserving map,
     simplified so that no numerical inversion is needed).  Verified to
     ||L0 g - f||_inf < 1e-9 and integral g = 0 within 1e-10.  g is returned
-    at order (d+1) N, the bandwidth of f o T0.
+    at order (d+1) N, the bandwidth of f o T0.  A target beyond the
+    truncation raises InfeasibleTargetError.
     """
     _require_zero_mean(target, "target density change")
     circle_map, rho = problem.map, problem.density
     order = problem.order
     out_order = (circle_map.degree + 1) * order
-    f = target.with_order(order) - apply_transfer(circle_map, target, out_order=order)
+    f = FourierSeries(_constraint_rhs(problem, target, order))
     size = next_pow2(max(4 * out_order, 512))
     image = circle_map.grid_values(size)
     values = f.evaluate(image) * grid_values(rho, size) / rho.evaluate(image)
@@ -134,31 +135,27 @@ def step2_epsilon(problem: ResponseProblem, g: FourierSeries) -> FourierSeries:
 
 def _constraint_rhs(problem: ResponseProblem, target: FourierSeries,
                     order: int) -> np.ndarray:
+    """Coefficients of (I - L0) target at ``order``, refusing a target beyond it."""
     if target.order > order:
         raise InfeasibleTargetError(f"target order {target.order} exceeds truncation "
                                     f"{order}; retry with a larger order")
-    t = target.with_order(order)
-    image = apply_transfer(problem.map, t, out_order=order)
-    return t.coeffs - image.coeffs
+    image = apply_transfer(problem.map, target, out_order=order)
+    return target.with_order(order).coeffs - image.coeffs
 
 
 def constraint_matrix(problem: ResponseProblem, order: int) -> np.ndarray:
-    """Matrix A mapping eps coefficients to those of L0(-(eps*rho/T')').
+    """Matrix A mapping eps coefficients to those of D_eps rho = -L0((eps*rho/T')').
 
-    With m the order-``order`` truncation of rho/T', integration by parts
-    against the Galerkin test functions z^j = e^{-2 pi i j T} gives
-    A[j, n] = -integral (e_n m)' z^j = -2 pi i j integral e_n m T' z^j: one
-    Galerkin block weighted by m T', of order N + K for a periodic part of
-    order K, on the ``quadrature_size`` grid for orders (N, 2N + K).
+    rho is the problem's density.  Integration by parts against the Galerkin
+    test functions z^j = e^{-2 pi i j T} gives
+    A[j, n] = -integral (e_n rho/T')' z^j = -2 pi i j integral e_n rho z^j:
+    one Galerkin block weighted by rho, on the ``quadrature_size`` grid for
+    orders (``order``, ``order`` + order of rho).
     """
     circle_map, rho = problem.map, problem.density
-    size = next_pow2(max(8 * order, 256))
-    mult = dft(grid_values(rho, size) / circle_map.grid_values(size, 1), order)
-
-    quad = quadrature_size(circle_map, order, 2 * order + circle_map.periodic_part.order)
-    weight = grid_values(mult, quad) * circle_map.grid_values(quad, 1)
+    quad = quadrature_size(circle_map, order, order + rho.order)
     j = np.arange(-order, order + 1)
-    matrix = _galerkin_entries(circle_map, order, order, quad, weight)
+    matrix = _galerkin_entries(circle_map, order, order, quad, grid_values(rho, quad))
     matrix *= (-2j * np.pi * j)[:, None]
     magnitude = np.abs(matrix)
     matrix[magnitude < ASSEMBLY_NOISE_FLOOR * np.max(magnitude)] = 0.0
@@ -182,10 +179,10 @@ def _real_blocks(circle_map: CircleMap, order: int) -> list[tuple[slice, slice]]
     """Row and column slices of the independent blocks of Q^H A Q W^{-1/2}.
 
     An odd map, T(-x) = -T(x), has a sine-only periodic part: every
-    coefficient has real part exactly 0.  Its rho and rho/T' are even and A
-    is purely imaginary, so the real system maps cosines to sines and sines
-    to cosines; its cos x cos and sin x sin blocks hold only assembly
-    rounding.  Any other map gives one block, the whole matrix.
+    coefficient has real part exactly 0.  Its rho is even and A is purely
+    imaginary, so the real system maps cosines to sines and sines to
+    cosines; its cos x cos and sin x sin blocks hold only assembly rounding.
+    Any other map gives one block, the whole matrix.
     """
     if np.any(circle_map.periodic_part.coeffs.real):
         return [(slice(None), slice(None))]

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fourier import (DEFAULT_ORDER, FourierSeries, dft, differentiate, grid_values,
                       next_pow2, sup_norm)
 from .maps import CircleMap
@@ -31,40 +33,42 @@ class UnderResolvedError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ResponseProblem:
-    """A map, its invariant density and Galerkin matrix at a working truncation.
+    """A map and its Galerkin matrix; everything else follows from the matrix.
 
-    pointwise_residual is sup |L rho - rho| on a 1024-point grid.
+    density is the matrix's invariant density, galerkin_residual
+    sup |M rho - rho| over its coefficients and pointwise_residual
+    sup |L rho - rho| on a 1024-point grid.  A density that fails the
+    pointwise check (above 1e-9), including one from a matrix of another
+    map, raises UnderResolvedError.
     """
 
     map: CircleMap
-    density: FourierSeries
-    order: int = DEFAULT_ORDER
-    matrix: TransferMatrix | None = field(default=None, repr=False)
+    matrix: TransferMatrix = field(repr=False)
+    density: FourierSeries = field(init=False)
+    galerkin_residual: float = field(init=False)
     pointwise_residual: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if abs(self.density.coeff(0) - 1.0) > 1e-10:
-            raise ValueError("density must be normalized to mean 1")
-        object.__setattr__(self, "pointwise_residual",
-                           fixed_point_residual(self.map, self.density))
+        if not isinstance(self.matrix, TransferMatrix):
+            raise TypeError("matrix must be a TransferMatrix")
+        rho = invariant_density(self.matrix)
+        object.__setattr__(self, "density", rho)
+        object.__setattr__(self, "galerkin_residual", float(
+            np.max(np.abs(self.matrix.entries @ rho.coeffs - rho.coeffs))))
+        object.__setattr__(self, "pointwise_residual", fixed_point_residual(self.map, rho))
         if self.pointwise_residual > 1e-9:
-            raise ValueError(
-                f"density fixed-point residual {self.pointwise_residual:.3e} > 1e-9")
-        if self.matrix is None:
-            object.__setattr__(self, "matrix", galerkin_matrix(self.map, self.order))
+            raise UnderResolvedError(
+                f"density fixed-point residual {self.pointwise_residual:.3e} > 1e-9 "
+                f"at truncation {self.order}; raise N")
+
+    @property
+    def order(self) -> int:
+        return self.matrix.order
 
     @classmethod
     def for_map(cls, circle_map: CircleMap, order: int = DEFAULT_ORDER) -> "ResponseProblem":
-        """The problem at an integer ``order`` >= 1, its density from its Galerkin matrix.
-
-        A density that fails the pointwise check raises UnderResolvedError.
-        """
-        matrix = galerkin_matrix(circle_map, order)
-        rho = invariant_density(matrix)
-        try:
-            return cls(circle_map, rho, matrix.order, matrix)
-        except ValueError as exc:
-            raise UnderResolvedError(f"{exc} at truncation {order}; raise N") from None
+        """The problem at an integer truncation ``order`` >= 1."""
+        return cls(circle_map, galerkin_matrix(circle_map, order))
 
 
 def derivative_operator(problem: ResponseProblem, direction: FourierSeries,

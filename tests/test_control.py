@@ -5,7 +5,8 @@ import pytest
 
 from linresp import (CircleMap, InfeasibleTargetError,
                      ResponseProblem, SobolevWeights, apply_transfer_pointwise,
-                     constant, cosine, dft, differentiate, doubling_map, forward_response,
+                     constant, cosine, derivative_operator, dft, differentiate,
+                     doubling_map, forward_response,
                      kernel_directions, minimal_norm_control,
                      minimal_norm_truncation_report, next_pow2, sine,
                      sobolev_norm, solve_control, step1_g, step2_epsilon,
@@ -43,6 +44,12 @@ class TestStepOne:
     def test_rejects_nonzero_mean(self, wavy_problem):
         with pytest.raises(ValueError, match="zero mean"):
             step1_g(wavy_problem, constant(0.5))
+
+    def test_refuses_target_beyond_truncation(self, wavy):
+        # cos 40 pi x is mode 20 > N = 16: infeasible, not a failed verification
+        problem = ResponseProblem.for_map(wavy, 16)
+        with pytest.raises(InfeasibleTargetError, match="exceeds truncation 16"):
+            step1_g(problem, sine(1) + cosine(20, 0.5))
 
 
 class TestStepTwo:
@@ -96,24 +103,23 @@ class TestSolveControl:
 
 
 def product_form_constraint(problem, order):
-    """-G diag(2 pi i k) Toeplitz(m): the constraint matrix as a product of factors.
+    """-diag(2 pi i j) G Toeplitz(rho): the constraint matrix as a product of factors.
 
-    m is the order-``order`` truncation of rho/T', Toeplitz(m) multiplies an
-    order-``order`` series by it (giving order 2*order), the diagonal
-    differentiates, and G is the wide Galerkin block by direct quadrature.
+    Toeplitz(rho) multiplies an order-``order`` series by the problem's
+    density rho of order N (giving order ``order`` + N), G is the wide
+    Galerkin block by direct quadrature, columns |k| <= order + N, and the
+    diagonal is the -2 pi i j of the integration by parts.
     """
-    circle_map, rho = problem.map, problem.density
-    size = next_pow2(max(8 * order, 256))
-    x = np.arange(size) / size
-    mult = dft(rho.evaluate(x) / circle_map.evaluate(x, 1), order)
-    wide = 2 * order
+    rho = problem.density
+    wide = order + rho.order
     k = np.arange(-wide, wide + 1)
     offset = k[:, None] - np.arange(-order, order + 1)[None, :]
-    toeplitz = np.where(np.abs(offset) <= order,
-                        mult.coeffs[np.clip(offset + order, 0, 2 * order)], 0.0)
-    galerkin = direct_galerkin_entries(circle_map, order, wide,
+    toeplitz = np.where(np.abs(offset) <= rho.order,
+                        rho.coeffs[np.clip(offset + rho.order, 0, 2 * rho.order)], 0.0)
+    galerkin = direct_galerkin_entries(problem.map, order, wide,
                                        next_pow2(max(8 * wide, 256)))
-    return -(galerkin @ ((2j * np.pi * k)[:, None] * toeplitz))
+    j = np.arange(-order, order + 1)
+    return -(2j * np.pi * j)[:, None] * (galerkin @ toeplitz)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +135,18 @@ class TestConstraintMatrix:
         reference = product_form_constraint(problem, order)
         gap = np.max(np.abs(constraint_matrix(problem, order) - reference))
         assert gap < 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("index", [3, 4])
+    def test_is_the_derivative_of_the_problem_density(self, index):
+        # A eps = D_eps rho for the problem's own rho.  A weight re-truncated
+        # from rho/T' at order N misses by 1.1e-9 (degree 5) and 1.2e-6 (degree 6).
+        problem = ResponseProblem.for_map(seeded_maps()[index], 64)
+        a = constraint_matrix(problem, 64)
+        for seed in range(3):
+            eps = random_series(np.random.default_rng(seed), 64)
+            expected = derivative_operator(problem, eps, problem.density).coeffs
+            gap = np.max(np.abs(a @ eps.coeffs - expected))
+            assert gap <= 1e-10 * np.max(np.abs(expected))
 
 
 @pytest.fixture(scope="module")

@@ -15,10 +15,27 @@ def series_of(values_fn, order, size=1024):
 
 
 class TestResponseProblem:
-    def test_rejects_wrong_density(self, wavy):
-        from linresp import ResponseProblem
-        with pytest.raises(ValueError, match="residual"):
-            ResponseProblem(wavy, constant(1.0), 64)
+    def test_order_is_the_matrix_order(self, wavy):
+        from linresp import ResponseProblem, galerkin_matrix
+        problem = ResponseProblem(wavy, galerkin_matrix(wavy, 16))
+        assert problem.order == problem.matrix.order == 16
+        assert ResponseProblem.for_map(wavy, 24).order == 24
+
+    def test_refuses_a_density_or_order_from_the_caller(self, wavy):
+        # the density and the order follow from the matrix; the old
+        # (map, density, order, matrix) form is refused
+        from linresp import ResponseProblem, galerkin_matrix
+        matrix = galerkin_matrix(wavy, 16)
+        rho = ResponseProblem(wavy, matrix).density
+        with pytest.raises(TypeError):
+            ResponseProblem(wavy, rho, 3, matrix)
+        with pytest.raises(TypeError, match="TransferMatrix"):
+            ResponseProblem(wavy, rho)
+
+    def test_matrix_of_another_map_is_refused(self, wavy, doubling):
+        from linresp import ResponseProblem, UnderResolvedError, galerkin_matrix
+        with pytest.raises(UnderResolvedError, match="residual"):
+            ResponseProblem(wavy, galerkin_matrix(doubling, 16))
 
     def test_under_resolved_computed_density(self):
         from linresp import CircleMap, ResponseProblem, UnderResolvedError
@@ -56,11 +73,6 @@ class TestResponseProblem:
         from linresp import ResponseProblem
         with pytest.raises(ValueError, match="truncation order must be"):
             ResponseProblem.for_map(wavy, order)
-
-    def test_rejects_unnormalized_density(self, doubling):
-        from linresp import ResponseProblem
-        with pytest.raises(ValueError, match="mean"):
-            ResponseProblem(doubling, constant(2.0), 64)
 
 
 class TestDerivativeOperator:

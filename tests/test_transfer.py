@@ -205,19 +205,17 @@ class TestQuadratureSize:
 
     @pytest.mark.parametrize("name", list(ALIASING_MAPS))
     def test_constraint_weight(self, name):
-        # constraint_matrix scales the Galerkin block of w = m T' by -2 pi i j,
-        # m the order-N truncation of rho/T', on the grid for orders (N, 2N + K).
+        # constraint_matrix scales the Galerkin block of the density rho by
+        # -2 pi i j, on the grid for orders (N, N + order of rho).
         circle_map = ALIASING_MAPS[name]
         rho = ResponseProblem.for_map(circle_map, 128).density
-        k = circle_map.periodic_part.order
-        order = last_order_within(1024, lambda n: quadrature_size(circle_map, n, 2 * n + k))
-        mult = dft(grid_values(rho, 4096) / circle_map.grid_values(4096, 1), order)
+        order = last_order_within(1024, lambda n: quadrature_size(circle_map, n, n + rho.order))
 
         def block(size):
-            weight = grid_values(mult, size) * circle_map.grid_values(size, 1)
-            return transfer._galerkin_entries(circle_map, order, order, size, weight)
+            return transfer._galerkin_entries(circle_map, order, order, size,
+                                              grid_values(rho, size))
 
-        size = quadrature_size(circle_map, order, 2 * order + k)
+        size = quadrature_size(circle_map, order, order + rho.order)
         assert np.max(np.abs(block(size) - block(16 * size))) < 1e-13
 
 
