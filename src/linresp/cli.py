@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,8 +58,24 @@ class ConfigError(ValueError):
     """The job configuration is malformed."""
 
 
+def _is_float_pairs(obj) -> bool:
+    """A non-empty list of [float, float] lists of exact type float: a coefficient array."""
+    return (type(obj) is list and len(obj) > 0
+            and all(type(p) is list and len(p) == 2 and type(p[0]) is float
+                    and type(p[1]) is float for p in obj))
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON: insertion-ordered keys, %.17g floats."""
+    """Deterministic JSON: insertion-ordered keys, %.17g floats.
+
+    A coefficient array (``_is_float_pairs``) is written by one format call;
+    it gives the same bytes as the recursive path.
+    """
+    if _is_float_pairs(obj):
+        flat = [value for pair in obj for value in pair]
+        if not all(map(math.isfinite, flat)):
+            raise ValueError("non-finite value in output")
+        return "[" + ("[%.17g,%.17g]," * len(obj))[:-1] % tuple(flat) + "]"
     if isinstance(obj, dict):
         items = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}"
                          for k, v in obj.items())

@@ -82,10 +82,13 @@ def step1_g(problem: ResponseProblem, target: FourierSeries) -> FourierSeries:
     truncation raises InfeasibleTargetError.
     """
     _require_zero_mean(target, "target density change")
+    return _step1_g(problem, FourierSeries(_constraint_rhs(problem, target, problem.order)))
+
+
+def _step1_g(problem: ResponseProblem, f: FourierSeries) -> FourierSeries:
+    """``step1_g`` from f = (I - L0) rho1, already at the problem's order."""
     circle_map, rho = problem.map, problem.density
-    order = problem.order
-    out_order = (circle_map.degree + 1) * order
-    f = FourierSeries(_constraint_rhs(problem, target, order))
+    out_order = (circle_map.degree + 1) * problem.order
     size = next_pow2(max(4 * out_order, 512))
     image = circle_map.grid_values(size)
     values = f.evaluate(image) * grid_values(rho, size) / rho.evaluate(image)
@@ -190,28 +193,59 @@ def _real_blocks(circle_map: CircleMap, order: int) -> list[tuple[slice, slice]]
     return [(cos, sin), (sin, cos)]
 
 
+def _bordered_lstsq(block: np.ndarray, rhs: np.ndarray, top: float):
+    """dgelsd on ``block`` with its cutoff at PSEUDOINVERSE_CUTOFF * max(top, own top).
+
+    With top > 0 the block is bordered by one row and one column, zero but
+    for ``top`` where they cross, and the rhs by a 0: dgelsd's cutoff, rcond
+    times the largest singular value, then reads the global top.  The
+    border's singular value and coordinate are removed from the result.
+    Returns the coordinates, the rank kept and the singular values.
+    """
+    if not top:
+        x, _, rank, s = np.linalg.lstsq(block, rhs, rcond=PSEUDOINVERSE_CUTOFF)
+        return x, int(rank), s
+    rows, cols = block.shape
+    bordered = np.zeros((rows + 1, cols + 1))
+    bordered[:rows, :cols] = block
+    bordered[rows, cols] = top
+    padded = np.zeros(rows + 1)
+    padded[:rows] = rhs
+    x, _, rank, s = np.linalg.lstsq(bordered, padded, rcond=PSEUDOINVERSE_CUTOFF)
+    return x[:cols], int(rank) - 1, np.delete(s, np.argmin(np.abs(s - top)))
+
+
 def _block_lstsq(system: np.ndarray, rhs: np.ndarray, blocks: list[tuple[slice, slice]]):
     """Minimal-norm least squares on each block under one rank cutoff.
 
     Singular values at or below PSEUDOINVERSE_CUTOFF of the largest over all
-    blocks count as null space.  dgelsd's cutoff is relative to its own
-    block, so a block whose kept count disagrees with the global rule is
-    solved again with its rcond rescaled.  Returns the coordinates, the rank
-    kept and the margin: the smallest kept and the largest dropped singular
-    value over the largest.
+    blocks count as null space.  The block of largest Frobenius norm is
+    solved first, and its largest singular value is the top; every later
+    block is solved once, bordered with that top (``_bordered_lstsq``), so
+    one dgelsd per block applies the global rule.  A later block whose own
+    largest singular value exceeds the top raises it; an earlier block that
+    then keeps a singular value at or below the new cutoff is solved again,
+    bordered with the new top.  Returns the coordinates, the rank kept and
+    the margin: the smallest kept and the largest dropped singular value
+    over the largest.
     """
-    solved = [np.linalg.lstsq(system[rows, cols], rhs[rows], rcond=PSEUDOINVERSE_CUTOFF)
-              for rows, cols in blocks]
-    top = max(s[0] for *_, s in solved)
-    for i, ((rows, cols), (*_, rank, s)) in enumerate(zip(blocks, solved)):
-        if np.count_nonzero(s > PSEUDOINVERSE_CUTOFF * top) != rank:
-            solved[i] = np.linalg.lstsq(system[rows, cols], rhs[rows],
-                                        rcond=PSEUDOINVERSE_CUTOFF * top / s[0])
+    views = [(system[rows, cols], rhs[rows]) for rows, cols in blocks]
+    solved: dict[int, tuple] = {}
+    top = 0.0
+    for i in sorted(range(len(views)), key=lambda k: np.linalg.norm(views[k][0]),
+                    reverse=True):
+        solved[i] = _bordered_lstsq(*views[i], top)
+        if solved[i][2][0] > top:
+            top = float(solved[i][2][0])
+            for k in solved.keys() - {i}:
+                _, rank, s = solved[k]
+                if np.count_nonzero(s > PSEUDOINVERSE_CUTOFF * top) != rank:
+                    solved[k] = _bordered_lstsq(*views[k], top)
     coords = np.empty(system.shape[1])
-    for (_, cols), (x, *_) in zip(blocks, solved):
-        coords[cols] = x
-    kept = np.concatenate([s[:rank] for *_, rank, s in solved])
-    dropped = np.concatenate([s[rank:] for *_, rank, s in solved])
+    for i, (_, cols) in enumerate(blocks):
+        coords[cols] = solved[i][0]
+    kept = np.concatenate([s[:rank] for _, rank, s in solved.values()])
+    dropped = np.concatenate([s[rank:] for _, rank, s in solved.values()])
     margin = (float(kept.min() / top), float(dropped.max(initial=0.0) / top))
     return coords, int(kept.size), margin
 
@@ -225,12 +259,14 @@ def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
     ``to_real_basis``, where A is the real matrix Q^H A Q: eps = W^{-1/2} y
     with y the minimal-norm least-squares solution of (Q^H A Q W^{-1/2}) y = Q^H r
     by LAPACK dgelsd.  An odd map splits the system into its cos-rows x
-    sin-columns and sin-rows x cos-columns blocks, each solved alone at about
-    an eighth of the cost of the whole; any other map is solved whole.  Singular values at
-    or below 1e-10 of the largest over all blocks are treated as null space;
-    the rank kept and the cutoff margin are recorded.  The constraint defect
-    is measured on the full complex A; above 1e-8 the target is not
-    realizable at this truncation.
+    sin-columns and sin-rows x cos-columns blocks, each solved by one dgelsd
+    at about an eighth of the cost of the whole, the later block bordered
+    with the earlier block's largest singular value so that one cutoff holds
+    for both (``_block_lstsq``); any other map is solved whole.  Singular
+    values at or below 1e-10 of the largest over all blocks are treated as
+    null space; the rank kept and the cutoff margin are recorded.  The
+    constraint defect is measured on the full complex A; above 1e-8 the
+    target is not realizable at this truncation.
     """
     _require_zero_mean(target, "target density change")
     if order is None:
@@ -258,7 +294,8 @@ def solve_control(problem: ResponseProblem, target: FourierSeries,
     A target beyond the truncation raises InfeasibleTargetError before any solve.
     """
     rhs = _constraint_rhs(problem, target, problem.order)
-    g = step1_g(problem, target)
+    _require_zero_mean(target, "target density change")
+    g = _step1_g(problem, FourierSeries(rhs))
     eps = step2_epsilon(problem, g)
     drho = derivative_operator(problem, eps, problem.density)
     realized = solve_zero_mean(problem.matrix, drho)

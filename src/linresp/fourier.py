@@ -186,7 +186,7 @@ class FourierSeries:
 
     def to_dict(self) -> dict:
         return {"N": self.order,
-                "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs]}
+                "coeffs": np.column_stack((self.coeffs.real, self.coeffs.imag)).tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FourierSeries":

@@ -119,6 +119,40 @@ class TestConfig:
         text = canonical_json({"x": 0.1, "flag": True, "n": 3})
         assert text == '{"x":0.10000000000000001,"flag":true,"n":3}'
 
+    def test_coefficient_arrays_match_the_recursive_path(self):
+        rng = np.random.default_rng(18)
+        size = 2049
+        parts = rng.normal(size=(2, size)) * 10.0 ** rng.integers(-300, 301, (2, size))
+        parts[:, :6] = [[-0.0, 0.1, 5e-324, 3.0, -1e300, 1e-300],
+                        [0.0, -0.1, -5e-324, 1024.0, 1e300, -7.0]]
+        series = FourierSeries(parts[0] + 1j * parts[1])
+        data = series.to_dict()
+        pairs = [[float(c.real), float(c.imag)] for c in series.coeffs]
+        assert data["coeffs"] == pairs
+        assert all(type(v) is float for pair in data["coeffs"] for v in pair)
+        recursive = "[" + ",".join(f"[{format(re, '.17g')},{format(im, '.17g')}]"
+                                   for re, im in pairs) + "]"
+        assert canonical_json(data) == '{"N":1024,"coeffs":' + recursive + "}"
+        assert canonical_json(data["coeffs"]) == recursive
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_coefficient_arrays_refuse_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite value in output"):
+            canonical_json({"coeffs": [[0.5, 0.0], [0.25, value]]})
+
+    @pytest.mark.parametrize("obj, text", [
+        ([], "[]"),
+        ([[True, 1.0]], "[[true,1]]"),
+        ([[1, 2.5]], "[[1,2.5]]"),
+        ([[np.float64(0.1), 1.0]], "[[0.10000000000000001,1]]"),
+        ([[1.0, 2.0], [3.0]], "[[1,2],[3]]"),
+        ([[1.0, 2.0, 3.0]], "[[1,2,3]]"),
+        ([(1.0, 2.0)], "[[1,2]]"),
+        ([{"a": 1.0}, [2.0, 3.0]], '[{"a":1},[2,3]]'),
+    ])
+    def test_other_lists_keep_their_bytes(self, obj, text):
+        assert canonical_json(obj) == text
+
 
 class TestDensity:
     def test_doubling_uniform_csv(self, tmp_path):
@@ -265,6 +299,18 @@ class TestControl:
         path = write_config(tmp_path, map=WAVY, target="sin", N=16)
         assert main(["control", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         assert orders == [16, 32]
+
+    def test_one_dgelsd_per_block(self, tmp_path, monkeypatch):
+        # the wavy map is odd: two blocks at order N and two at 2N; under these
+        # weights the blocks' own cutoffs differ from the global one
+        shapes = []
+        original = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **kw: shapes.append(a[0].shape) or original(*a, **kw))
+        path = write_config(tmp_path, map=WAVY, target="mix", N=32,
+                            weights={"a": 0.5, "d": 1.0})
+        assert main(["control", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(shapes) == 4
 
     def test_modes_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, target="sin2", N=64)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import linresp.control as control
 from linresp import (CircleMap, InfeasibleTargetError,
                      ResponseProblem, SobolevWeights, apply_transfer_pointwise,
                      constant, cosine, derivative_operator, dft, differentiate,
@@ -100,6 +101,19 @@ class TestSolveControl:
         sol = solve_control(wavy_problem, target)
         realized = forward_response(wavy_problem, sol.epsilon)
         assert sup_norm(realized - target) < 1e-6
+
+    def test_one_transfer_image_of_the_target(self, wavy_problem, monkeypatch):
+        # (I - L) t feeds both step 1 and the constraint residual
+        calls = []
+        original = control.apply_transfer
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(control, "apply_transfer", counted)
+        solve_control(wavy_problem, sine(1))
+        assert len(calls) == 1
 
 
 def product_form_constraint(problem, order):
@@ -278,6 +292,57 @@ class TestBlockSolve:
         reference = full_system_lstsq(problem, sine(1), BLOCK_WEIGHTS, 32)
         sol = minimal_norm_control(problem, sine(1), BLOCK_WEIGHTS, 32)
         assert np.array_equal(sol.epsilon.coeffs, reference.epsilon)
+
+    def test_one_dgelsd_per_block_at_benchmark_config(self, benchmark_problem, monkeypatch):
+        calls = []
+        original = control.np.linalg.lstsq
+        monkeypatch.setattr(control.np.linalg, "lstsq",
+                            lambda *a, **kw: calls.append(a[0].shape) or original(*a, **kw))
+        target = cosine(1) + cosine(3, 0.5)
+        for order, rank, margin in ((256, 306, (1.0419e-10, 7.714e-12)),
+                                    (512, 442, (1.0048e-10, 9.912e-11))):
+            calls.clear()
+            sol = minimal_norm_control(benchmark_problem, target, BLOCK_WEIGHTS, order)
+            assert len(calls) == 2
+            assert sol.rank == rank
+            assert sol.margin == pytest.approx(margin, rel=1e-3)
+
+    def test_top_from_a_later_block_resolves_the_earlier(self, monkeypatch):
+        # The first block has the larger Frobenius norm, the second the largest
+        # singular value, 1.4.  The first block's 1.2e-10 is kept under its own
+        # cutoff (1e-10) and dropped under the global one (1.4e-10).
+        rng = np.random.default_rng(18)
+        k = 8
+
+        def block(rows, cols, s):
+            u = np.linalg.qr(rng.normal(size=(rows, rows)))[0][:, :len(s)]
+            v = np.linalg.qr(rng.normal(size=(cols, cols)))[0][:, :len(s)]
+            return (u * s) @ v.T
+
+        first = block(k + 1, k, [1.0, 0.8, 0.6, 0.5, 0.3, 0.1, 1.2e-10, 1e-14])
+        second = block(k, k + 1, [1.4, 0.05, 0.02, 0.01, 5e-3, 2e-3, 1e-3, 5e-11])
+        assert np.linalg.norm(first) > np.linalg.norm(second)
+        cos, sin = slice(0, k + 1), slice(k + 1, None)
+        blocks = [(cos, sin), (sin, cos)]
+        system = np.zeros((2 * k + 1, 2 * k + 1))
+        system[cos, sin] = first
+        system[sin, cos] = second
+        rhs = rng.normal(size=2 * k + 1)
+        coords, _, rank, s = np.linalg.lstsq(system, rhs, rcond=PSEUDOINVERSE_CUTOFF)
+        own = [np.linalg.lstsq(system[rows, cols], rhs[rows],
+                               rcond=PSEUDOINVERSE_CUTOFF)[2] for rows, cols in blocks]
+        assert sum(own) == rank + 1 == 14
+
+        calls = []
+        original = control.np.linalg.lstsq
+        monkeypatch.setattr(control.np.linalg, "lstsq",
+                            lambda *a, **kw: calls.append(a[0].shape) or original(*a, **kw))
+        got, got_rank, margin = _block_lstsq(system, rhs, blocks)
+        # the first block, then the second bordered, then the first bordered again
+        assert calls == [(k + 1, k), (k + 1, k + 2), (k + 2, k + 1)]
+        assert got_rank == rank
+        assert margin == pytest.approx((s[rank - 1] / s[0], s[rank] / s[0]), rel=1e-12)
+        assert np.max(np.abs(got - coords)) <= 1e-12 * np.max(np.abs(coords))
 
     def test_cutoff_is_global_over_blocks(self, benchmark_problem):
         # on the benchmark config the blocks' largest singular values are
