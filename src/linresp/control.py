@@ -10,7 +10,9 @@ eps realizing it.  Two routes:
   minimal-norm least squares on the truncated constraint A eps = r in real
   cosine/sine coordinates, with a rank cutoff.  For an odd map the real
   system splits into two half-size blocks, solved one after the other under
-  one cutoff.
+  one cutoff.  The real system is formed from the rows j >= 0 of A alone.
+  The minimal solutions at truncations N and 2N (``minimal_norm_pair``)
+  share one assembly at 2N: A at order N is its sub-block |j|, |n| <= N.
 """
 
 from __future__ import annotations
@@ -21,19 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import (FourierSeries, SobolevWeights, antiderivative, as_integer, dft,
-                      differentiate, from_real_basis, grid_values, next_pow2, sobolev_norm,
-                      sup_norm, to_real_basis, to_real_basis_matrix)
+                      differentiate, from_real_basis, grid_values, next_pow2,
+                      real_matrix_from_rows, sobolev_norm, sup_norm, to_real_basis)
 from .maps import CircleMap
 from .response import ResponseProblem, derivative_operator
-from .transfer import (_galerkin_entries, apply_transfer, apply_transfer_pointwise,
+from .transfer import (_galerkin_rows, _is_odd, apply_transfer, apply_transfer_pointwise,
                        quadrature_size, solve_zero_mean)
 
 PSEUDOINVERSE_CUTOFF = 1e-10
 FEASIBILITY_TOL = 1e-8
 ROUNDTRIP_TOL = 1e-6
 # Entries of the assembled constraint matrix below this (relative to its
-# largest entry) are quadrature round-off, not data; clearing them keeps the
-# weighted solve's null space aligned with the operator's true kernel.
+# largest entry at the order solved) are quadrature round-off, not data;
+# clearing them keeps the weighted solve's null space aligned with the
+# operator's true kernel.
 ASSEMBLY_NOISE_FLOOR = 1e-13
 
 
@@ -153,41 +156,57 @@ def constraint_matrix(problem: ResponseProblem, order: int) -> np.ndarray:
     test functions z^j = e^{-2 pi i j T} gives
     A[j, n] = -integral (e_n rho/T')' z^j = -2 pi i j integral e_n rho z^j:
     one Galerkin block weighted by rho, on the ``quadrature_size`` grid for
-    orders (``order``, ``order`` + order of rho).
+    orders (``order``, ``order`` + order of rho).  Rows j < 0 follow from
+    rows j >= 0 (``_constraint_rows``) by conjugate symmetry.
     """
+    upper = _floored(_constraint_rows(problem, order))
+    return np.concatenate((np.conj(upper[:0:-1, ::-1]), upper))
+
+
+def _constraint_rows(problem: ResponseProblem, order: int) -> np.ndarray:
+    """Rows 0 <= j <= ``order`` of ``constraint_matrix``, before the noise floor."""
     circle_map, rho = problem.map, problem.density
     quad = quadrature_size(circle_map, order, order + rho.order)
-    j = np.arange(-order, order + 1)
-    matrix = _galerkin_entries(circle_map, order, order, quad, grid_values(rho, quad))
-    matrix *= (-2j * np.pi * j)[:, None]
-    magnitude = np.abs(matrix)
-    matrix[magnitude < ASSEMBLY_NOISE_FLOOR * np.max(magnitude)] = 0.0
-    return matrix
+    rows = _galerkin_rows(circle_map, order, order, quad, grid_values(rho, quad))
+    rows *= (-2j * np.pi * np.arange(order + 1))[:, None]
+    return rows
+
+
+def _floored(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with entries below ASSEMBLY_NOISE_FLOOR of its largest set to 0, in place."""
+    magnitude = np.abs(rows)
+    rows[magnitude < ASSEMBLY_NOISE_FLOOR * np.max(magnitude)] = 0.0
+    return rows
 
 
 def _weighted_real_system(problem: ResponseProblem, weights: SobolevWeights,
                           order: int):
-    """A, the W^{-1/2} scaling in real coordinates, and Q^H A Q W^{-1/2}.
+    """Rows j >= 0 of A, the W^{-1/2} scaling in real coordinates, and Q^H A Q W^{-1/2}."""
+    rows = _floored(_constraint_rows(problem, order))
+    return (rows, *_weighted_system(rows, weights))
+
+
+def _weighted_system(rows: np.ndarray, weights: SobolevWeights):
+    """The W^{-1/2} scaling and Q^H A Q W^{-1/2}, from the rows j >= 0 of A.
 
     W(n) = W(-n), so W is diagonal in real coordinates too: a_n and b_n
     both carry W(n).
     """
-    a = constraint_matrix(problem, order)
+    order = rows.shape[0] - 1
     w = weights.mode_weights(order)[order:]
     scale = 1.0 / np.sqrt(np.concatenate((w, w[1:])))
-    return a, scale, to_real_basis_matrix(a) * scale[None, :]
+    return scale, real_matrix_from_rows(rows) * scale[None, :]
 
 
 def _real_blocks(circle_map: CircleMap, order: int) -> list[tuple[slice, slice]]:
     """Row and column slices of the independent blocks of Q^H A Q W^{-1/2}.
 
-    An odd map, T(-x) = -T(x), has a sine-only periodic part: every
-    coefficient has real part exactly 0.  Its rho is even and A is purely
-    imaginary, so the real system maps cosines to sines and sines to
+    An odd map (``transfer._is_odd``) has an even rho and a purely
+    imaginary A, so the real system maps cosines to sines and sines to
     cosines; its cos x cos and sin x sin blocks hold only assembly rounding.
     Any other map gives one block, the whole matrix.
     """
-    if np.any(circle_map.periodic_part.coeffs.real):
+    if not _is_odd(circle_map):
         return [(slice(None), slice(None))]
     cos, sin = slice(0, order + 1), slice(order + 1, None)
     return [(cos, sin), (sin, cos)]
@@ -265,18 +284,51 @@ def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
     for both (``_block_lstsq``); any other map is solved whole.  Singular
     values at or below 1e-10 of the largest over all blocks are treated as
     null space; the rank kept and the cutoff margin are recorded.  The
-    constraint defect is measured on the full complex A; above 1e-8 the
-    target is not realizable at this truncation.
+    constraint defect d = A eps - r is measured on the complex entries of
+    the rows j >= 0, ||d||^2 = |d_0|^2 + 2 sum_{j>0} |d_j|^2 (d is
+    Hermitian); above 1e-8 the target is not realizable at this truncation.
     """
     _require_zero_mean(target, "target density change")
     if order is None:
         order = problem.order
     r = _constraint_rhs(problem, target, order)
-    a, scale, system = _weighted_real_system(problem, weights, order)
+    return _minimal_norm(problem, _floored(_constraint_rows(problem, order)), r, weights)
+
+
+def minimal_norm_pair(problem: ResponseProblem, target: FourierSeries,
+                      weights: SobolevWeights = SobolevWeights(),
+                      order: int | None = None) -> tuple[ControlSolution, ControlSolution]:
+    """``minimal_norm_control`` at truncations N = ``order`` and 2N, from one assembly.
+
+    A[j, n] depends on (j, n) alone, so A at order N is the sub-block
+    |j|, |n| <= N of A at order 2N; its rows j >= 0 are sliced from the
+    order-2N rows j >= 0 before the noise floor, which each order applies
+    relative to its own largest entry.  The order-N entries equal those
+    that ``constraint_matrix`` assembles at order N up to quadrature
+    rounding; the order-2N solution is the one ``minimal_norm_control``
+    gives at 2N.  A target beyond N is refused before the assembly.
+    """
+    _require_zero_mean(target, "target density change")
+    if order is None:
+        order = problem.order
+    low_rhs = _constraint_rhs(problem, target, order)
+    high_rhs = _constraint_rhs(problem, target, 2 * order)
+    rows = _constraint_rows(problem, 2 * order)
+    low = _floored(rows[:order + 1, order:3 * order + 1].copy())
+    return (_minimal_norm(problem, low, low_rhs, weights),
+            _minimal_norm(problem, _floored(rows), high_rhs, weights))
+
+
+def _minimal_norm(problem: ResponseProblem, rows: np.ndarray, r: np.ndarray,
+                  weights: SobolevWeights) -> ControlSolution:
+    """``minimal_norm_control`` given the rows j >= 0 of A and the coefficients of r."""
+    order = rows.shape[0] - 1
+    scale, system = _weighted_system(rows, weights)
     coords, rank, margin = _block_lstsq(system, to_real_basis(r),
                                         _real_blocks(problem.map, order))
     eps = from_real_basis(scale * coords)
-    residual = float(np.linalg.norm(a @ eps.coeffs - r))
+    d = rows @ eps.coeffs - r[order:]
+    residual = float(np.sqrt(abs(d[0]) ** 2 + 2 * np.vdot(d[1:], d[1:]).real))
     if residual > FEASIBILITY_TOL:
         raise InfeasibleTargetError(
             f"constraint residual {residual:.3e} > {FEASIBILITY_TOL:.0e}: target not "
@@ -338,21 +390,13 @@ def kernel_directions(problem: ResponseProblem, order: int | None = None,
 
 def minimal_norm_truncation_report(problem: ResponseProblem, target: FourierSeries,
                                    weights: SobolevWeights = SobolevWeights(),
-                                   order: int | None = None,
-                                   low: ControlSolution | None = None) -> dict:
-    """Minimal norms at truncations (N, 2N) and their difference.
+                                   order: int | None = None) -> dict:
+    """Minimal norms at truncations (N, 2N) and their difference (``minimal_norm_pair``)."""
+    return truncation_norms(*minimal_norm_pair(problem, target, weights, order))
 
-    ``low``, the order-N minimal-norm solution, is reused when given; one
-    at another order or scored with other weights is a ValueError."""
-    if order is None:
-        order = problem.order
-    if low is None:
-        low = minimal_norm_control(problem, target, weights, order)
-    elif low.epsilon.order != order:
-        raise ValueError(f"low solution has order {low.epsilon.order}, not {order}")
-    elif low.norm != sobolev_norm(low.epsilon, weights):
-        raise ValueError("low solution was scored with other weights")
-    high = minimal_norm_control(problem, target, weights, 2 * order)
-    return {"order": order, "norm": low.norm,
-            "order_doubled": 2 * order, "norm_doubled": high.norm,
+
+def truncation_norms(low: ControlSolution, high: ControlSolution) -> dict:
+    """The norms of minimal solutions at truncations N and 2N, and their difference."""
+    return {"order": low.epsilon.order, "norm": low.norm,
+            "order_doubled": high.epsilon.order, "norm_doubled": high.norm,
             "difference": abs(high.norm - low.norm)}

@@ -295,12 +295,11 @@ def from_real_basis(coords: np.ndarray) -> FourierSeries:
 def to_real_basis_matrix(matrix: np.ndarray) -> np.ndarray:
     """Q^H A Q for a matrix A on coefficients -N..N that maps real functions to real ones.
 
-    Such an A commutes with conjugation, A[-j, -k] = conj A[j, k], so the
-    columns of A Q are Hermitian and Q^H A Q is real: formed from the rows
-    j >= 0 of A Q, it is Re (row 0), sqrt(2) Re (rows a_j) and -sqrt(2) Im
-    (rows b_j).  Raises if A fails to commute with conjugation, that is if
-    the largest component of A - conj A[::-1, ::-1] (rows j < 0 included,
-    which the formula never reads) exceeds rounding relative to max |A|.
+    Such an A commutes with conjugation, A[-j, -k] = conj A[j, k], so Q^H A Q
+    is real and ``real_matrix_from_rows`` forms it from the rows j >= 0.
+    Raises if A fails to commute with conjugation, that is if the largest
+    component of A - conj A[::-1, ::-1] (rows j < 0 included, which the
+    formula never reads) exceeds rounding relative to max |A|.
     """
     a = np.asarray(matrix)
     n = (a.shape[0] - 1) // 2
@@ -310,6 +309,17 @@ def to_real_basis_matrix(matrix: np.ndarray) -> np.ndarray:
     if residue > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError(f"imaginary residue {residue:.3e} exceeds tolerance; "
                          "Hermitian symmetry is broken")
+    return real_matrix_from_rows(upper)
+
+
+def real_matrix_from_rows(upper: np.ndarray) -> np.ndarray:
+    """Q^H A Q from the rows j >= 0 of an A that commutes with conjugation.
+
+    The columns of A Q are Hermitian, so Q^H A Q is Re (row 0), sqrt(2) Re
+    (rows a_j) and -sqrt(2) Im (rows b_j) of the rows j >= 0 of A Q.  The
+    symmetry is not checked: the rows j < 0 are not given.
+    """
+    n = upper.shape[0] - 1
     pos, neg = upper[:, n + 1:], upper[:, n - 1::-1]
     columns = np.empty(upper.shape, dtype=complex)  # rows j >= 0 of A Q
     columns[:, 0] = upper[:, n]

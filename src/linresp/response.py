@@ -37,9 +37,9 @@ class ResponseProblem:
 
     density is the matrix's invariant density, galerkin_residual
     sup |M rho - rho| over its coefficients and pointwise_residual
-    sup |L rho - rho| on a 1024-point grid.  A density that fails the
-    pointwise check (above 1e-9), including one from a matrix of another
-    map, raises UnderResolvedError.
+    sup |L rho - rho| on a 1024-point grid.  A matrix built from another map
+    (its degree or periodic coefficients differ) is a ValueError; a density
+    that fails the pointwise check (above 1e-9) raises UnderResolvedError.
     """
 
     map: CircleMap
@@ -51,10 +51,18 @@ class ResponseProblem:
     def __post_init__(self) -> None:
         if not isinstance(self.matrix, TransferMatrix):
             raise TypeError("matrix must be a TransferMatrix")
+        built = self.matrix.map
+        if built.degree != self.map.degree:
+            raise ValueError(f"matrix was built from a map of degree {built.degree}, "
+                             f"not {self.map.degree}")
+        order = max(built.periodic_part.order, self.map.periodic_part.order)
+        if not np.array_equal(built.periodic_part.with_order(order).coeffs,
+                              self.map.periodic_part.with_order(order).coeffs):
+            raise ValueError("matrix was built from a map with other periodic coefficients")
         rho = invariant_density(self.matrix)
         object.__setattr__(self, "density", rho)
-        object.__setattr__(self, "galerkin_residual", float(
-            np.max(np.abs(self.matrix.entries @ rho.coeffs - rho.coeffs))))
+        # the residual that invariant_density verified, not computed again
+        object.__setattr__(self, "galerkin_residual", self.matrix._density[1])
         object.__setattr__(self, "pointwise_residual", fixed_point_residual(self.map, rho))
         if self.pointwise_residual > 1e-9:
             raise UnderResolvedError(

@@ -5,13 +5,18 @@ densities forward, preserves the integral, and on the zero-mean subspace
 I - L is invertible (spectral gap), which is what the response and control
 solvers exploit.  The Galerkin matrix in the Fourier basis is assembled via
 the duality  integral (L w) phi = integral w (phi o T), so no preimages are
-needed for matrix entries; each row is one FFT.  The same duality applies L
-to a series.  Each of these integrals is a grid mean on the grid that
-``quadrature_size`` derives from the map and the orders involved.  M maps
+needed for matrix entries; each row is one FFT, and the rows j >= 0 alone
+(``_galerkin_rows``) serve a caller that needs no rows j < 0, such as the
+constraint matrix of ``control``.  The same duality applies L to a series.
+Each of these integrals is a grid mean on the grid that ``quadrature_size``
+derives from the map and the orders involved.  M maps
 real functions to real ones, so I - M is factored in the real coordinates of
 ``fourier.to_real_basis``: without the a_0 coordinate it is a real 2N x 2N
-matrix, inverted once, and it serves both the invariant density and every
-zero-mean solve, whose outputs are Hermitian by construction.  Newton
+matrix R, inverted once, and it serves both the invariant density and every
+zero-mean solve, whose outputs are Hermitian by construction.  A
+``TransferMatrix`` records its map: an odd map has a real M, so R maps
+cosines to cosines and sines to sines and is inverted as its two N x N
+diagonal blocks, at half the bytes of one 2N x 2N inverse.  Newton
 preimages serve the pointwise checks only (``apply_transfer_pointwise``,
 ``fixed_point_residual``).  Uniform-grid samples, such as the density's
 positivity check, come from ``fourier.grid_values``.
@@ -20,7 +25,7 @@ positivity check, come from ``fourier.grid_values``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,11 +50,13 @@ class TransferMatrix:
     entries[j, k] = integral_0^1 e^{2 pi i k x} e^{-2 pi i j T(x)} dx
     (row j = output mode, column k = input mode), computed by trapezoidal
     quadrature, which is spectrally accurate for these analytic integrands.
+    map is the map T the entries were built from.
     """
 
     entries: np.ndarray
     order: int
     quad_size: int
+    map: CircleMap = field(repr=False)
 
     def __post_init__(self) -> None:
         e = np.array(self.entries, dtype=complex)
@@ -65,32 +72,83 @@ class TransferMatrix:
         return self._factorization[1]
 
     @cached_property
-    def _factorization(self) -> tuple[np.ndarray, float]:
+    def _factorization(self) -> tuple[list[tuple[slice, np.ndarray]], float]:
         # R = I - Q^H M Q without the a_0 row and column: real, 2N x 2N.  It is
         # inverted once; the density and every zero-mean solve are products,
-        # and R lives only long enough for its norm.
-        system = np.eye(2 * self.order) - to_real_basis_matrix(self.entries)[1:, 1:]
-        inverse = np.linalg.inv(system)
-        return inverse, float(np.linalg.norm(system, 1) * np.linalg.norm(inverse, 1))
+        # and R lives only long enough for its norm.  An odd map's M is real,
+        # so R's cos x sin and sin x cos blocks hold only assembly rounding and
+        # R is inverted as its cos and sin diagonal blocks.  The 1-norm of a
+        # block-diagonal matrix is the largest over its blocks.
+        n = self.order
+        system = np.eye(2 * n) - to_real_basis_matrix(self.entries)[1:, 1:]
+        blocks = [slice(0, n), slice(n, None)] if _is_odd(self.map) else [slice(None)]
+        inverses = [(b, np.linalg.inv(system[b, b])) for b in blocks]
+        norm = max(np.linalg.norm(system[b, b], 1) for b in blocks)
+        return inverses, float(norm * max(np.linalg.norm(inv, 1) for _, inv in inverses))
+
+    @cached_property
+    def _density(self) -> tuple[FourierSeries, float]:
+        # ``invariant_density`` and its Galerkin residual ||M rho - rho||_inf,
+        # computed once per matrix.
+        mid = self.order
+        column = to_real_basis(self.entries[:, mid])
+        rho = from_real_basis(np.concatenate(([1.0], self._restricted_solve(column[1:]))))
+        residual = float(np.max(np.abs(self.entries @ rho.coeffs - rho.coeffs)))
+        if residual > DENSITY_TOL:
+            raise SpectralGapError(
+                f"density Galerkin residual {residual:.3e} > {DENSITY_TOL:.0e}")
+        samples = grid_values(rho, next_pow2(max(4096, 2 * mid + 2)))
+        if float(np.min(samples)) <= 0.0:
+            raise SpectralGapError(
+                "computed density is not strictly positive; truncation too small?")
+        return rho, residual
+
+    def _restricted_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """R^{-1} rhs, block by block."""
+        out = np.empty_like(rhs)
+        for block, inverse in self._factorization[0]:
+            out[block] = inverse @ rhs[block]
+        return out
+
+
+def _is_odd(circle_map: CircleMap) -> bool:
+    """T(-x) = -T(x): the periodic part is sine-only, every coefficient has real part exactly 0.
+
+    Then M is real and A = ``control.constraint_matrix`` purely imaginary; a
+    real part of 1e-17 breaks the symmetry.
+    """
+    return not np.any(circle_map.periodic_part.coeffs.real)
 
 
 def _galerkin_entries(circle_map: CircleMap, row_order: int, col_order: int,
                       quad_size: int, weight=1.0) -> np.ndarray:
     """Grid mean of w e^{-2 pi i j T} e^{2 pi i k x}, |j| <= row_order, |k| <= col_order.
 
+    The rows j >= 0 are ``_galerkin_rows``; rows j < 0 follow by conjugate
+    symmetry for real w.
+    """
+    entries = np.empty((2 * row_order + 1, 2 * col_order + 1), dtype=complex)
+    upper = _galerkin_rows(circle_map, row_order, col_order, quad_size, weight,
+                           out=entries[row_order:])
+    np.conj(upper[:0:-1, ::-1], out=entries[:row_order])
+    return entries
+
+
+def _galerkin_rows(circle_map: CircleMap, row_order: int, col_order: int,
+                   quad_size: int, weight=1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows 0 <= j <= row_order of ``_galerkin_entries``, written to ``out`` when given.
+
     Row j is the inverse FFT of w z^j, z = e^{-2 pi i T}, with the powers by
-    running product; rows j < 0 follow by conjugate symmetry for real w.
-    The rows go through in blocks of ASSEMBLY_BLOCK grid samples, and each
-    block keeps only its 2 col_order + 1 wanted columns, so the transient
-    memory is one block, not row_order x quad_size.
+    running product.  The rows go through in blocks of ASSEMBLY_BLOCK grid
+    samples, and each block keeps only its 2 col_order + 1 wanted columns,
+    so the transient memory is one block, not row_order x quad_size.
     """
     z = np.exp(-2j * np.pi * circle_map.grid_values(quad_size))
     cols = np.arange(-col_order, col_order + 1)
     rows = min(max(1, ASSEMBLY_BLOCK // quad_size), row_order + 1)
     powers = np.empty((rows, quad_size), dtype=complex)
     powers[0] = weight
-    entries = np.empty((2 * row_order + 1, cols.size), dtype=complex)
-    upper = entries[row_order:]
+    upper = np.empty((row_order + 1, cols.size), dtype=complex) if out is None else out
     for start in range(0, row_order + 1, rows):
         block = powers[:min(rows, row_order + 1 - start)]
         if start:
@@ -99,8 +157,7 @@ def _galerkin_entries(circle_map: CircleMap, row_order: int, col_order: int,
         for j in range(1, len(block)):
             np.multiply(block[j - 1], z, out=block[j])
         upper[start:start + len(block)] = np.fft.ifft(block, axis=1)[:, cols]
-    np.conj(upper[:0:-1, ::-1], out=entries[:row_order])
-    return entries
+    return upper
 
 
 def quadrature_size(circle_map: CircleMap, out_order: int, in_order: int) -> int:
@@ -121,7 +178,7 @@ def galerkin_matrix(circle_map: CircleMap, order: int) -> TransferMatrix:
     order = as_integer("truncation order", order, 1)
     quad_size = quadrature_size(circle_map, order, order)
     return TransferMatrix(_galerkin_entries(circle_map, order, order, quad_size),
-                          order, quad_size)
+                          order, quad_size, circle_map)
 
 
 def apply_transfer_pointwise(circle_map: CircleMap, series: FourierSeries,
@@ -175,18 +232,7 @@ def invariant_density(matrix: TransferMatrix) -> FourierSeries:
     ||M rho - rho||_inf <= 1e-10 and to be strictly positive on a 4096-point
     grid; either failure is a SpectralGapError.
     """
-    mid = matrix.order
-    column = to_real_basis(matrix.entries[:, mid])
-    rho = from_real_basis(np.concatenate(([1.0], matrix._factorization[0] @ column[1:])))
-    residual = float(np.max(np.abs(matrix.entries @ rho.coeffs - rho.coeffs)))
-    if residual > DENSITY_TOL:
-        raise SpectralGapError(
-            f"density Galerkin residual {residual:.3e} > {DENSITY_TOL:.0e}")
-    samples = grid_values(rho, next_pow2(max(4096, 2 * mid + 2)))
-    if float(np.min(samples)) <= 0.0:
-        raise SpectralGapError(
-            "computed density is not strictly positive; truncation too small?")
-    return rho
+    return matrix._density[0]
 
 
 def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries:
@@ -207,7 +253,7 @@ def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries
             f"restricted system condition {matrix.restricted_condition:.3e} > "
             f"{CONDITION_LIMIT:.0e}: truncation under-resolved", RuntimeWarning)
     b = rhs.with_order(mid).coeffs
-    coords = matrix._factorization[0] @ to_real_basis(b)[1:]
+    coords = matrix._restricted_solve(to_real_basis(b)[1:])
     result = from_real_basis(np.concatenate(([0.0], coords)))
     # (I - M) v - b off mode 0, the restricted system's residual since v_0 = 0.
     v = result.coeffs

@@ -7,7 +7,8 @@ from linresp import (CircleMap, FourierSeries, PerturbedFamily, ResponseProblem,
                      antiderivative, apply_transfer_pointwise, constant, cosine, dft, doubling_map,
                      forward_response, galerkin_matrix, grid_values, invariant_density, next_pow2,
                      sine, zeros)
-from linresp.fourier import differentiate, from_real_basis, to_real_basis
+from linresp.fourier import (differentiate, from_real_basis, to_real_basis,
+                             to_real_basis_matrix)
 
 
 @pytest.fixture(scope="session")
@@ -136,6 +137,23 @@ def complex_restricted_solves(matrix, rhs):
         c = np.insert(inverse @ np.delete(column, mid), mid, value)
         solves.append(0.5 * (c + np.conj(c[::-1])))
     return solves
+
+
+def whole_restricted_solves(matrix, rhs):
+    """Density and zero-mean solve by one inverse of the whole real R: the parity split's reference.
+
+    R = I - Q^H M Q without the a_0 row and column, inverted as one 2N x 2N
+    matrix.  Returns the coefficients of rho and of v, and the 1-norm
+    condition number of R.
+    """
+    mid = matrix.order
+    system = np.eye(2 * mid) - to_real_basis_matrix(matrix.entries)[1:, 1:]
+    inverse = np.linalg.inv(system)
+    solves = []
+    for value, column in ((1.0, matrix.entries[:, mid]), (0.0, rhs.with_order(mid).coeffs)):
+        coords = inverse @ to_real_basis(column)[1:]
+        solves.append(from_real_basis(np.concatenate(([value], coords))).coeffs)
+    return (*solves, float(np.linalg.norm(system, 1) * np.linalg.norm(inverse, 1)))
 
 
 def full_system_lstsq(problem, target, weights, order):

@@ -287,18 +287,19 @@ class TestControl:
                      str(tmp_path / "o")]) == 3
 
     def test_one_minimal_norm_solve_per_order(self, tmp_path, monkeypatch):
+        # one constraint assembly, at order 2N, serves the solves at N and 2N
         import linresp.control as control
         orders = []
-        original = control.constraint_matrix
+        original = control._constraint_rows
 
         def counted(problem, order):
             orders.append(order)
             return original(problem, order)
 
-        monkeypatch.setattr(control, "constraint_matrix", counted)
+        monkeypatch.setattr(control, "_constraint_rows", counted)
         path = write_config(tmp_path, map=WAVY, target="sin", N=16)
         assert main(["control", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        assert orders == [16, 32]
+        assert orders == [32]
 
     def test_one_dgelsd_per_block(self, tmp_path, monkeypatch):
         # the wavy map is odd: two blocks at order N and two at 2N; under these

@@ -13,7 +13,8 @@ from linresp import (CircleMap, InfeasibleTargetError,
                      sobolev_norm, solve_control, step1_g, step2_epsilon,
                      sup_norm, zeros)
 from linresp.control import (FEASIBILITY_TOL, PSEUDOINVERSE_CUTOFF, _block_lstsq,
-                             _real_blocks, _weighted_real_system, constraint_matrix)
+                             _constraint_rhs, _real_blocks, _weighted_real_system,
+                             constraint_matrix, minimal_norm_pair)
 
 from conftest import (complex_minimal_norm, direct_galerkin_entries, full_system_lstsq,
                       random_series, seeded_maps, steep_map, weighted_inner_product)
@@ -493,19 +494,66 @@ class TestTruncationReport:
         assert report["order"] == 32 and report["order_doubled"] == 64
         assert report["difference"] < 1e-9
 
-    def test_reuses_matching_low_solution(self, doubling_problem):
-        low = minimal_norm_control(doubling_problem, sine(1), order=32)
-        report = minimal_norm_truncation_report(doubling_problem, sine(1), order=32, low=low)
-        assert report["norm"] == low.norm
 
-    def test_refuses_low_at_another_order(self, doubling_problem):
-        low = minimal_norm_control(doubling_problem, sine(1), order=16)
-        with pytest.raises(ValueError, match="order 16, not 32"):
-            minimal_norm_truncation_report(doubling_problem, sine(1), order=32, low=low)
+class TestSharedAssembly:
+    """minimal_norm_pair: the solves at N and 2N from one constraint assembly at 2N."""
 
-    def test_refuses_low_scored_with_other_weights(self, doubling_problem):
-        low = minimal_norm_control(doubling_problem, sine(1), order=32)
-        with pytest.raises(ValueError, match="other weights"):
-            minimal_norm_truncation_report(doubling_problem, sine(1),
-                                           SobolevWeights(0.5, 0.25, 0.1, 1.0),
-                                           order=32, low=low)
+    def test_benchmark_config(self, benchmark_problem):
+        # the order-N grid has 2048 points, the order-2N grid 4096
+        target = cosine(1) + cosine(3, 0.5)
+        low, high = minimal_norm_pair(benchmark_problem, target, BLOCK_WEIGHTS)
+        reference = minimal_norm_control(benchmark_problem, target, BLOCK_WEIGHTS, 256)
+        assert low.rank == reference.rank == 306
+        assert low.margin == pytest.approx((1.0419e-10, 7.714e-12), rel=1e-3)
+        gap = np.max(np.abs(low.epsilon.coeffs - reference.epsilon.coeffs))
+        assert gap <= 1e-12 * np.max(np.abs(reference.epsilon.coeffs))
+        # the order-2N system is the one minimal_norm_control assembles
+        doubled = minimal_norm_control(benchmark_problem, target, BLOCK_WEIGHTS, 512)
+        assert high.rank == 442
+        assert high.margin == pytest.approx((1.0048e-10, 9.912e-11), rel=1e-3)
+        assert np.array_equal(high.epsilon.coeffs, doubled.epsilon.coeffs)
+
+    def test_non_odd_map(self, degree_three_problem):
+        # at N = 64 both orders take the 1024-point grid, so the order-N
+        # sub-block is the order-N assembly bit for bit
+        target = cosine(1) + cosine(3, 0.5)
+        low, high = minimal_norm_pair(degree_three_problem, target, BLOCK_WEIGHTS)
+        reference = minimal_norm_control(degree_three_problem, target, BLOCK_WEIGHTS)
+        assert low.rank == reference.rank == 58
+        assert low.margin == pytest.approx((3.0098e-10, 5.944e-12), rel=1e-3)
+        gap = np.max(np.abs(low.epsilon.coeffs - reference.epsilon.coeffs))
+        assert gap <= 1e-12 * np.max(np.abs(reference.epsilon.coeffs))
+        assert high.rank == 112
+        assert high.margin == pytest.approx((3.2959e-10, 2.5265e-11), rel=1e-3)
+
+    def test_non_odd_map_on_a_finer_grid(self):
+        # At N = 96 the order-2N grid has 2048 points against 1024.  The
+        # order-N entries move by quadrature rounding, which the kept singular
+        # values near the cutoff amplify in eps (5e-11 relative here); the
+        # rank, margin, norm and round trip do not move.
+        problem = ResponseProblem.for_map(NON_ODD_MAPS["degree-three"], 96)
+        target = cosine(1) + cosine(3, 0.5)
+        low, _ = minimal_norm_pair(problem, target, BLOCK_WEIGHTS)
+        reference = minimal_norm_control(problem, target, BLOCK_WEIGHTS)
+        assert low.rank == reference.rank == 84
+        assert low.margin == pytest.approx((9.146e-10, 7.387e-11), rel=1e-3)
+        assert low.norm == pytest.approx(reference.norm, rel=1e-12)
+        realized = forward_response(problem, low.epsilon)
+        assert sup_norm(realized - target) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["wavy_problem", "degree_three_problem"])
+    def test_residual_from_the_rows_j_nonnegative(self, request, name):
+        # ||d||^2 = |d_0|^2 + 2 sum_{j>0} |d_j|^2 against the full complex defect
+        problem = request.getfixturevalue(name)
+        target = cosine(1) + cosine(3, 0.5)
+        for sol in minimal_norm_pair(problem, target, BLOCK_WEIGHTS, 32):
+            order = sol.epsilon.order
+            defect = (constraint_matrix(problem, order) @ sol.epsilon.coeffs
+                      - _constraint_rhs(problem, target, order))
+            assert sol.residual == pytest.approx(np.linalg.norm(defect), rel=1e-4)
+
+    def test_target_beyond_truncation_is_refused_before_assembly(self, wavy_problem,
+                                                                  monkeypatch):
+        monkeypatch.setattr(control, "_constraint_rows", None)
+        with pytest.raises(InfeasibleTargetError, match="exceeds truncation 16"):
+            minimal_norm_pair(wavy_problem, cosine(20), order=16)

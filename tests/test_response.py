@@ -33,9 +33,20 @@ class TestResponseProblem:
             ResponseProblem(wavy, rho)
 
     def test_matrix_of_another_map_is_refused(self, wavy, doubling):
-        from linresp import ResponseProblem, UnderResolvedError, galerkin_matrix
-        with pytest.raises(UnderResolvedError, match="residual"):
+        from linresp import ResponseProblem, galerkin_matrix
+        with pytest.raises(ValueError, match="other periodic coefficients"):
             ResponseProblem(wavy, galerkin_matrix(doubling, 16))
+
+    def test_matrix_of_another_degree_is_refused(self, triple, doubling):
+        from linresp import ResponseProblem, galerkin_matrix
+        with pytest.raises(ValueError, match="degree 2, not 3"):
+            ResponseProblem(triple, galerkin_matrix(doubling, 16))
+
+    def test_matrix_of_an_equal_map_is_accepted(self, wavy):
+        from linresp import CircleMap, ResponseProblem, galerkin_matrix
+        twin = CircleMap(2, sine(1, 0.1).with_order(3))
+        # another object, its periodic part padded to order 3
+        assert ResponseProblem(wavy, galerkin_matrix(twin, 32)).pointwise_residual < 1e-9
 
     def test_under_resolved_computed_density(self):
         from linresp import CircleMap, ResponseProblem, UnderResolvedError

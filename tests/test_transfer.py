@@ -13,7 +13,7 @@ from linresp.transfer import apply_transfer_pointwise, quadrature_size
 
 from conftest import (CircleDiffeo, build_conjugate, complex_restricted_solves,
                       direct_galerkin_entries, multiply, random_series, seeded_maps, steep_map,
-                      transfer_conjugacy_check)
+                      transfer_conjugacy_check, whole_restricted_solves)
 
 GALERKIN_MAPS = {"wavy": CircleMap(2, sine(1, 0.1)), "steep": steep_map(),
                  **{f"seeded-degree{m.degree}": m for m in seeded_maps()}}
@@ -286,19 +286,28 @@ class TestSolveZeroMean:
         for got, want in ((invariant_density(matrix), rho), (solve_zero_mean(matrix, rhs), v)):
             assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_retains_one_factorization(self, wavy):
-        # After the density and a solve, the matrix keeps its complex entries
-        # and the real restricted inverse, half their bytes, and no copy of
-        # the restricted system.
+    @staticmethod
+    def retained_share(circle_map):
         tracemalloc.start()
         try:
-            matrix = galerkin_matrix(wavy, 256)
+            matrix = galerkin_matrix(circle_map, 256)
             invariant_density(matrix)
             solve_zero_mean(matrix, sine(3))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert retained <= 1.6 * matrix.entries.nbytes
+        return retained / matrix.entries.nbytes
+
+    def test_retains_one_factorization(self, wavy):
+        # After the density and a solve, the matrix keeps its complex entries
+        # and the inverses of the cos and sin blocks of the real restricted
+        # system, a quarter of their bytes, and no copy of the system.
+        assert self.retained_share(wavy) <= 1.3
+
+    def test_retains_one_factorization_of_the_whole_system(self):
+        # A map that is not odd keeps the inverse of the whole real restricted
+        # system, half the entries' bytes.
+        assert self.retained_share(CircleMap(3, sine(1, 0.15) + cosine(2, 0.05))) <= 1.6
 
     def test_restricted_system_well_conditioned(self, wavy_problem):
         cond = wavy_problem.matrix.restricted_condition
@@ -310,10 +319,37 @@ class TestSolveZeroMean:
         entries = np.array([[0.0, 0.0, -1.0],
                             [0.0, 1.0, 0.0],
                             [-1.0, 0.0, -1e-13]], dtype=complex)
-        shaky = TransferMatrix(entries, 1, 8)
+        shaky = TransferMatrix(entries, 1, 8, steep_map())
         assert shaky.restricted_condition > 1e12
         with pytest.warns(RuntimeWarning, match="condition"):
             solve_zero_mean(shaky, sine(1, 1e-15))
+
+
+class TestParitySplit:
+    """An odd map's restricted system inverted as its cos and sin blocks."""
+
+    @pytest.mark.parametrize("name", ["doubling", "wavy"])
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    def test_matches_the_whole_system(self, request, name, order):
+        matrix = galerkin_matrix(request.getfixturevalue(name), order)
+        cos, sin = slice(0, order), slice(order, None)
+        assert [block for block, _ in matrix._factorization[0]] == [cos, sin]
+        rhs = random_series(np.random.default_rng(order), 12, zero_mean=True)
+        rho, v, condition = whole_restricted_solves(matrix, rhs)
+        for got, want in ((invariant_density(matrix), rho), (solve_zero_mean(matrix, rhs), v)):
+            assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+        assert matrix.restricted_condition == pytest.approx(condition, rel=1e-10)
+
+    def test_rounding_level_real_part_takes_the_whole_route(self):
+        # a real part of 1e-17 breaks the symmetry, as in control._real_blocks
+        nearly = CircleMap(2, sine(1, 0.1) + cosine(1, 2e-17))
+        matrix = galerkin_matrix(nearly, 64)
+        assert [block for block, _ in matrix._factorization[0]] == [slice(None)]
+        rhs = random_series(np.random.default_rng(61), 20, zero_mean=True)
+        rho, v, condition = whole_restricted_solves(matrix, rhs)
+        assert np.array_equal(invariant_density(matrix).coeffs, rho)
+        assert np.array_equal(solve_zero_mean(matrix, rhs).coeffs, v)
+        assert matrix.restricted_condition == condition
 
 
 class TestConjugacy:
