@@ -10,7 +10,8 @@ eps realizing it.  Two routes:
   minimal-norm least squares on the truncated constraint A eps = r in real
   cosine/sine coordinates, with a rank cutoff.  For an odd map the real
   system splits into two half-size blocks, solved one after the other under
-  one cutoff.  The real system is formed from the rows j >= 0 of A alone.
+  one cutoff.  Only the rows j >= 0 of A are assembled, and the real system
+  and the feasibility residual are formed from them.
   The minimal solutions at truncations N and 2N (``minimal_norm_pair``)
   share one assembly at 2N: A at order N is its sub-block |j|, |n| <= N.
 """
@@ -149,22 +150,15 @@ def _constraint_rhs(problem: ResponseProblem, target: FourierSeries,
     return target.with_order(order).coeffs - image.coeffs
 
 
-def constraint_matrix(problem: ResponseProblem, order: int) -> np.ndarray:
-    """Matrix A mapping eps coefficients to those of D_eps rho = -L0((eps*rho/T')').
+def _constraint_rows(problem: ResponseProblem, order: int) -> np.ndarray:
+    """Rows 0 <= j <= ``order`` of A: eps coefficients to those of D_eps rho = -L0((eps*rho/T')').
 
     rho is the problem's density.  Integration by parts against the Galerkin
     test functions z^j = e^{-2 pi i j T} gives
     A[j, n] = -integral (e_n rho/T')' z^j = -2 pi i j integral e_n rho z^j:
     one Galerkin block weighted by rho, on the ``quadrature_size`` grid for
-    orders (``order``, ``order`` + order of rho).  Rows j < 0 follow from
-    rows j >= 0 (``_constraint_rows``) by conjugate symmetry.
+    orders (``order``, ``order`` + order of rho), before the noise floor.
     """
-    upper = _floored(_constraint_rows(problem, order))
-    return np.concatenate((np.conj(upper[:0:-1, ::-1]), upper))
-
-
-def _constraint_rows(problem: ResponseProblem, order: int) -> np.ndarray:
-    """Rows 0 <= j <= ``order`` of ``constraint_matrix``, before the noise floor."""
     circle_map, rho = problem.map, problem.density
     quad = quadrature_size(circle_map, order, order + rho.order)
     rows = _galerkin_rows(circle_map, order, order, quad, grid_values(rho, quad))
@@ -177,13 +171,6 @@ def _floored(rows: np.ndarray) -> np.ndarray:
     magnitude = np.abs(rows)
     rows[magnitude < ASSEMBLY_NOISE_FLOOR * np.max(magnitude)] = 0.0
     return rows
-
-
-def _weighted_real_system(problem: ResponseProblem, weights: SobolevWeights,
-                          order: int):
-    """Rows j >= 0 of A, the W^{-1/2} scaling in real coordinates, and Q^H A Q W^{-1/2}."""
-    rows = _floored(_constraint_rows(problem, order))
-    return (rows, *_weighted_system(rows, weights))
 
 
 def _weighted_system(rows: np.ndarray, weights: SobolevWeights):
@@ -304,7 +291,7 @@ def minimal_norm_pair(problem: ResponseProblem, target: FourierSeries,
     |j|, |n| <= N of A at order 2N; its rows j >= 0 are sliced from the
     order-2N rows j >= 0 before the noise floor, which each order applies
     relative to its own largest entry.  The order-N entries equal those
-    that ``constraint_matrix`` assembles at order N up to quadrature
+    that ``_constraint_rows`` assembles at order N up to quadrature
     rounding; the order-2N solution is the one ``minimal_norm_control``
     gives at 2N.  A target beyond N is refused before the assembly.
     """
@@ -343,10 +330,11 @@ def solve_control(problem: ResponseProblem, target: FourierSeries,
 
     forward_response of the returned eps must reproduce the target within
     1e-6 in sup norm.  The reported norm uses ``weights`` (default: plain L2).
-    A target beyond the truncation raises InfeasibleTargetError before any solve.
+    A nonzero-mean target (ValueError), then one beyond the truncation
+    (InfeasibleTargetError), is refused before any solve.
     """
-    rhs = _constraint_rhs(problem, target, problem.order)
     _require_zero_mean(target, "target density change")
+    rhs = _constraint_rhs(problem, target, problem.order)
     g = _step1_g(problem, FourierSeries(rhs))
     eps = step2_epsilon(problem, g)
     drho = derivative_operator(problem, eps, problem.density)
@@ -373,7 +361,7 @@ def kernel_directions(problem: ResponseProblem, order: int | None = None,
     count = as_integer("count", count, 1)
     if order is None:
         order = problem.order
-    _, scale, system = _weighted_real_system(problem, weights, order)
+    scale, system = _weighted_system(_floored(_constraint_rows(problem, order)), weights)
     _, s, vh = np.linalg.svd(system)
     # Rows of vh are real and orthonormal, so eps = Q W^{-1/2} v is real and
     # W-orthonormal; they come in decreasing singular value: a fixed order.

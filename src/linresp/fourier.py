@@ -292,26 +292,6 @@ def from_real_basis(coords: np.ndarray) -> FourierSeries:
     return FourierSeries(np.concatenate((np.conj(upper[::-1]), u[:1], upper)))
 
 
-def to_real_basis_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Q^H A Q for a matrix A on coefficients -N..N that maps real functions to real ones.
-
-    Such an A commutes with conjugation, A[-j, -k] = conj A[j, k], so Q^H A Q
-    is real and ``real_matrix_from_rows`` forms it from the rows j >= 0.
-    Raises if A fails to commute with conjugation, that is if the largest
-    component of A - conj A[::-1, ::-1] (rows j < 0 included, which the
-    formula never reads) exceeds rounding relative to max |A|.
-    """
-    a = np.asarray(matrix)
-    n = (a.shape[0] - 1) // 2
-    upper, mirror = a[n:], a[n::-1, ::-1]
-    residue = max(float(np.max(np.abs(upper.real - mirror.real))),
-                  float(np.max(np.abs(upper.imag + mirror.imag))))
-    if residue > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError(f"imaginary residue {residue:.3e} exceeds tolerance; "
-                         "Hermitian symmetry is broken")
-    return real_matrix_from_rows(upper)
-
-
 def real_matrix_from_rows(upper: np.ndarray) -> np.ndarray:
     """Q^H A Q from the rows j >= 0 of an A that commutes with conjugation.
 

@@ -3,20 +3,19 @@
 (L w)(x) = sum over preimages y of x of w(y)/T'(y).  The operator pushes
 densities forward, preserves the integral, and on the zero-mean subspace
 I - L is invertible (spectral gap), which is what the response and control
-solvers exploit.  The Galerkin matrix in the Fourier basis is assembled via
+solvers exploit.  The Galerkin matrix M in the Fourier basis is assembled via
 the duality  integral (L w) phi = integral w (phi o T), so no preimages are
-needed for matrix entries; each row is one FFT, and the rows j >= 0 alone
-(``_galerkin_rows``) serve a caller that needs no rows j < 0, such as the
-constraint matrix of ``control``.  The same duality applies L to a series.
-Each of these integrals is a grid mean on the grid that ``quadrature_size``
-derives from the map and the orders involved.  M maps
-real functions to real ones, so I - M is factored in the real coordinates of
-``fourier.to_real_basis``: without the a_0 coordinate it is a real 2N x 2N
-matrix R, inverted once, and it serves both the invariant density and every
-zero-mean solve, whose outputs are Hermitian by construction.  A
-``TransferMatrix`` records its map: an odd map has a real M, so R maps
-cosines to cosines and sines to sines and is inverted as its two N x N
-diagonal blocks, at half the bytes of one 2N x 2N inverse.  Newton
+needed for matrix entries; each row is one FFT.  M maps real functions to
+real ones, so only its rows j >= 0 are assembled (``_galerkin_rows``, which
+also serves the constraint matrix of ``control``), and a ``TransferMatrix``
+keeps M only as the real matrix Q^H M Q in the coordinates of
+``fourier.to_real_basis``.  The same duality applies L to a series.  Each of
+these integrals is a grid mean on the grid that ``quadrature_size`` derives
+from the map and the orders involved.  Without the a_0 coordinate,
+I - Q^H M Q is a real 2N x 2N matrix R, inverted once; it serves both the
+invariant density and every zero-mean solve, whose outputs are Hermitian by
+construction.  An odd map has a real M, so R maps cosines to cosines and
+sines to sines and is inverted as its two N x N diagonal blocks.  Newton
 preimages serve the pointwise checks only (``apply_transfer_pointwise``,
 ``fixed_point_residual``).  Uniform-grid samples, such as the density's
 positivity check, come from ``fourier.grid_values``.
@@ -31,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import (FourierSeries, as_integer, from_real_basis, grid_values, next_pow2,
-                      to_real_basis, to_real_basis_matrix)
+                      real_matrix_from_rows, to_real_basis)
 from .maps import CircleMap
 
 CONDITION_LIMIT = 1e12
@@ -45,26 +44,29 @@ class SpectralGapError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
-    """Dense Galerkin matrix of the transfer operator, modes -N..N.
+    """Dense Galerkin matrix of the transfer operator, modes -N..N, in real coordinates.
 
-    entries[j, k] = integral_0^1 e^{2 pi i k x} e^{-2 pi i j T(x)} dx
-    (row j = output mode, column k = input mode), computed by trapezoidal
-    quadrature, which is spectrally accurate for these analytic integrands.
-    map is the map T the entries were built from.
+    real = Q^H M Q, with Q as in ``fourier.from_real_basis`` and
+    M[j, k] = integral_0^1 e^{2 pi i k x} e^{-2 pi i j T(x)} dx
+    (row j = output mode, column k = input mode) by trapezoidal quadrature,
+    which is spectrally accurate for these analytic integrands.  M maps real
+    functions to real ones, so real is a float matrix.  map is the map T.
     """
 
-    entries: np.ndarray
+    real: np.ndarray
     order: int
     quad_size: int
     map: CircleMap = field(repr=False)
 
     def __post_init__(self) -> None:
-        e = np.array(self.entries, dtype=complex)
+        if np.iscomplexobj(self.real):
+            raise TypeError("real must be the real matrix Q^H M Q, not a complex one")
+        r = np.array(self.real, dtype=float)
         n = 2 * self.order + 1
-        if e.shape != (n, n):
-            raise ValueError(f"entries must be {n}x{n}")
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
+        if r.shape != (n, n):
+            raise ValueError(f"real must be {n}x{n}")
+        r.flags.writeable = False
+        object.__setattr__(self, "real", r)
 
     @property
     def restricted_condition(self) -> float:
@@ -73,31 +75,31 @@ class TransferMatrix:
 
     @cached_property
     def _factorization(self) -> tuple[list[tuple[slice, np.ndarray]], float]:
-        # R = I - Q^H M Q without the a_0 row and column: real, 2N x 2N.  It is
-        # inverted once; the density and every zero-mean solve are products,
-        # and R lives only long enough for its norm.  An odd map's M is real,
-        # so R's cos x sin and sin x cos blocks hold only assembly rounding and
-        # R is inverted as its cos and sin diagonal blocks.  The 1-norm of a
+        # R = I - Q^H M Q without the a_0 row and column, 2N x 2N.  It is
+        # inverted once; the density and every zero-mean solve are products.
+        # An odd map's M is real, so R's cos x sin and sin x cos blocks hold
+        # only assembly rounding and R is inverted as its cos and sin diagonal
+        # blocks, each sliced from the matrix on its own.  The 1-norm of a
         # block-diagonal matrix is the largest over its blocks.
         n = self.order
-        system = np.eye(2 * n) - to_real_basis_matrix(self.entries)[1:, 1:]
+        restricted = self.real[1:, 1:]
         blocks = [slice(0, n), slice(n, None)] if _is_odd(self.map) else [slice(None)]
-        inverses = [(b, np.linalg.inv(system[b, b])) for b in blocks]
-        norm = max(np.linalg.norm(system[b, b], 1) for b in blocks)
+        systems = [(b, np.eye(len(restricted[b, b])) - restricted[b, b]) for b in blocks]
+        inverses = [(b, np.linalg.inv(system)) for b, system in systems]
+        norm = max(np.linalg.norm(system, 1) for _, system in systems)
         return inverses, float(norm * max(np.linalg.norm(inv, 1) for _, inv in inverses))
 
     @cached_property
     def _density(self) -> tuple[FourierSeries, float]:
         # ``invariant_density`` and its Galerkin residual ||M rho - rho||_inf,
         # computed once per matrix.
-        mid = self.order
-        column = to_real_basis(self.entries[:, mid])
-        rho = from_real_basis(np.concatenate(([1.0], self._restricted_solve(column[1:]))))
-        residual = float(np.max(np.abs(self.entries @ rho.coeffs - rho.coeffs)))
+        u = np.concatenate(([1.0], self._restricted_solve(self.real[1:, 0])))
+        rho = from_real_basis(u)
+        residual = float(np.max(np.abs(from_real_basis(self.real @ u - u).coeffs)))
         if residual > DENSITY_TOL:
             raise SpectralGapError(
                 f"density Galerkin residual {residual:.3e} > {DENSITY_TOL:.0e}")
-        samples = grid_values(rho, next_pow2(max(4096, 2 * mid + 2)))
+        samples = grid_values(rho, next_pow2(max(4096, 2 * self.order + 2)))
         if float(np.min(samples)) <= 0.0:
             raise SpectralGapError(
                 "computed density is not strictly positive; truncation too small?")
@@ -114,31 +116,18 @@ class TransferMatrix:
 def _is_odd(circle_map: CircleMap) -> bool:
     """T(-x) = -T(x): the periodic part is sine-only, every coefficient has real part exactly 0.
 
-    Then M is real and A = ``control.constraint_matrix`` purely imaginary; a
-    real part of 1e-17 breaks the symmetry.
+    Then M is real and the constraint matrix of ``control._real_blocks``
+    purely imaginary; a real part of 1e-17 breaks the symmetry.
     """
     return not np.any(circle_map.periodic_part.coeffs.real)
 
 
-def _galerkin_entries(circle_map: CircleMap, row_order: int, col_order: int,
-                      quad_size: int, weight=1.0) -> np.ndarray:
-    """Grid mean of w e^{-2 pi i j T} e^{2 pi i k x}, |j| <= row_order, |k| <= col_order.
-
-    The rows j >= 0 are ``_galerkin_rows``; rows j < 0 follow by conjugate
-    symmetry for real w.
-    """
-    entries = np.empty((2 * row_order + 1, 2 * col_order + 1), dtype=complex)
-    upper = _galerkin_rows(circle_map, row_order, col_order, quad_size, weight,
-                           out=entries[row_order:])
-    np.conj(upper[:0:-1, ::-1], out=entries[:row_order])
-    return entries
-
-
 def _galerkin_rows(circle_map: CircleMap, row_order: int, col_order: int,
-                   quad_size: int, weight=1.0, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows 0 <= j <= row_order of ``_galerkin_entries``, written to ``out`` when given.
+                   quad_size: int, weight=1.0) -> np.ndarray:
+    """Grid means of w e^{-2 pi i j T} e^{2 pi i k x}, 0 <= j <= row_order, |k| <= col_order.
 
-    Row j is the inverse FFT of w z^j, z = e^{-2 pi i T}, with the powers by
+    For real w the rows j < 0 are their conjugates and are never formed.  Row
+    j is the inverse FFT of w z^j, z = e^{-2 pi i T}, with the powers by
     running product.  The rows go through in blocks of ASSEMBLY_BLOCK grid
     samples, and each block keeps only its 2 col_order + 1 wanted columns,
     so the transient memory is one block, not row_order x quad_size.
@@ -148,7 +137,7 @@ def _galerkin_rows(circle_map: CircleMap, row_order: int, col_order: int,
     rows = min(max(1, ASSEMBLY_BLOCK // quad_size), row_order + 1)
     powers = np.empty((rows, quad_size), dtype=complex)
     powers[0] = weight
-    upper = np.empty((row_order + 1, cols.size), dtype=complex) if out is None else out
+    upper = np.empty((row_order + 1, cols.size), dtype=complex)
     for start in range(0, row_order + 1, rows):
         block = powers[:min(rows, row_order + 1 - start)]
         if start:
@@ -177,8 +166,8 @@ def galerkin_matrix(circle_map: CircleMap, order: int) -> TransferMatrix:
     """Galerkin matrix at truncation ``order``, an integer >= 1."""
     order = as_integer("truncation order", order, 1)
     quad_size = quadrature_size(circle_map, order, order)
-    return TransferMatrix(_galerkin_entries(circle_map, order, order, quad_size),
-                          order, quad_size, circle_map)
+    rows = _galerkin_rows(circle_map, order, order, quad_size)
+    return TransferMatrix(real_matrix_from_rows(rows), order, quad_size, circle_map)
 
 
 def apply_transfer_pointwise(circle_map: CircleMap, series: FourierSeries,
@@ -252,12 +241,12 @@ def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries
         warnings.warn(
             f"restricted system condition {matrix.restricted_condition:.3e} > "
             f"{CONDITION_LIMIT:.0e}: truncation under-resolved", RuntimeWarning)
-    b = rhs.with_order(mid).coeffs
-    coords = matrix._restricted_solve(to_real_basis(b)[1:])
-    result = from_real_basis(np.concatenate(([0.0], coords)))
+    b = to_real_basis(rhs.with_order(mid).coeffs)
+    u = np.concatenate(([0.0], matrix._restricted_solve(b[1:])))
     # (I - M) v - b off mode 0, the restricted system's residual since v_0 = 0.
-    v = result.coeffs
-    residual = float(np.max(np.abs(np.delete(v - matrix.entries @ v - b, mid))))
+    defect = u - matrix.real @ u - b
+    defect[0] = 0.0
+    residual = float(np.max(np.abs(from_real_basis(defect).coeffs)))
     if residual > 1e-10:
         raise SpectralGapError(f"zero-mean solve residual {residual:.3e} > 1e-10")
-    return result
+    return from_real_basis(u)

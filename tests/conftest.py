@@ -7,8 +7,7 @@ from linresp import (CircleMap, FourierSeries, PerturbedFamily, ResponseProblem,
                      antiderivative, apply_transfer_pointwise, constant, cosine, dft, doubling_map,
                      forward_response, galerkin_matrix, grid_values, invariant_density, next_pow2,
                      sine, zeros)
-from linresp.fourier import (differentiate, from_real_basis, to_real_basis,
-                             to_real_basis_matrix)
+from linresp.fourier import differentiate, from_real_basis, to_real_basis
 
 
 @pytest.fixture(scope="session")
@@ -103,6 +102,35 @@ def direct_galerkin_entries(circle_map, row_order, col_order, quad_size):
     return (left @ right) / quad_size
 
 
+def conjugate_fill(upper):
+    """The whole matrix on modes -N..N from its rows j >= 0, by A[-j, -k] = conj A[j, k]."""
+    return np.concatenate((np.conj(upper[:0:-1, ::-1]), upper))
+
+
+def real_basis_change(order):
+    """The explicit unitary Q of ``from_real_basis``: column i is unit coordinate i's series."""
+    size = 2 * order + 1
+    return np.array([from_real_basis(e).coeffs for e in np.eye(size)]).T
+
+
+def complex_entries(matrix):
+    """The complex Galerkin matrix M = Q real Q^H of a ``TransferMatrix``."""
+    q = real_basis_change(matrix.order)
+    return q @ matrix.real @ q.conj().T
+
+
+def constraint_matrix(problem, order):
+    """The whole complex constraint matrix A at ``order``, noise floor applied.
+
+    A maps eps coefficients to those of D_eps rho; the package assembles only
+    its rows j >= 0 (``control._constraint_rows``), and the rows j < 0 follow
+    by conjugate symmetry.
+    """
+    from linresp.control import _constraint_rows, _floored
+
+    return conjugate_fill(_floored(_constraint_rows(problem, order)))
+
+
 def complex_minimal_norm(problem, target, weights, order):
     """Minimal-norm eps by a complex SVD pseudoinverse: the dense reference.
 
@@ -110,7 +138,7 @@ def complex_minimal_norm(problem, target, weights, order):
     the largest dropped; returns the Hermitian-symmetrized coefficients and
     the rank kept.
     """
-    from linresp.control import _constraint_rhs, constraint_matrix
+    from linresp.control import _constraint_rhs
 
     a = constraint_matrix(problem, order)
     scale = 1.0 / np.sqrt(weights.mode_weights(order))
@@ -130,10 +158,11 @@ def complex_restricted_solves(matrix, rhs):
     each Hermitian-symmetrized.  Returns the coefficients of rho and of v.
     """
     mid = matrix.order
-    system = np.eye(2 * mid + 1) - matrix.entries
+    entries = complex_entries(matrix)
+    system = np.eye(2 * mid + 1) - entries
     inverse = np.linalg.inv(np.delete(np.delete(system, mid, axis=0), mid, axis=1))
     solves = []
-    for value, column in ((1.0, matrix.entries[:, mid]), (0.0, rhs.with_order(mid).coeffs)):
+    for value, column in ((1.0, entries[:, mid]), (0.0, rhs.with_order(mid).coeffs)):
         c = np.insert(inverse @ np.delete(column, mid), mid, value)
         solves.append(0.5 * (c + np.conj(c[::-1])))
     return solves
@@ -147,11 +176,12 @@ def whole_restricted_solves(matrix, rhs):
     condition number of R.
     """
     mid = matrix.order
-    system = np.eye(2 * mid) - to_real_basis_matrix(matrix.entries)[1:, 1:]
+    system = np.eye(2 * mid) - matrix.real[1:, 1:]
     inverse = np.linalg.inv(system)
     solves = []
-    for value, column in ((1.0, matrix.entries[:, mid]), (0.0, rhs.with_order(mid).coeffs)):
-        coords = inverse @ to_real_basis(column)[1:]
+    for value, column in ((1.0, matrix.real[1:, 0]),
+                          (0.0, to_real_basis(rhs.with_order(mid).coeffs)[1:])):
+        coords = inverse @ column
         solves.append(from_real_basis(np.concatenate(([value], coords))).coeffs)
     return (*solves, float(np.linalg.norm(system, 1) * np.linalg.norm(inverse, 1)))
 
@@ -162,9 +192,9 @@ def full_system_lstsq(problem, target, weights, order):
     Returns the system, its right-hand side, the solution coordinates, the
     eps coefficients, the rank kept and the singular values.
     """
-    from linresp.control import _constraint_rhs, _weighted_real_system
+    from linresp.control import _constraint_rhs, _constraint_rows, _floored, _weighted_system
 
-    _, scale, system = _weighted_real_system(problem, weights, order)
+    scale, system = _weighted_system(_floored(_constraint_rows(problem, order)), weights)
     rhs = to_real_basis(_constraint_rhs(problem, target, order))
     coords, _, rank, s = np.linalg.lstsq(system, rhs, rcond=1e-10)
     return SimpleNamespace(system=system, rhs=rhs, coords=coords,

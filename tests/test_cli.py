@@ -327,6 +327,17 @@ class TestControl:
         assert err.startswith("infeasible:") and "exceeds truncation 2" in err
         assert "Traceback" not in err
 
+    def test_nonzero_mean_beyond_truncation_is_a_config_error(self, tmp_path, capsys):
+        # cos 80 pi x + 0.5 at N=16: a larger order cannot mend the mean
+        coeffs = [[0.0, 0.0]] * 81
+        coeffs[0] = coeffs[80] = [0.5, 0.0]
+        coeffs[40] = [0.5, 0.0]
+        path = write_config(tmp_path, map=WAVY, N=16, target={"N": 40, "coeffs": coeffs})
+        assert main(["control", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "mean" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_doubling_pass(self, tmp_path):

@@ -13,11 +13,12 @@ from linresp import (CircleMap, InfeasibleTargetError,
                      sobolev_norm, solve_control, step1_g, step2_epsilon,
                      sup_norm, zeros)
 from linresp.control import (FEASIBILITY_TOL, PSEUDOINVERSE_CUTOFF, _block_lstsq,
-                             _constraint_rhs, _real_blocks, _weighted_real_system,
-                             constraint_matrix, minimal_norm_pair)
+                             _constraint_rhs, _constraint_rows, _floored, _real_blocks,
+                             _weighted_system, minimal_norm_pair)
 
-from conftest import (complex_minimal_norm, direct_galerkin_entries, full_system_lstsq,
-                      random_series, seeded_maps, steep_map, weighted_inner_product)
+from conftest import (complex_minimal_norm, constraint_matrix, direct_galerkin_entries,
+                      full_system_lstsq, random_series, seeded_maps, steep_map,
+                      weighted_inner_product)
 
 TWO_PI = 2 * np.pi
 EPS0_COEFF = 1 / (4 * np.pi)  # cos(4 pi x)/(2 pi) has +-2 coefficients 1/(4 pi)
@@ -115,6 +116,15 @@ class TestSolveControl:
         monkeypatch.setattr(control, "apply_transfer", counted)
         solve_control(wavy_problem, sine(1))
         assert len(calls) == 1
+
+    def test_nonzero_mean_beyond_truncation_is_a_mean_error(self, wavy):
+        # A larger order cannot mend a nonzero mean, so it is refused first,
+        # as minimal_norm_control refuses it, not as an infeasible target.
+        problem = ResponseProblem.for_map(wavy, 16)
+        target = cosine(40) + constant(0.5)
+        for solve in (solve_control, minimal_norm_control):
+            with pytest.raises(ValueError, match="zero mean"):
+                solve(problem, target)
 
 
 def product_form_constraint(problem, order):
@@ -218,7 +228,8 @@ class TestRealBasisSolve:
         # order-512 system near its own size (about 32 MiB, 136.5 MiB unblocked).
         tracemalloc.start()
         try:
-            _weighted_real_system(benchmark_problem, SobolevWeights(0.5, 0.0, 0.0, 1.0), 512)
+            rows = _floored(_constraint_rows(benchmark_problem, 512))
+            _weighted_system(rows, SobolevWeights(0.5, 0.0, 0.0, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,9 +3,9 @@ import pytest
 
 from linresp import (FourierSeries, SobolevWeights, antiderivative, constant, cosine, dft,
                      differentiate, grid_values, sine, sobolev_norm, sup_norm, zeros)
-from linresp.fourier import from_real_basis, to_real_basis, to_real_basis_matrix
+from linresp.fourier import from_real_basis, real_matrix_from_rows, to_real_basis
 
-from conftest import multiply, random_series
+from conftest import conjugate_fill, multiply, random_series, real_basis_change
 
 TWO_PI = 2 * np.pi
 
@@ -272,23 +272,22 @@ class TestRealBasis:
 
     def test_matrix_matches_explicit_change_of_basis(self, wavy):
         from linresp import galerkin_matrix
+        from linresp.transfer import _galerkin_rows
         for order in (6, 64):
-            a = galerkin_matrix(wavy, order).entries
-            size = 2 * order + 1
-            q = np.array([from_real_basis(e).coeffs for e in np.eye(size)]).T
-            np.testing.assert_allclose(q.conj().T @ q, np.eye(size), atol=1e-15)
-            explicit = q.conj().T @ a @ q
+            matrix = galerkin_matrix(wavy, order)
+            rows = _galerkin_rows(wavy, order, order, matrix.quad_size)
+            q = real_basis_change(order)
+            np.testing.assert_allclose(q.conj().T @ q, np.eye(2 * order + 1), atol=1e-15)
+            explicit = q.conj().T @ conjugate_fill(rows) @ q
             assert np.max(np.abs(explicit.imag)) < 1e-15
-            np.testing.assert_allclose(to_real_basis_matrix(a), explicit.real, atol=1e-15)
+            np.testing.assert_allclose(real_matrix_from_rows(rows), explicit.real, atol=1e-15)
+            assert np.array_equal(matrix.real, real_matrix_from_rows(rows))
 
-    def test_matrix_must_commute_with_conjugation(self, wavy):
-        from linresp import galerkin_matrix
-        rng = np.random.default_rng(103)
-        noise = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        row_zero = np.array(galerkin_matrix(wavy, 4).entries)
-        row_zero[4, 5] += 1e-6  # A[0, 1]: row 0 is no longer Hermitian
-        negative_row = np.array(galerkin_matrix(wavy, 4).entries)
-        negative_row[2] += 1e-6 * rng.normal(size=9)  # row j = -2: the formula never reads it
-        for a in (noise, row_zero, negative_row):
-            with pytest.raises(ValueError, match="imaginary residue"):
-                to_real_basis_matrix(a)
+    def test_transfer_matrix_is_real_and_square(self, wavy):
+        from linresp import TransferMatrix, galerkin_matrix
+        real = galerkin_matrix(wavy, 4).real
+        with pytest.raises(TypeError, match="complex"):
+            TransferMatrix(real.astype(complex), 4, 64, wavy)
+        for shape in ((9, 8), (7, 7)):
+            with pytest.raises(ValueError, match="9x9"):
+                TransferMatrix(np.zeros(shape), 4, 64, wavy)

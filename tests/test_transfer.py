@@ -11,9 +11,9 @@ from linresp.control import minimal_norm_control
 from linresp import transfer
 from linresp.transfer import apply_transfer_pointwise, quadrature_size
 
-from conftest import (CircleDiffeo, build_conjugate, complex_restricted_solves,
-                      direct_galerkin_entries, multiply, random_series, seeded_maps, steep_map,
-                      transfer_conjugacy_check, whole_restricted_solves)
+from conftest import (CircleDiffeo, build_conjugate, complex_entries, complex_restricted_solves,
+                      conjugate_fill, direct_galerkin_entries, multiply, random_series,
+                      seeded_maps, steep_map, transfer_conjugacy_check, whole_restricted_solves)
 
 GALERKIN_MAPS = {"wavy": CircleMap(2, sine(1, 0.1)), "steep": steep_map(),
                  **{f"seeded-degree{m.degree}": m for m in seeded_maps()}}
@@ -113,17 +113,17 @@ class TestGalerkinMatrix:
         expected = np.zeros((17, 17))
         for j in range(-4, 5):
             expected[j + 8, 2 * j + 8] = 1.0
-        np.testing.assert_allclose(m.entries, expected, atol=1e-12)
+        np.testing.assert_allclose(complex_entries(m), expected, atol=1e-12)
 
     def test_row_zero_unit(self, wavy):
         m = galerkin_matrix(wavy, 16)
         unit = np.zeros(33)
         unit[16] = 1.0
-        np.testing.assert_allclose(m.entries[16], unit, atol=1e-10)
+        np.testing.assert_allclose(complex_entries(m)[16], unit, atol=1e-10)
 
     def test_leading_eigenvalue_one(self, wavy):
         m = galerkin_matrix(wavy, 32)
-        eigs = np.linalg.eigvals(m.entries)
+        eigs = np.linalg.eigvals(complex_entries(m))
         assert np.max(np.abs(eigs)) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_pointwise_application(self, wavy):
@@ -131,7 +131,7 @@ class TestGalerkinMatrix:
         rng = np.random.default_rng(47)
         m = galerkin_matrix(wavy, 32)
         w = random_series(rng, 16)
-        via_matrix = m.entries @ w.with_order(32).coeffs
+        via_matrix = complex_entries(m) @ w.with_order(32).coeffs
         x = np.arange(256) / 256
         via_points = dft(apply_transfer_pointwise(wavy, w, x), 32)
         assert np.max(np.abs(via_matrix - via_points.coeffs)) < 1e-8
@@ -143,7 +143,7 @@ class TestGalerkinMatrix:
         circle_map = request.getfixturevalue(name)
         m = galerkin_matrix(circle_map, order)
         reference = direct_galerkin_entries(circle_map, order, order, m.quad_size)
-        assert np.max(np.abs(m.entries - reference)) < 1e-13
+        assert np.max(np.abs(complex_entries(m) - reference)) < 1e-13
 
     def test_assembly_independent_of_block_size(self, wavy, monkeypatch):
         # the running product carries across blocks, so any block size gives the same bits
@@ -152,7 +152,7 @@ class TestGalerkinMatrix:
         results = []
         for rows in (1, 7, order + 1):
             monkeypatch.setattr(transfer, "ASSEMBLY_BLOCK", rows * quad)
-            results.append([transfer._galerkin_entries(wavy, order, order, quad, w)
+            results.append([transfer._galerkin_rows(wavy, order, order, quad, w)
                             for w in weights])
         for other in results[1:]:
             for got, expected in zip(other, results[0]):
@@ -189,8 +189,8 @@ class TestQuadratureSize:
         order = last_order_within(grid, lambda n: quadrature_size(circle_map, n, n))
         m = galerkin_matrix(circle_map, order)
         assert m.quad_size == grid
-        fine = transfer._galerkin_entries(circle_map, order, order, 16 * grid)
-        assert np.max(np.abs(m.entries - fine)) < 1e-13
+        fine = conjugate_fill(transfer._galerkin_rows(circle_map, order, order, 16 * grid))
+        assert np.max(np.abs(complex_entries(m) - fine)) < 1e-13
 
     @pytest.mark.parametrize("name", list(ALIASING_MAPS))
     def test_apply_transfer(self, name, monkeypatch):
@@ -212,8 +212,8 @@ class TestQuadratureSize:
         order = last_order_within(1024, lambda n: quadrature_size(circle_map, n, n + rho.order))
 
         def block(size):
-            return transfer._galerkin_entries(circle_map, order, order, size,
-                                              grid_values(rho, size))
+            return conjugate_fill(transfer._galerkin_rows(circle_map, order, order, size,
+                                                          grid_values(rho, size)))
 
         size = quadrature_size(circle_map, order, order + rho.order)
         assert np.max(np.abs(block(size) - block(16 * size))) < 1e-13
@@ -234,7 +234,7 @@ class TestInvariantDensity:
     def test_solves_galerkin_system_to_rounding(self, name):
         m = galerkin_matrix(GALERKIN_MAPS[name], 64)
         rho = invariant_density(m).coeffs
-        assert np.max(np.abs(m.entries @ rho - rho)) <= 1e-14
+        assert np.max(np.abs(complex_entries(m) @ rho - rho)) <= 1e-14
 
     def test_wavy_matches_ulam(self, wavy, wavy_problem):
         model = ulam_build(wavy, 2**15)
@@ -274,7 +274,7 @@ class TestSolveZeroMean:
         rng = np.random.default_rng(53)
         rhs = random_series(rng, 20, zero_mean=True).with_order(64)
         v = solve_zero_mean(wavy_problem.matrix, rhs)
-        defect = wavy_problem.matrix.entries @ v.coeffs
+        defect = complex_entries(wavy_problem.matrix) @ v.coeffs
         np.testing.assert_allclose(v.coeffs - defect, rhs.coeffs, atol=1e-10)
         assert abs(v.coeff(0)) == 0.0
 
@@ -296,30 +296,30 @@ class TestSolveZeroMean:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        return retained / matrix.entries.nbytes
+        # in units of the bytes of a complex (2N+1) x (2N+1) matrix
+        return retained / (16 * matrix.real.size)
 
     def test_retains_one_factorization(self, wavy):
-        # After the density and a solve, the matrix keeps its complex entries
-        # and the inverses of the cos and sin blocks of the real restricted
-        # system, a quarter of their bytes, and no copy of the system.
-        assert self.retained_share(wavy) <= 1.3
+        # After the density and a solve, the matrix keeps its real form, half
+        # a complex matrix's bytes, and the inverses of the cos and sin blocks
+        # of the restricted system, a quarter: no complex matrix and no copy
+        # of the system.
+        assert self.retained_share(wavy) <= 0.8
 
     def test_retains_one_factorization_of_the_whole_system(self):
         # A map that is not odd keeps the inverse of the whole real restricted
-        # system, half the entries' bytes.
-        assert self.retained_share(CircleMap(3, sine(1, 0.15) + cosine(2, 0.05))) <= 1.6
+        # system, another half.
+        assert self.retained_share(CircleMap(3, sine(1, 0.15) + cosine(2, 0.05))) <= 1.05
 
     def test_restricted_system_well_conditioned(self, wavy_problem):
         cond = wavy_problem.matrix.restricted_condition
         assert np.isfinite(cond) and cond < 1e12
 
     def test_near_singular_system_reported(self):
-        # hand-built matrix whose restricted I - M is nearly rank one
+        # hand-built real matrix whose restricted I - M is diag(2, 1e-13)
         from linresp import TransferMatrix
-        entries = np.array([[0.0, 0.0, -1.0],
-                            [0.0, 1.0, 0.0],
-                            [-1.0, 0.0, -1e-13]], dtype=complex)
-        shaky = TransferMatrix(entries, 1, 8, steep_map())
+        real = np.diag([1.0, -1.0, 1.0 - 1e-13])
+        shaky = TransferMatrix(real, 1, 8, steep_map())
         assert shaky.restricted_condition > 1e12
         with pytest.warns(RuntimeWarning, match="condition"):
             solve_zero_mean(shaky, sine(1, 1e-15))
