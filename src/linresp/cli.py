@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import (InfeasibleTargetError, minimal_norm_control, minimal_norm_pair,
-                      solve_control, truncation_norms)
+from .control import (InfeasibleTargetError, minimal_norm_control, solve_control,
+                      truncation_defect)
 from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, as_integer, as_real,
                       check_keys, cosine, grid_values, next_pow2, sine, sup_norm)
 from .maps import CircleMap, PerturbedFamily
@@ -263,7 +263,8 @@ def cmd_control(config: JobConfig, out: Path) -> int:
         raise ConfigError("control needs a 'target' entry")
     problem = ResponseProblem.for_map(config.map, config.order)
     two_step = solve_control(problem, config.target, config.weights)
-    minimal, doubled = minimal_norm_pair(problem, config.target, config.weights)
+    minimal = minimal_norm_control(problem, config.target, config.weights)
+    defect = truncation_defect(problem, config.target, minimal.epsilon, 2 * config.order)
     roundtrip = sup_norm(forward_response(problem, minimal.epsilon) - config.target)
     payload = {
         "command": "control",
@@ -273,7 +274,8 @@ def cmd_control(config: JobConfig, out: Path) -> int:
         "two_step": two_step.to_dict(),
         "minimal_norm": minimal.to_dict(),
         "roundtrip_sup_error": roundtrip,
-        "truncation_norms": truncation_norms(minimal, doubled),
+        "truncation_defect": {"order": defect.order,
+                              "residual": float(np.linalg.norm(defect.coeffs))},
     }
     _write_json(out / "control.json", payload)
     _series_csv(out / "epsilon_two_step.csv", two_step.epsilon, config.grid)

@@ -11,9 +11,8 @@ eps realizing it.  Two routes:
   cosine/sine coordinates, with a rank cutoff.  For an odd map the real
   system splits into two half-size blocks, solved one after the other under
   one cutoff.  Only the rows j >= 0 of A are assembled, and the real system
-  and the feasibility residual are formed from them.
-  The minimal solutions at truncations N and 2N (``minimal_norm_pair``)
-  share one assembly at 2N: A at order N is its sub-block |j|, |n| <= N.
+  and the feasibility residual are formed from them.  ``truncation_defect``
+  checks the order-N eps in the order-2N equations with no second solve.
 """
 
 from __future__ import annotations
@@ -274,42 +273,12 @@ def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
     constraint defect d = A eps - r is measured on the complex entries of
     the rows j >= 0, ||d||^2 = |d_0|^2 + 2 sum_{j>0} |d_j|^2 (d is
     Hermitian); above 1e-8 the target is not realizable at this truncation.
+    ``order`` (default: the problem's) must be an integer >= 1.
     """
     _require_zero_mean(target, "target density change")
-    if order is None:
-        order = problem.order
+    order = as_integer("order", problem.order if order is None else order, 1)
     r = _constraint_rhs(problem, target, order)
-    return _minimal_norm(problem, _floored(_constraint_rows(problem, order)), r, weights)
-
-
-def minimal_norm_pair(problem: ResponseProblem, target: FourierSeries,
-                      weights: SobolevWeights = SobolevWeights(),
-                      order: int | None = None) -> tuple[ControlSolution, ControlSolution]:
-    """``minimal_norm_control`` at truncations N = ``order`` and 2N, from one assembly.
-
-    A[j, n] depends on (j, n) alone, so A at order N is the sub-block
-    |j|, |n| <= N of A at order 2N; its rows j >= 0 are sliced from the
-    order-2N rows j >= 0 before the noise floor, which each order applies
-    relative to its own largest entry.  The order-N entries equal those
-    that ``_constraint_rows`` assembles at order N up to quadrature
-    rounding; the order-2N solution is the one ``minimal_norm_control``
-    gives at 2N.  A target beyond N is refused before the assembly.
-    """
-    _require_zero_mean(target, "target density change")
-    if order is None:
-        order = problem.order
-    low_rhs = _constraint_rhs(problem, target, order)
-    high_rhs = _constraint_rhs(problem, target, 2 * order)
-    rows = _constraint_rows(problem, 2 * order)
-    low = _floored(rows[:order + 1, order:3 * order + 1].copy())
-    return (_minimal_norm(problem, low, low_rhs, weights),
-            _minimal_norm(problem, _floored(rows), high_rhs, weights))
-
-
-def _minimal_norm(problem: ResponseProblem, rows: np.ndarray, r: np.ndarray,
-                  weights: SobolevWeights) -> ControlSolution:
-    """``minimal_norm_control`` given the rows j >= 0 of A and the coefficients of r."""
-    order = rows.shape[0] - 1
+    rows = _floored(_constraint_rows(problem, order))
     scale, system = _weighted_system(rows, weights)
     coords, rank, margin = _block_lstsq(system, to_real_basis(r),
                                         _real_blocks(problem.map, order))
@@ -356,11 +325,10 @@ def kernel_directions(problem: ResponseProblem, order: int | None = None,
     Perturbations along these directions change the invariant density only
     at second order.  If fewer than ``count`` null directions exist at this
     truncation, the available ones are returned with a warning; a ``count``
-    that is not an integer >= 1 is a ValueError.
+    or an ``order`` that is not an integer >= 1 is a ValueError.
     """
     count = as_integer("count", count, 1)
-    if order is None:
-        order = problem.order
+    order = as_integer("order", problem.order if order is None else order, 1)
     scale, system = _weighted_system(_floored(_constraint_rows(problem, order)), weights)
     _, s, vh = np.linalg.svd(system)
     # Rows of vh are real and orthonormal, so eps = Q W^{-1/2} v is real and
@@ -379,12 +347,34 @@ def kernel_directions(problem: ResponseProblem, order: int | None = None,
 def minimal_norm_truncation_report(problem: ResponseProblem, target: FourierSeries,
                                    weights: SobolevWeights = SobolevWeights(),
                                    order: int | None = None) -> dict:
-    """Minimal norms at truncations (N, 2N) and their difference (``minimal_norm_pair``)."""
-    return truncation_norms(*minimal_norm_pair(problem, target, weights, order))
+    """Minimal norms at truncations N = ``order`` and 2N, and their difference.
+
+    Two ``minimal_norm_control`` solves, each with its own assembly.  To
+    check an order-N answer at 2N without a second solve, see
+    ``truncation_defect``.
+    """
+    order = as_integer("order", problem.order if order is None else order, 1)
+    low, high = (minimal_norm_control(problem, target, weights, k).norm
+                 for k in (order, 2 * order))
+    return {"order": order, "norm": low, "order_doubled": 2 * order, "norm_doubled": high,
+            "difference": abs(high - low)}
 
 
-def truncation_norms(low: ControlSolution, high: ControlSolution) -> dict:
-    """The norms of minimal solutions at truncations N and 2N, and their difference."""
-    return {"order": low.epsilon.order, "norm": low.norm,
-            "order_doubled": high.epsilon.order, "norm_doubled": high.norm,
-            "difference": abs(high.norm - low.norm)}
+def truncation_defect(problem: ResponseProblem, target: FourierSeries, eps: FourierSeries,
+                      order: int) -> FourierSeries:
+    """The defect A eps - r at modes |j| <= ``order`` (an integer >= 1), assembling no A.
+
+    (L0 w)' = L0((w/T0')'), so A eps = -L0((eps rho/T0')') = -(L0(rho eps))':
+    one ``apply_transfer`` of the product rho eps, exact on next_pow2(2 K + 2)
+    points for its order K.  The derivative's 2 pi j amplifies rounding, so
+    the defect's floor grows with ``order``.  A target beyond ``order``
+    raises InfeasibleTargetError.
+    """
+    order = as_integer("order", order, 1)
+    r = _constraint_rhs(problem, target, order)
+    rho = problem.density
+    product_order = rho.order + eps.order
+    size = next_pow2(2 * product_order + 2)
+    product = dft(grid_values(rho, size) * grid_values(eps, size), product_order)
+    image = apply_transfer(problem.map, product, out_order=order)
+    return FourierSeries(-differentiate(image).coeffs - r)

@@ -263,7 +263,11 @@ class TestControl:
         assert eps.coeff(2) == pytest.approx(1 / (4 * np.pi), abs=1e-10)
         assert payload["two_step"]["residual"] < 1e-8
         assert payload["roundtrip_sup_error"] < 1e-6
-        assert "truncation_norms" in payload
+        # the order-N eps checked against the order-2N equations, with no second solve
+        assert "truncation_norms" not in payload
+        assert payload["truncation_defect"]["order"] == 128
+        # rounding only, amplified by the derivative's 2 pi j (1.8e-12 here)
+        assert payload["truncation_defect"]["residual"] < 1e-11
 
     def test_zero_target(self, tmp_path):
         path = write_config(tmp_path, target={"N": 1, "coeffs":
@@ -287,7 +291,8 @@ class TestControl:
                      str(tmp_path / "o")]) == 3
 
     def test_one_minimal_norm_solve_per_order(self, tmp_path, monkeypatch):
-        # one constraint assembly, at order 2N, serves the solves at N and 2N
+        # one constraint assembly and one solve, at order N; the order-2N
+        # check (truncation_defect) assembles nothing
         import linresp.control as control
         orders = []
         original = control._constraint_rows
@@ -299,11 +304,11 @@ class TestControl:
         monkeypatch.setattr(control, "_constraint_rows", counted)
         path = write_config(tmp_path, map=WAVY, target="sin", N=16)
         assert main(["control", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        assert orders == [32]
+        assert orders == [16]
 
     def test_one_dgelsd_per_block(self, tmp_path, monkeypatch):
-        # the wavy map is odd: two blocks at order N and two at 2N; under these
-        # weights the blocks' own cutoffs differ from the global one
+        # the wavy map is odd: two blocks at order N and no solve at 2N; under
+        # these weights the blocks' own cutoffs differ from the global one
         shapes = []
         original = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq",
@@ -311,7 +316,7 @@ class TestControl:
         path = write_config(tmp_path, map=WAVY, target="mix", N=32,
                             weights={"a": 0.5, "d": 1.0})
         assert main(["control", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        assert len(shapes) == 4
+        assert len(shapes) == 2
 
     def test_modes_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, target="sin2", N=64)

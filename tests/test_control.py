@@ -7,14 +7,14 @@ import linresp.control as control
 from linresp import (CircleMap, InfeasibleTargetError,
                      ResponseProblem, SobolevWeights, apply_transfer_pointwise,
                      constant, cosine, derivative_operator, dft, differentiate,
-                     doubling_map, forward_response,
+                     doubling_map, exact_control, forward_response,
                      kernel_directions, minimal_norm_control,
                      minimal_norm_truncation_report, next_pow2, sine,
                      sobolev_norm, solve_control, step1_g, step2_epsilon,
                      sup_norm, zeros)
 from linresp.control import (FEASIBILITY_TOL, PSEUDOINVERSE_CUTOFF, _block_lstsq,
                              _constraint_rhs, _constraint_rows, _floored, _real_blocks,
-                             _weighted_system, minimal_norm_pair)
+                             _weighted_system, truncation_defect)
 
 from conftest import (complex_minimal_norm, constraint_matrix, direct_galerkin_entries,
                       full_system_lstsq, random_series, seeded_maps, steep_map,
@@ -506,50 +506,77 @@ class TestTruncationReport:
         assert report["difference"] < 1e-9
 
 
+class TestTruncationDefect:
+    """truncation_defect: A eps - r at order 2N as -(L(rho eps))' - r, with no assembly."""
+
+    @pytest.mark.parametrize("name", ["wavy_problem", "degree_three_problem"])
+    def test_matches_the_assembled_constraint(self, request, name):
+        problem = request.getfixturevalue(name)
+        target = cosine(1) + cosine(3, 0.5)
+        eps = minimal_norm_control(problem, target, BLOCK_WEIGHTS, 32).epsilon
+        defect = truncation_defect(problem, target, eps, 64)
+        image = constraint_matrix(problem, 64) @ eps.with_order(64).coeffs
+        reference = image - _constraint_rhs(problem, target, 64)
+        assert defect.order == 64
+        assert np.max(np.abs(defect.coeffs - reference)) <= 1e-10 * np.max(np.abs(image))
+
+    def test_doubling_exact_control(self, doubling):
+        # The exact eps leaves only rounding, which the factor 2 pi j of the
+        # derivative amplifies: 5.9e-14 at order 32, 1.9e-12 at order 128.
+        problem = ResponseProblem.for_map(doubling, 16)
+        target = sine(1) + cosine(3, 0.5)
+        defect = truncation_defect(problem, target, exact_control(target), 32)
+        assert np.linalg.norm(defect.coeffs) <= 1e-12
+
+    def test_target_beyond_order_is_infeasible(self, wavy_problem):
+        with pytest.raises(InfeasibleTargetError, match="exceeds truncation 16"):
+            truncation_defect(wavy_problem, cosine(20), zeros(2), 16)
+
+
+@pytest.mark.parametrize("order", [-1, 0, 2.5, True])
+@pytest.mark.parametrize("solve", [
+    lambda p, order: minimal_norm_control(p, sine(1), order=order),
+    lambda p, order: kernel_directions(p, order=order),
+    lambda p, order: minimal_norm_truncation_report(p, sine(1), order=order),
+    lambda p, order: truncation_defect(p, sine(1), zeros(2), order),
+], ids=["minimal_norm_control", "kernel_directions", "truncation_report",
+        "truncation_defect"])
+def test_refuses_order_below_one(wavy_problem, solve, order):
+    # Unchecked, -1 would read as "exceeds truncation -1", 2.5 would fail
+    # inside numpy and True would solve at order 1.
+    with pytest.raises(ValueError, match="order must be"):
+        solve(wavy_problem, order)
+
+
 class TestSharedAssembly:
-    """minimal_norm_pair: the solves at N and 2N from one constraint assembly at 2N."""
+    """Rank and margin pins of the minimal-norm solves at N and 2N."""
 
     def test_benchmark_config(self, benchmark_problem):
         # the order-N grid has 2048 points, the order-2N grid 4096
         target = cosine(1) + cosine(3, 0.5)
-        low, high = minimal_norm_pair(benchmark_problem, target, BLOCK_WEIGHTS)
-        reference = minimal_norm_control(benchmark_problem, target, BLOCK_WEIGHTS, 256)
-        assert low.rank == reference.rank == 306
+        low = minimal_norm_control(benchmark_problem, target, BLOCK_WEIGHTS, 256)
+        assert low.rank == 306
         assert low.margin == pytest.approx((1.0419e-10, 7.714e-12), rel=1e-3)
-        gap = np.max(np.abs(low.epsilon.coeffs - reference.epsilon.coeffs))
-        assert gap <= 1e-12 * np.max(np.abs(reference.epsilon.coeffs))
-        # the order-2N system is the one minimal_norm_control assembles
-        doubled = minimal_norm_control(benchmark_problem, target, BLOCK_WEIGHTS, 512)
+        high = minimal_norm_control(benchmark_problem, target, BLOCK_WEIGHTS, 512)
         assert high.rank == 442
         assert high.margin == pytest.approx((1.0048e-10, 9.912e-11), rel=1e-3)
-        assert np.array_equal(high.epsilon.coeffs, doubled.epsilon.coeffs)
 
     def test_non_odd_map(self, degree_three_problem):
-        # at N = 64 both orders take the 1024-point grid, so the order-N
-        # sub-block is the order-N assembly bit for bit
         target = cosine(1) + cosine(3, 0.5)
-        low, high = minimal_norm_pair(degree_three_problem, target, BLOCK_WEIGHTS)
-        reference = minimal_norm_control(degree_three_problem, target, BLOCK_WEIGHTS)
-        assert low.rank == reference.rank == 58
+        low = minimal_norm_control(degree_three_problem, target, BLOCK_WEIGHTS)
+        assert low.rank == 58
         assert low.margin == pytest.approx((3.0098e-10, 5.944e-12), rel=1e-3)
-        gap = np.max(np.abs(low.epsilon.coeffs - reference.epsilon.coeffs))
-        assert gap <= 1e-12 * np.max(np.abs(reference.epsilon.coeffs))
+        high = minimal_norm_control(degree_three_problem, target, BLOCK_WEIGHTS, 128)
         assert high.rank == 112
         assert high.margin == pytest.approx((3.2959e-10, 2.5265e-11), rel=1e-3)
 
     def test_non_odd_map_on_a_finer_grid(self):
-        # At N = 96 the order-2N grid has 2048 points against 1024.  The
-        # order-N entries move by quadrature rounding, which the kept singular
-        # values near the cutoff amplify in eps (5e-11 relative here); the
-        # rank, margin, norm and round trip do not move.
         problem = ResponseProblem.for_map(NON_ODD_MAPS["degree-three"], 96)
         target = cosine(1) + cosine(3, 0.5)
-        low, _ = minimal_norm_pair(problem, target, BLOCK_WEIGHTS)
-        reference = minimal_norm_control(problem, target, BLOCK_WEIGHTS)
-        assert low.rank == reference.rank == 84
-        assert low.margin == pytest.approx((9.146e-10, 7.387e-11), rel=1e-3)
-        assert low.norm == pytest.approx(reference.norm, rel=1e-12)
-        realized = forward_response(problem, low.epsilon)
+        sol = minimal_norm_control(problem, target, BLOCK_WEIGHTS)
+        assert sol.rank == 84
+        assert sol.margin == pytest.approx((9.146e-10, 7.387e-11), rel=1e-3)
+        realized = forward_response(problem, sol.epsilon)
         assert sup_norm(realized - target) <= 1e-9
 
     @pytest.mark.parametrize("name", ["wavy_problem", "degree_three_problem"])
@@ -557,8 +584,8 @@ class TestSharedAssembly:
         # ||d||^2 = |d_0|^2 + 2 sum_{j>0} |d_j|^2 against the full complex defect
         problem = request.getfixturevalue(name)
         target = cosine(1) + cosine(3, 0.5)
-        for sol in minimal_norm_pair(problem, target, BLOCK_WEIGHTS, 32):
-            order = sol.epsilon.order
+        for order in (32, 64):
+            sol = minimal_norm_control(problem, target, BLOCK_WEIGHTS, order)
             defect = (constraint_matrix(problem, order) @ sol.epsilon.coeffs
                       - _constraint_rhs(problem, target, order))
             assert sol.residual == pytest.approx(np.linalg.norm(defect), rel=1e-4)
@@ -567,4 +594,4 @@ class TestSharedAssembly:
                                                                   monkeypatch):
         monkeypatch.setattr(control, "_constraint_rows", None)
         with pytest.raises(InfeasibleTargetError, match="exceeds truncation 16"):
-            minimal_norm_pair(wavy_problem, cosine(20), order=16)
+            minimal_norm_control(wavy_problem, cosine(20), order=16)
