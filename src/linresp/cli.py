@@ -303,9 +303,10 @@ def cmd_verify(config: JobConfig, out: Path) -> int:
     family = PerturbedFamily(config.map, eps)
     settings = config.verify
     # Ulam's oracle (degree 0) meets VERIFY_BUDGET with a wide margin; degree 2
-    # costs about 5.3x as much at 2^16 bins (0.70 s against 0.13 s per
+    # costs about 6x as much at 2^16 bins (0.68 s against 0.11 s per
     # fd_response of the wavy map with the minimal-norm eps for "mix" at N=64,
-    # delta 1e-3: in-process medians of five runs on a 2-vCPU host).
+    # delta 1e-3: in-process medians, one BLAS thread, on a 2-vCPU host).
+    # Degree 0 inverts the bin edges in blocks and keeps two weights per segment.
     binned = fd_response(family, settings.delta, settings.bins, degree=0)
     discrepancy = compare_l1(binned, config.target)
     passed = bool(discrepancy < VERIFY_BUDGET)

@@ -6,9 +6,11 @@ strictly increasing lift.  Newton is seeded by cubic Hermite interpolation of
 the lift's inverse, whose values and slopes are known at the images of the
 uniform grid that the construction checks sample; on smooth maps the seed
 already meets the tolerance, so the first residual sweep ends the iteration.
-That inverter is the only one in the package, and only the pointwise checks
-and the Ulam oracle call it.  One-parameter families T_delta = T0 + delta*eps
-model first-order perturbations of the dynamics.
+The targets go through in blocks of ``HORNER_BLOCK``, so an inversion of many
+points holds temporaries the size of one block.  That inverter is the only
+one in the package, and only the pointwise checks and the Ulam oracle call
+it.  One-parameter families T_delta = T0 + delta*eps model first-order
+perturbations of the dynamics.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import (FourierSeries, as_integer, check_keys, differentiate, grid_values,
-                      half_spectrum, next_pow2, real_horner, zeros)
+from .fourier import (HORNER_BLOCK, FourierSeries, as_integer, check_keys, differentiate,
+                      grid_values, half_spectrum, next_pow2, real_horner, zeros)
 
 EXPANSIVITY_MARGIN = 1e-9
 FAMILY_MARGIN = 0.05
@@ -37,25 +39,29 @@ class PreimageError(RuntimeError):
 
 def _validation_size(order: int) -> int:
     # The construction checks' samples of p and p' also seed Newton: sized
-    # from the order of p, never from the targets of an inversion.
+    # from the order of p, never from the targets of an inversion, and a
+    # power of two, so that the seed's grid values k/n are exact.
     return next_pow2(max(16 * (order + 1), 4096))
 
 
 def _interpolated_inverse(table: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Newton seed for L(y) = t, by cubic Hermite interpolation of the inverse lift.
 
-    ``table`` holds the nodes t_i = L(x_i) on the construction grid with a
-    wrap node t_n = t_0 + d, the values x_i and the slopes 1/L'(x_i).  On
-    [t_k, t_k+1] the seed is the cubic in u = (t - t_k)/h that matches the
-    values and slopes at both ends.  The targets lie in [t_0, t_0 + d) up to
-    the last bit, so the interval index is clipped to the table.
+    The nodes t_i = L(x_i) on the construction grid x_i = i/n, with a wrap
+    node t_n = t_0 + d, split [t_0, t_0 + d) into intervals.  Column k of
+    ``table`` holds interval k's left node t_k, its width h = t_k+1 - t_k
+    and its end slopes 1/L' times h.  n is a power of two, so the value x_k
+    = k/n and the rise 1/n are exact and not stored.  On the interval the
+    seed is the cubic in u = (t - t_k)/h that matches the values and slopes
+    at both ends.  The targets lie in [t_0, t_0 + d) up to the last bit, so
+    the interval index is clipped to the table.
     """
-    t, y, s = table
-    k = np.clip(np.searchsorted(t, targets, side="right") - 1, 0, t.size - 2)
-    h = t[k + 1] - t[k]
-    u = (targets - t[k]) / h
-    dy, m0, m1 = y[k + 1] - y[k], h * s[k], h * s[k + 1]
-    return y[k] + u * (m0 + u * (3.0 * dy - 2.0 * m0 - m1 + u * (m0 + m1 - 2.0 * dy)))
+    n = table.shape[1]
+    k = np.clip(np.searchsorted(table[0], targets, side="right") - 1, 0, n - 1)
+    t, h, m0, m1 = table[:, k]
+    u = (targets - t) / h
+    dy = 1.0 / n
+    return k / n + u * (m0 + u * (3.0 * dy - 2.0 * m0 - m1 + u * (m0 + m1 - 2.0 * dy)))
 
 
 def _solve_increasing(value, target, seed, lo, hi,
@@ -120,9 +126,11 @@ class CircleMap:
         object.__setattr__(self, "_max_deriv", float(np.max(deriv)))
         object.__setattr__(self, "_p_lo", float(np.min(pvals)) - pad)
         object.__setattr__(self, "_p_hi", float(np.max(pvals)) + pad)
-        x = np.arange(size + 1) / size
+        t = d * (np.arange(size + 1) / size) + np.append(pvals, pvals[0])
+        slope = 1.0 / np.append(deriv, deriv[0])
+        h = np.diff(t)
         object.__setattr__(self, "_inverse_table", np.stack(
-            (d * x + np.append(pvals, pvals[0]), x, 1.0 / np.append(deriv, deriv[0]))))
+            (t[:-1], h, h * slope[:-1], h * slope[1:])))
         object.__setattr__(self, "_lift0", float(self.periodic_part.evaluate(0.0)))
 
     @cached_property
@@ -163,32 +171,46 @@ class CircleMap:
         raise ValueError("deriv must be in 0..2")
 
     @cached_property
-    def _half(self) -> np.ndarray:
-        return half_spectrum(self.periodic_part, self._derivs[0])
+    def _half(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``half_spectrum`` rows of p for the value pass and of p' for the slope pass.
+
+        The value row drops the trailing modes whose summed magnitude is at
+        most 0.01 eps (d + sum |c_n|), which moves L(y) by far less than its
+        rounding; the slope row keeps every mode.
+        """
+        rows = half_spectrum(self.periodic_part, self._derivs[0])
+        tail = np.cumsum(np.abs(rows[0, ::-1]))[::-1]  # tail[m]: summed magnitude of modes >= m
+        mass = self.degree + np.sum(np.abs(self.periodic_part.coeffs))
+        keep = 1 + np.count_nonzero(tail[1:] > 0.01 * np.finfo(float).eps * mass)
+        return rows[:1, :keep], rows[1:]
 
     def _lift_value(self, y):
         """L(y) from one real half-spectrum Horner pass over p, and a function
         that returns L'(y) from a pass over p' sharing e^{2 pi i y}."""
         z = np.exp(2j * np.pi * y)
-        return (self.degree * y + real_horner(self._half[:1], z)[0],
-                lambda: self.degree + real_horner(self._half[1:], z)[0])
+        value_row, slope_row = self._half
+        return (self.degree * y + real_horner(value_row, z)[0],
+                lambda: self.degree + real_horner(slope_row, z)[0])
 
     def invert_lift(self, targets):
-        """Solve L(y) = t for each t; the unique real solution of the lift."""
+        """Solve L(y) = t for each t; the unique real solution of the lift.
+
+        Each block of HORNER_BLOCK targets is shifted, seeded, bracketed and
+        solved on its own and written into one output array.
+        """
         t = np.asarray(targets, dtype=float)
-        scalar = t.ndim == 0
-        tf = np.atleast_1d(t).ravel()
-        if tf.size == 0:
-            return np.zeros(t.shape)
-        shift = np.floor((tf - self._lift0) / self.degree)
-        base = tf - self.degree * shift  # now within [L(0), L(0)+d)
-        seed = _interpolated_inverse(self._inverse_table, base)
-        lo = (base - self._p_hi) / self.degree
-        hi = (base - self._p_lo) / self.degree
-        y = _solve_increasing(self._lift_value, base, seed, lo, hi) + shift
-        if scalar:
-            return float(y[0])
-        return y.reshape(t.shape)
+        tf = t.ravel()
+        y = np.empty(tf.size)
+        for start in range(0, tf.size, HORNER_BLOCK):
+            block = tf[start:start + HORNER_BLOCK]
+            shift = np.floor((block - self._lift0) / self.degree)
+            base = block - self.degree * shift  # now within [L(0), L(0)+d)
+            seed = _interpolated_inverse(self._inverse_table, base)
+            lo = (base - self._p_hi) / self.degree
+            hi = (base - self._p_lo) / self.degree
+            y[start:start + HORNER_BLOCK] = (
+                _solve_increasing(self._lift_value, base, seed, lo, hi) + shift)
+        return float(y[0]) if t.ndim == 0 else y.reshape(t.shape)
 
     def preimages(self, x):
         """All d preimages of x, ordered by branch: L(y_i) = x + k_i, y_i in [0,1).

@@ -6,10 +6,13 @@ discontinuous-Galerkin projection), using exact interval-image intersections
 of the monotone branches and Gauss-Legendre quadrature on each intersection
 (deterministic, no sampling).  Degree k = 0 is Ulam's method, whose matrix is
 column-stochastic.  The matrix is kept as the preimage segments of the image
-bins, at most two pieces each, and applied with numpy gathers and sums; its
-stationary vectors and central-difference derivatives of their bin averages
-provide the cross-checks for the spectral solvers.  The only shared code
-with the spectral path is the map's lift and its Newton inversion.
+bins, at most two pieces each, and applied with numpy gathers and sums; at
+degree 0 it is two weights and two source bins per segment, written straight
+from the edge preimages, and a product is two 1-D gathers or two
+``bincount`` calls.  Its stationary vectors and central-difference
+derivatives of their bin averages provide the cross-checks for the spectral
+solvers.  The only shared code with the spectral path is the map's lift and
+its Newton inversion, which streams the bin edges in blocks.
 """
 
 from __future__ import annotations
@@ -57,22 +60,40 @@ class TransitionOperator:
             raise ValueError(f"operand of shape {v.shape}; expected {self.shape[:1]}")
         return v.reshape(self.bins, -1).T
 
+    def _runs(self):
+        """(segments, image bins) slice pairs that fold the segments mod bins.
+
+        The segments' image bins are consecutive, so each run of at most
+        ``bins`` segments maps onto one slice of image bins.
+        """
+        segments = self.blocks.shape[2]
+        for start in range(-self.first, segments, self.bins):
+            yield (slice(max(start, 0), min(start + self.bins, segments)),
+                   slice(max(-start, 0), min(self.bins, segments - start)))
+
     def __matmul__(self, v) -> np.ndarray:
         size, _, segments = self.blocks.shape
-        gathered = np.take(self._by_degree(v), self.source, axis=1).reshape(2 * size, segments)
-        images = np.einsum("pks,ks->ps", self.blocks, gathered)
-        # The segments' image bins are consecutive: fold them mod bins, one
-        # run of bins segments from image bin 0 at a time.
+        if size == 1:  # Ulam's method: two 1-D gathers times the weights
+            row, (w0, w1), (s0, s1) = self._by_degree(v)[0], self.blocks[0], self.source
+            images = (w0 * row[s0] + w1 * row[s1])[None]
+        else:
+            gathered = np.take(self._by_degree(v), self.source, axis=1).reshape(2 * size, segments)
+            images = np.einsum("pks,ks->ps", self.blocks, gathered)
         out = np.zeros((size, self.bins))
-        for start in range(-self.first, segments, self.bins):
-            lo, hi = max(start, 0), min(start + self.bins, segments)
-            out[:, lo - start:hi - start] += images[:, lo:hi]
+        for part, image_bins in self._runs():
+            out[:, image_bins] += images[:, part]
         return out.T.ravel()
 
     def __rmatmul__(self, v) -> np.ndarray:
         size, _, segments = self.blocks.shape
-        runs = -(-(self.first + segments) // self.bins)
-        image = np.tile(self._by_degree(v), runs)[:, self.first:self.first + segments]
+        values, image = self._by_degree(v), np.empty((size, segments))
+        for part, image_bins in self._runs():
+            image[:, part] = values[:, image_bins]
+        if size == 1:  # Ulam's method: two bincounts
+            (w0, w1), (s0, s1), image = self.blocks[0], self.source, image[0]
+            second = np.bincount(s1, w1 * image, self.bins)
+            image *= w0
+            return np.bincount(s0, image, self.bins) + second
         weights = np.einsum("pks,ps->ks", self.blocks, image).reshape(size, 2, segments)
         out = np.zeros((size, self.bins))
         for q, c in np.ndindex(size, 2):
@@ -105,14 +126,16 @@ class UlamModel:
         object.__setattr__(self, "stationary", s)
 
 
-def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _pieces(circle_map: CircleMap, bins: int, degree: int
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
     """Preimage segments of consecutive image bins, each split at a source-bin edge.
 
     Segment s is the preimage on [0, 1] of image bin ``first`` + s on the
     lift.  Since min T' > 1 it is shorter than a bin, so it has two slots:
     its part in source bin j0 and its part in j0 + 1, of length zero when the
-    segment is not cut.  Returns the slots' left ends, lengths and source
-    bins, each of shape (2, segments), and ``first``.
+    segment is not cut.  Returns the slots' lengths and source bins, each of
+    shape (2, segments), their left ends when ``degree`` > 0 (None at degree
+    0, where nothing reads them), and ``first``.
     """
     d = circle_map.degree
     start = float(circle_map.lift(0.0))
@@ -128,18 +151,25 @@ def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, n
     # so the preimage segments tile [0, 1] exactly and columns sum to one.
     y[0], y[-1] = 0.0, 1.0
 
+    # Written in place, with no stacked copies: the cut at the source-bin
+    # edge sits in the second slot's length until that length replaces it.
     y_lo, y_hi = y[:-1], y[1:]
     first = int(np.floor(0.5 * (targets[0] + targets[1]) * bins))
-    j0 = np.minimum((y_lo * bins).astype(int), bins - 1)
-    cut = np.minimum(y_hi, (j0 + 1) / bins)
-    return (np.stack((y_lo, cut)), np.stack((cut - y_lo, y_hi - cut)),
-            np.stack((j0, np.minimum(j0 + 1, bins - 1))), first)
+    source = np.empty((2, y_lo.size), dtype=int)
+    np.minimum((y_lo * bins).astype(int), bins - 1, out=source[0])
+    np.add(source[0], 1, out=source[1])
+    length = np.empty(source.shape)
+    cut = np.divide(source[1], bins, out=length[1])
+    np.minimum(y_hi, cut, out=cut)
+    np.minimum(source[1], bins - 1, out=source[1])
+    left = np.stack((y_lo, cut)) if degree else None
+    np.subtract(cut, y_lo, out=length[0])
+    np.subtract(y_hi, cut, out=length[1])
+    return length, source, left, first
 
 
 def _transition_matrix(circle_map: CircleMap, bins: int, degree: int) -> TransitionOperator:
-    # _pieces frees its per-segment temporaries on return, so the assembly
-    # below peaks no higher in memory than the Newton inversion inside it.
-    left, length, source, first = _pieces(circle_map, bins)
+    length, source, left, first = _pieces(circle_map, bins, degree)
 
     # Entry (a, p) <- (b, q) is (2p+1) * bins * integral of P_q(xi_b(y)) P_p(eta_a(T y))
     # over the piece from source bin b into image bin a, with the bin-local
@@ -157,10 +187,11 @@ def _transition_matrix(circle_map: CircleMap, bins: int, degree: int) -> Transit
             eta = 2.0 * (circle_map.lift(y_node) * bins - image_edge) - 1.0
             vals += (0.5 * weight * np.moveaxis(legendre.legvander(eta, degree), -1, 0)[:, None]
                      * np.moveaxis(legendre.legvander(xi, degree), -1, 0)[None, :])
+        vals *= ((2 * np.arange(size) + 1) * bins)[:, None, None, None] * length
+        blocks = vals.reshape(size, 2 * size, -1)
     else:  # the one-node rule integrates P_0 P_0 = 1 exactly: entries length * bins
-        vals = np.ones((1, 1) + length.shape)
-    vals *= ((2 * np.arange(size) + 1) * bins)[:, None, None, None] * length
-    matrix = TransitionOperator(bins, first % bins, source, vals.reshape(size, 2 * size, -1))
+        blocks = np.multiply(length, bins, out=length)[None]
+    matrix = TransitionOperator(bins, first % bins, source, blocks)
 
     # The P_0 rows of the image carry its mass: each degree-0 column maps unit
     # mass, each higher-degree column (zero mean) maps none.

@@ -36,6 +36,20 @@ def wavy_problem(wavy):
     return ResponseProblem.for_map(wavy, 64)
 
 
+@pytest.fixture(scope="session")
+def perturbed_wavy(wavy_problem):
+    """The wavy map perturbed by an order-64 minimal-norm control, as ``linresp verify`` runs it.
+
+    This is the plus member of the verify-bins64k benchmark config: target
+    mix, weights a=0.5, d=1 and delta 1e-3.
+    """
+    from linresp import SobolevWeights, minimal_norm_control
+
+    target = cosine(1) + cosine(3, 0.5)
+    eps = minimal_norm_control(wavy_problem, target, SobolevWeights(a=0.5, d=1.0)).epsilon
+    return PerturbedFamily(wavy_problem.map, eps).member(1e-3)
+
+
 def random_series(rng, order, decay=0.5, zero_mean=False):
     """Random real-valued trigonometric polynomial with decaying modes."""
     c = rng.normal(size=2 * order + 1) + 1j * rng.normal(size=2 * order + 1)

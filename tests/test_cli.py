@@ -5,8 +5,8 @@ import pytest
 
 import linresp.cli as cli
 import linresp.response
-from linresp import FourierSeries, SpectralGapError, cosine, sine
-from linresp.cli import JobConfig, canonical_json, main
+from linresp import FourierSeries, InfeasibleTargetError, SpectralGapError, cosine, sine
+from linresp.cli import EXIT_INFEASIBLE, JobConfig, canonical_json, main
 
 from conftest import seeded_maps, steep_map
 
@@ -317,6 +317,20 @@ class TestControl:
                             weights={"a": 0.5, "d": 1.0})
         assert main(["control", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         assert len(shapes) == 2
+
+    @pytest.mark.xfail(strict=True, raises=InfeasibleTargetError,
+                       reason="Sobolev weights refuse targets that L2 weights realize")
+    @pytest.mark.parametrize("target", ["mix", "sin2"])
+    def test_sobolev_weights_realize_the_target(self, tmp_path, capsys, target):
+        # The steep map at N=128 under weights a=0.5, d=1 exits 3 (infeasible);
+        # the library test of the same refusal shows that the target is realizable.
+        path = write_config(tmp_path, map=steep_map().to_dict(), N=128, target=target,
+                            weights={"a": 0.5, "d": 1.0})
+        code = main(["control", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if code == EXIT_INFEASIBLE:
+            raise InfeasibleTargetError(err)
+        assert code == 0, err
 
     def test_modes_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, target="sin2", N=64)

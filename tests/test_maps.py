@@ -4,9 +4,7 @@ import pytest
 from conftest import (CircleDiffeo, horner_values, preimage_shift, random_series,
                       reference_invert_lift, seeded_maps, steep_map)
 from linresp import (CircleMap, FourierSeries, NotExpandingError, PerturbedFamily,
-                     PreimageError, SobolevWeights, constant, cosine, fourier, maps, sine,
-                     zeros)
-from linresp.control import minimal_norm_control
+                     PreimageError, constant, cosine, fourier, maps, sine, zeros)
 from linresp.fourier import differentiate
 
 
@@ -204,13 +202,6 @@ def _all_maps(doubling, wavy, triple):
     return [doubling, wavy, triple, shifted, steep_map()] + seeded_maps()
 
 
-def _perturbed_wavy(wavy, wavy_problem):
-    """The wavy map perturbed by an order-64 minimal-norm control, as ``linresp verify`` runs it."""
-    target = cosine(1) + cosine(3, 0.5)
-    eps = minimal_norm_control(wavy_problem, target, SobolevWeights(a=0.5, d=1.0)).epsilon
-    return PerturbedFamily(wavy, eps).member(1e-3)
-
-
 class TestEmptyInput:
     def test_invert_lift(self, wavy):
         assert wavy.invert_lift(np.array([])).shape == (0,)
@@ -236,10 +227,10 @@ class TestAgainstReference:
                                        reference_invert_lift(circle_map, t),
                                        rtol=0, atol=1e-13)
 
-    def test_invert_lift_at_table_ends(self, doubling, wavy, wavy_problem):
+    def test_invert_lift_at_table_ends(self, doubling, wavy, perturbed_wavy):
         # L(0) + k d, its neighbours and the grid's p(0) (FFT, not Horner) clip
         # the seed table's index at either end
-        for circle_map in (doubling, wavy, _perturbed_wavy(wavy, wavy_problem), steep_map()):
+        for circle_map in (doubling, wavy, perturbed_wavy, steep_map()):
             d, lift0 = circle_map.degree, circle_map.lift(0.0)
             ends = [lift0 + k * d for k in range(-2, 4)] + [circle_map.grid_values(4096)[0]]
             t = np.array(ends + [np.nextafter(e, side) for e in ends
@@ -247,6 +238,16 @@ class TestAgainstReference:
             np.testing.assert_allclose(circle_map.invert_lift(t),
                                        reference_invert_lift(circle_map, t),
                                        rtol=0, atol=1e-13)
+
+    def test_invert_lift_across_blocks(self, newton_calls):
+        # two full blocks and a partial one, each solved on its own; the steep
+        # map takes a Newton step in every block
+        steep = steep_map()
+        t = np.linspace(-2.0, 7.0, 2 * fourier.HORNER_BLOCK + 301)
+        y = steep.invert_lift(t)
+        assert len(newton_calls) == 3
+        assert all(values == 2 for values, _ in newton_calls), newton_calls
+        np.testing.assert_allclose(y, reference_invert_lift(steep, t), rtol=0, atol=1e-13)
 
     def test_preimages(self, doubling, wavy, triple):
         rng = np.random.default_rng(32)
@@ -258,10 +259,13 @@ class TestAgainstReference:
             np.testing.assert_allclose(circle_map.preimages(xs), expected,
                                        rtol=0, atol=1e-13)
 
-    def test_lift_pair(self, doubling, wavy, triple):
-        # two full Horner blocks and a partial one, against the full-spectrum pass
+    def test_lift_pair(self, doubling, wavy, triple, perturbed_wavy):
+        # two full Horner blocks and a partial one, against the full-spectrum
+        # pass; the perturbed member's value pass is chopped, its slope is not
         x = np.linspace(-1.0, 2.0, 2 * fourier.HORNER_BLOCK + 301)
-        for circle_map in _all_maps(doubling, wavy, triple):
+        value_row, slope_row = perturbed_wavy._half
+        assert (value_row.shape, slope_row.shape) == ((1, 40), (1, 65))
+        for circle_map in _all_maps(doubling, wavy, triple) + [perturbed_wavy]:
             d, p = circle_map.degree, circle_map.periodic_part
             value, slope = circle_map._lift_value(x)
             slope = slope()
@@ -322,8 +326,8 @@ class TestNewtonSweeps:
         assert len(calls) == 2
         assert max(values for values, _ in calls) <= 2, calls
 
-    def test_perturbed_wavy(self, wavy, wavy_problem, newton_calls):
-        self._check(_perturbed_wavy(wavy, wavy_problem), newton_calls)
+    def test_perturbed_wavy(self, perturbed_wavy, newton_calls):
+        self._check(perturbed_wavy, newton_calls)
 
     @pytest.mark.parametrize("index", range(5))
     def test_seeded(self, index, newton_calls):
@@ -339,14 +343,20 @@ class TestNewtonSweeps:
         assert all(values >= 2 and slopes == values - 1
                    for values, slopes in newton_calls), newton_calls
 
-    def test_one_pass_on_ulam_edges(self, wavy, wavy_problem, newton_calls):
-        # the 2^17 + 1 bin edges of a 2^16-bin Ulam build: one value pass
-        # both seeds and checks, and no slope is taken
-        member = _perturbed_wavy(wavy, wavy_problem)
+    def test_one_pass_on_ulam_edges(self, perturbed_wavy, newton_calls, monkeypatch):
+        # the 2^17 + 1 bin edges of a 2^16-bin Ulam build go through in blocks
+        # that cover them all; in each, one value pass both seeds and checks,
+        # and no slope is taken
+        sizes = []
+        counting = maps._solve_increasing
+        monkeypatch.setattr(maps, "_solve_increasing", lambda value, target, *args:
+                            sizes.append(target.size) or counting(value, target, *args))
         bins = 2 ** 16
-        edges = (np.ceil(member.lift(0.0) * bins) + np.arange(2 * bins + 1)) / bins
-        member.invert_lift(edges)
-        assert newton_calls == [(1, 0)]
+        edges = (np.ceil(perturbed_wavy.lift(0.0) * bins) + np.arange(2 * bins + 1)) / bins
+        perturbed_wavy.invert_lift(edges)
+        assert sizes == [fourier.HORNER_BLOCK] * 8 + [1]
+        assert sum(sizes) == 2 * bins + 1
+        assert newton_calls == [(1, 0)] * len(sizes)
 
 
 class TestNewtonFallback:
