@@ -115,8 +115,8 @@ def _checked(rule, *args):
 
 
 def _parse_series(value, what: str) -> FourierSeries:
-    presets = _presets()
     if isinstance(value, str):
+        presets = _presets()  # built only for a preset name
         if value not in presets:
             raise ConfigError(f"unknown {what} preset {value!r}; "
                               f"choose from {sorted(presets)}")

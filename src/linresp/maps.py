@@ -185,8 +185,12 @@ class CircleMap:
         return rows[:1, :keep], rows[1:]
 
     def _lift_value(self, y):
-        """L(y) from one real half-spectrum Horner pass over p, and a function
-        that returns L'(y) from a pass over p' sharing e^{2 pi i y}."""
+        """L(y) from one ``real_horner`` pass over p, and a function that
+        returns L'(y) from a pass over p' sharing e^{2 pi i y}.
+
+        A row of fewer than 64 modes, such as a chopped value row, takes the
+        plain Horner pass; a longer one the baby-step/giant-step sum.
+        """
         z = np.exp(2j * np.pi * y)
         value_row, slope_row = self._half
         return (self.degree * y + real_horner(value_row, z)[0],

@@ -9,9 +9,11 @@ needed for matrix entries; each row is one FFT.  M maps real functions to
 real ones, so only its rows j >= 0 are assembled (``_galerkin_rows``, which
 also serves the constraint matrix of ``control``), and a ``TransferMatrix``
 keeps M only as the real matrix Q^H M Q in the coordinates of
-``fourier.to_real_basis``.  The same duality applies L to a series.  Each of
-these integrals is a grid mean on the grid that ``quadrature_size`` derives
-from the map and the orders involved.  Without the a_0 coordinate,
+``fourier.to_real_basis``.  The same duality applies L to a series
+(``apply_transfer``): its moments are a baby-step/giant-step sum, one real
+matrix product per chunk of the grid.  Each of these integrals is a grid
+mean on the grid that ``quadrature_size`` derives from the map and the
+orders involved.  Without the a_0 coordinate,
 I - Q^H M Q is a real 2N x 2N matrix R, inverted once; it serves both the
 invariant density and every zero-mean solve, whose outputs are Hermitian by
 construction.  An odd map has a real M, so R maps cosines to cosines and
@@ -29,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import (FourierSeries, as_integer, from_real_basis, grid_values, next_pow2,
-                      real_matrix_from_rows, to_real_basis)
+from .fourier import (FourierSeries, as_integer, baby_steps, block_length, from_real_basis,
+                      grid_values, next_pow2, real_matrix_from_rows, to_real_basis)
 from .maps import CircleMap
 
 CONDITION_LIMIT = 1e12
@@ -183,9 +185,16 @@ def apply_transfer(circle_map: CircleMap, w: FourierSeries,
     """Apply the transfer operator to a series, with no preimages.
 
     By duality, mode j of L w is the integral of w e^{-2 pi i j T}, the grid
-    mean of w z^j with the powers by running product, for 0 <= j <=
-    ``out_order`` (defaults to the input order); modes j < 0 follow by
-    conjugation.  Pointwise values through Newton preimages are
+    mean of w z^j, z = e^{-2 pi i T}, for 0 <= j <= ``out_order`` (defaults
+    to the input order); modes j < 0 follow by conjugation.  The J =
+    out_order + 1 moments are a baby-step/giant-step sum with R =
+    ``fourier.baby_steps(J)`` baby rows z^a and S = ceil(J/R) giant rows
+    w z^{Rb}: moment Rb + a is entry (b, a) of giant times baby transposed,
+    one real matrix product per chunk of the grid.  A chunk holds R + 2S
+    rows (the giant rows twice, for the real and imaginary parts) in at most
+    ASSEMBLY_BLOCK / 2 complex samples (256 KB): chunks of ASSEMBLY_BLOCK
+    were slower and raised the peak RSS of a run of small problems.
+    Pointwise values through Newton preimages are
     ``apply_transfer_pointwise``.
     """
     if not isinstance(w, FourierSeries):
@@ -193,13 +202,28 @@ def apply_transfer(circle_map: CircleMap, w: FourierSeries,
     if out_order is None:
         out_order = w.order
     size = quadrature_size(circle_map, out_order, w.order)
-    z = np.exp(-2j * np.pi * circle_map.grid_values(size))
-    acc = grid_values(w, size).astype(complex)
-    upper = np.empty(out_order + 1, dtype=complex)
-    for j in range(out_order + 1):
-        upper[j] = acc.sum()
-        acc *= z
-    upper /= size
+    lift = circle_map.grid_values(size)
+    weight = grid_values(w, size)
+    baby = baby_steps(out_order + 1)
+    giant = -(-(out_order + 1) // baby)
+    chunk = block_length(size, ASSEMBLY_BLOCK // 2 // (baby + 2 * giant))
+    moments = np.zeros((2 * giant, baby))  # Re, then Im, of moment Rb + a at (b, a)
+    for start in range(0, size, chunk):
+        z = np.exp(-2j * np.pi * lift[start:start + chunk])
+        powers = np.empty((baby, z.size), dtype=complex)
+        powers[0] = 1.0
+        for a in range(1, baby):
+            np.multiply(powers[a - 1], z, out=powers[a])
+        # Rows conj(w z^{Rb}) and i conj(w z^{Rb}), read as [Re, Im] per point,
+        # dot the baby rows [Re z^a, Im z^a] into Re and Im of w z^{Rb + a}.
+        steps = np.empty((2, giant, z.size), dtype=complex)
+        steps[0, 0] = weight[start:start + chunk]
+        stride = np.conj(powers[-1] * z)
+        for b in range(1, giant):
+            np.multiply(steps[0, b - 1], stride, out=steps[0, b])
+        np.multiply(steps[0], 1j, out=steps[1])
+        moments += steps.view(float).reshape(2 * giant, -1) @ powers.view(float).T
+    upper = (moments[:giant] + 1j * moments[giant:]).ravel()[:out_order + 1] / size
     return FourierSeries(np.concatenate((np.conj(upper[:0:-1]), upper)))
 
 

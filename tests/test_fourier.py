@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from linresp import (FourierSeries, SobolevWeights, antiderivative, constant, cosine, dft,
                      differentiate, grid_values, sine, sobolev_norm, sup_norm, zeros)
-from linresp.fourier import from_real_basis, real_matrix_from_rows, to_real_basis
+from linresp.fourier import (HORNER_BLOCK, from_real_basis, half_spectrum, real_horner,
+                             real_matrix_from_rows, to_real_basis)
 
 from conftest import conjugate_fill, multiply, random_series, real_basis_change
 
@@ -291,3 +294,68 @@ class TestRealBasis:
         for shape in ((9, 8), (7, 7)):
             with pytest.raises(ValueError, match="9x9"):
                 TransferMatrix(np.zeros(shape), 4, 64, wavy)
+
+
+def blocked_horner(rows, z):
+    """One Horner pass per block of HORNER_BLOCK points: the evaluation of short rows."""
+    out = np.empty((rows.shape[0], z.size))
+    for start in range(0, z.size, HORNER_BLOCK):
+        block = z[start:start + HORNER_BLOCK]
+        acc = np.repeat(rows[:, -1:], block.size, axis=1)
+        for k in range(rows.shape[1] - 2, -1, -1):
+            acc *= block
+            acc += rows[:, k:k + 1]
+        out[:, start:start + HORNER_BLOCK] = 2.0 * acc.real
+    return out
+
+
+class TestRealHorner:
+    """``real_horner``: baby-step/giant-step rows of 64 modes or more, Horner below."""
+
+    # Points y = k/2^16: e^{2 pi i n y} is the table entry n k mod 2^16, exact to rounding.
+    TURN = 1 << 16
+    TABLE = np.exp(2j * np.pi * np.arange(TURN) / TURN)
+
+    def rows_and_points(self, order, count, points):
+        rng = np.random.default_rng(1000 * order + 10 * count + points % 7)
+        series = [random_series(rng, order, decay=0.0) for _ in range(count)]
+        return series, rng.integers(-self.TURN, 2 * self.TURN, points)
+
+    def unit(self, k):
+        return self.TABLE[k % self.TURN]
+
+    @pytest.mark.parametrize("points", [1, 3, HORNER_BLOCK - 1, HORNER_BLOCK + 1])
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2, 40, 62, 63, 64, 65, 256, 768, 769, 1024])
+    def test_matches_direct_sum(self, order, count, points):
+        series, k = self.rows_and_points(order, count, points)
+        got = real_horner(half_spectrum(*series), self.unit(k))
+        for row, s in zip(got, series):
+            direct = np.full(k.size, s.coeff(0).real)
+            for n in range(1, order + 1):
+                e = self.unit(n * k)
+                direct += (s.coeff(n) * e).real + (s.coeff(-n) * np.conj(e)).real
+            assert np.max(np.abs(row - direct)) <= 1e-13 * np.sum(np.abs(s.coeffs))
+
+    @pytest.mark.parametrize("points", [3, HORNER_BLOCK + 1])
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2, 39, 62])
+    def test_short_rows_are_plain_horner(self, order, count, points):
+        # rows of fewer than 64 modes: the same operations in the same order
+        series, k = self.rows_and_points(order, count, points)
+        rows, z = half_spectrum(*series), self.unit(k)
+        assert np.array_equal(real_horner(rows, z), blocked_horner(rows, z))
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_long_row_memory(self, count):
+        # the powers, inner sums and accumulator of a 769-mode pass fit in the
+        # Horner accumulator of count x HORNER_BLOCK points
+        series, k = self.rows_and_points(768, count, 2 * HORNER_BLOCK)
+        rows, z = half_spectrum(*series), self.unit(k)
+        peaks = []
+        for evaluate in (blocked_horner, real_horner):
+            tracemalloc.start()
+            evaluate(rows, z)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0]

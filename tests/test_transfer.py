@@ -9,6 +9,7 @@ from linresp import (CircleMap, ResponseProblem, SobolevWeights, apply_transfer,
                      invariant_density, sine, solve_zero_mean, sup_norm, ulam_build, zeros)
 from linresp.control import minimal_norm_control
 from linresp import transfer
+from linresp.fourier import baby_steps
 from linresp.transfer import apply_transfer_pointwise, quadrature_size
 
 from conftest import (CircleDiffeo, build_conjugate, complex_entries, complex_restricted_solves,
@@ -105,6 +106,60 @@ class TestPreimageFreeTransfer:
         # the independent checks still use Newton preimages
         fixed_point_residual(wavy_problem.map, wavy_problem.density)
         assert calls
+
+
+def running_product_transfer(circle_map, w, out_order):
+    """apply_transfer one moment at a time: the grid mean of w z^j, z^j by running product."""
+    size = quadrature_size(circle_map, out_order, w.order)
+    z = np.exp(-2j * np.pi * circle_map.grid_values(size))
+    acc = grid_values(w, size).astype(complex)
+    upper = np.empty(out_order + 1, dtype=complex)
+    for j in range(out_order + 1):
+        upper[j] = acc.sum()
+        acc *= z
+    upper /= size
+    return np.concatenate((np.conj(upper[:0:-1]), upper))
+
+
+class TestTransferMoments:
+    """apply_transfer's baby-step/giant-step moments against the one-mode-at-a-time loop.
+
+    J = out_order + 1 moments take R = ceil(sqrt(J)) baby rows: J = 1 is
+    one moment, J = 16 and 256 are perfect squares, and the others leave
+    the last giant row short.
+    """
+
+    OUT_ORDERS = [0, 1, 2, 15, 16, 17, 96, 256, 512]
+
+    @pytest.mark.parametrize("out", OUT_ORDERS)
+    @pytest.mark.parametrize("name", ["wavy", "steep", "seeded-degree6"])
+    def test_matches_running_product(self, name, out):
+        circle_map = GALERKIN_MAPS[name]
+        w = random_series(np.random.default_rng(out), 48, decay=0.02)
+        got = apply_transfer(circle_map, w, out_order=out)
+        reference = running_product_transfer(circle_map, w, out)
+        assert np.max(np.abs(got.coeffs - reference)) <= 1e-13 * np.sum(np.abs(w.coeffs))
+
+    @pytest.mark.parametrize("out", [n for n in OUT_ORDERS if n >= 1])
+    def test_matches_galerkin_product(self, wavy, out):
+        # input order <= N: L w is M w in the Galerkin matrix of order N
+        w = random_series(np.random.default_rng(out + 1), min(out, 40), decay=0.02)
+        got = apply_transfer(wavy, w, out_order=out)
+        reference = complex_entries(galerkin_matrix(wavy, out)) @ w.with_order(out).coeffs
+        assert np.max(np.abs(got.coeffs - reference)) <= 1e-13 * np.sum(np.abs(w.coeffs))
+
+    @pytest.mark.parametrize("points", [1, 3, 100])
+    @pytest.mark.parametrize("out", [16, 96])
+    def test_chunk_boundaries(self, wavy, monkeypatch, points, out):
+        # chunks of 1, 3 and 100 grid points; the grids of 256 and 512 points
+        # leave the last chunk of 3 and of 100 points short
+        w = random_series(np.random.default_rng(67), 48, decay=0.02)
+        baby = baby_steps(out + 1)
+        rows = baby + 2 * -(-(out + 1) // baby)
+        monkeypatch.setattr(transfer, "ASSEMBLY_BLOCK", 2 * points * rows)
+        got = apply_transfer(wavy, w, out_order=out)
+        reference = running_product_transfer(wavy, w, out)
+        assert np.max(np.abs(got.coeffs - reference)) <= 1e-13 * np.sum(np.abs(w.coeffs))
 
 
 class TestGalerkinMatrix:
