@@ -2,7 +2,10 @@
 
 Subcommands: density, respond, control, verify.  Outputs are byte-stable
 for identical configs (fixed field order, 17-significant-digit floats) and
-every JSON result embeds the config hash and the solver residuals.
+every JSON result embeds the config hash and the solver residuals.  Every
+float is written as Python's ``'%.17g' % x`` writes it; CSV rows and JSON
+coefficient arrays go through one numpy kernel, ``_format.format_17g``,
+which hands the values it cannot settle to Python's ``%``, value by value.
 
 Exit codes: 0 success, 1 config error, 2 solver failure, 3 target not
 realizable at the requested truncation, 4 verification budget violation.
@@ -13,13 +16,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from ._format import format_17g
 from .control import (InfeasibleTargetError, minimal_norm_control, solve_control,
                       truncation_defect)
 from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, as_integer, as_real,
@@ -36,7 +40,9 @@ EXIT_VERIFY = 4
 
 VERIFY_BUDGET = 5e-2
 NEGLIGIBLE_RESPONSE = 1e-7
-CSV_BLOCK = 4096  # rows per format call
+# Rows per format_17g call, so that the kernel's temporaries (about 300
+# bytes per value, 1.2 MB a block) stay bounded however long the file is.
+CSV_BLOCK = 2048
 
 TWO_PI = 2.0 * np.pi
 CONFIG_KEYS = ("map", "N", "grid", "target", "epsilon", "weights", "verify")
@@ -68,14 +74,14 @@ def _is_float_pairs(obj) -> bool:
 def canonical_json(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, %.17g floats.
 
-    A coefficient array (``_is_float_pairs``) is written by one format call;
+    A coefficient array (``_is_float_pairs``) is written by ``format_17g``;
     it gives the same bytes as the recursive path.
     """
     if _is_float_pairs(obj):
-        flat = [value for pair in obj for value in pair]
-        if not all(map(math.isfinite, flat)):
+        pairs = np.fromiter(chain.from_iterable(obj), float, 2 * len(obj)).reshape(-1, 2)
+        if not np.isfinite(pairs).all():
             raise ValueError("non-finite value in output")
-        return "[" + ("[%.17g,%.17g]," * len(obj))[:-1] % tuple(flat) + "]"
+        return "[[" + format_17g(pairs, (b",", b"],[")).decode()[:-2] + "]"
     if isinstance(obj, dict):
         items = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}"
                          for k, v in obj.items())
@@ -205,14 +211,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: tuple[str, str], xs, values) -> None:
-    rows = np.column_stack((xs, values)).astype(float)
-    with path.open("w") as fh:
-        fh.write(f"{header[0]},{header[1]}\n")
-        # One format call per block: few float objects alive at once, so the
-        # small-object heap they borrow is reused rather than left to grow.
-        for start in range(0, len(rows), CSV_BLOCK):
-            block = rows[start:start + CSV_BLOCK]
-            fh.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
+    with path.open("wb") as fh:
+        fh.write(f"{header[0]},{header[1]}\n".encode())
+        for start in range(0, len(xs), CSV_BLOCK):
+            block = np.column_stack((xs[start:start + CSV_BLOCK],
+                                     values[start:start + CSV_BLOCK]))
+            fh.write(format_17g(block, (b",", b"\n")))
 
 
 def _series_csv(path: Path, series: FourierSeries, grid: int) -> None:
