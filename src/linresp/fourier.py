@@ -23,6 +23,7 @@ import numpy as np
 
 DEFAULT_ORDER = 64
 HORNER_BLOCK = 16384  # points per Horner block, and the temporaries of a row in complex values
+CHECK_GRID = 1024  # uniform points of the pointwise checks on a computed answer
 FLOAT_MAX = sys.float_info.max
 
 

@@ -15,8 +15,9 @@ perturbations of the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,20 +101,34 @@ def _solve_increasing(value, target, seed, lo, hi,
     return y
 
 
+class _Inversion(NamedTuple):
+    """``invert_lift``'s seed table, L(0), and the bounds on p of its Newton brackets."""
+
+    table: np.ndarray
+    lift0: float
+    p_lo: float
+    p_hi: float
+
+
 @dataclass(frozen=True, eq=False)
 class CircleMap:
     """Degree-d expanding circle map with lift L(x) = d*x + p(x).
 
     Construction verifies expansivity: min over a fine grid of d + p'(x)
-    must exceed 1 + 1e-9.
+    must exceed 1 + 1e-9; max T' on that grid sets the bandwidth of
+    e^{2 pi i j T}.  is_odd: T(-x) = -T(x), each coefficient of p has real
+    part exactly 0, so M is real and the constraint matrix purely imaginary.
     """
 
     degree: int
     periodic_part: FourierSeries
+    min_derivative: float = field(init=False, repr=False)
+    max_derivative: float = field(init=False, repr=False)
+    is_odd: bool = field(init=False, repr=False)
+    _inversion: _Inversion = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         d = as_integer("map degree", self.degree, 2)
-        object.__setattr__(self, "degree", d)
         size = _validation_size(self.periodic_part.order)
         deriv = d + grid_values(self._derivs[0], size)
         min_deriv = float(np.min(deriv))
@@ -122,30 +137,22 @@ class CircleMap:
                 f"min lift derivative {min_deriv:.6g} <= 1: map is not expanding")
         pvals = grid_values(self.periodic_part, size)
         pad = 1e-9 + 1e-3 * (float(np.max(pvals)) - float(np.min(pvals)))
-        object.__setattr__(self, "_min_deriv", min_deriv)
-        object.__setattr__(self, "_max_deriv", float(np.max(deriv)))
-        object.__setattr__(self, "_p_lo", float(np.min(pvals)) - pad)
-        object.__setattr__(self, "_p_hi", float(np.max(pvals)) + pad)
         t = d * (np.arange(size + 1) / size) + np.append(pvals, pvals[0])
         slope = 1.0 / np.append(deriv, deriv[0])
         h = np.diff(t)
-        object.__setattr__(self, "_inverse_table", np.stack(
-            (t[:-1], h, h * slope[:-1], h * slope[1:])))
-        object.__setattr__(self, "_lift0", float(self.periodic_part.evaluate(0.0)))
+        inversion = _Inversion(np.stack((t[:-1], h, h * slope[:-1], h * slope[1:])),
+                               float(self.periodic_part.evaluate(0.0)),
+                               float(np.min(pvals)) - pad, float(np.max(pvals)) + pad)
+        for name, value in (("degree", d), ("min_derivative", min_deriv),
+                            ("max_derivative", float(np.max(deriv))),
+                            ("is_odd", not np.any(self.periodic_part.coeffs.real)),
+                            ("_inversion", inversion)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def _derivs(self) -> tuple[FourierSeries, FourierSeries]:
         p1 = differentiate(self.periodic_part)
         return p1, differentiate(p1)
-
-    @property
-    def min_derivative(self) -> float:
-        return self._min_deriv
-
-    @property
-    def max_derivative(self) -> float:
-        """max T' on the validation grid; it sets the bandwidth of e^{2 pi i j T}."""
-        return self._max_deriv
 
     def lift(self, x):
         return self.degree * np.asarray(x, dtype=float) + self.periodic_part.evaluate(x)
@@ -205,13 +212,14 @@ class CircleMap:
         t = np.asarray(targets, dtype=float)
         tf = t.ravel()
         y = np.empty(tf.size)
+        table, lift0, p_lo, p_hi = self._inversion
         for start in range(0, tf.size, HORNER_BLOCK):
             block = tf[start:start + HORNER_BLOCK]
-            shift = np.floor((block - self._lift0) / self.degree)
+            shift = np.floor((block - lift0) / self.degree)
             base = block - self.degree * shift  # now within [L(0), L(0)+d)
-            seed = _interpolated_inverse(self._inverse_table, base)
-            lo = (base - self._p_hi) / self.degree
-            hi = (base - self._p_lo) / self.degree
+            seed = _interpolated_inverse(table, base)
+            lo = (base - p_hi) / self.degree
+            hi = (base - p_lo) / self.degree
             y[start:start + HORNER_BLOCK] = (
                 _solve_increasing(self._lift_value, base, seed, lo, hi) + shift)
         return float(y[0]) if t.ndim == 0 else y.reshape(t.shape)
@@ -224,7 +232,7 @@ class CircleMap:
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
         xf = np.mod(np.atleast_1d(xa).ravel(), 1.0)
-        kmin = np.ceil(self._lift0 - xf)  # first integer k with x + k >= L(0)
+        kmin = np.ceil(self._inversion.lift0 - xf)  # first integer k with x + k >= L(0)
         targets = xf[None, :] + kmin[None, :] + np.arange(self.degree)[:, None]
         y = self.invert_lift(targets.ravel()).reshape(self.degree, xf.size)
         if scalar:

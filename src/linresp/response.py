@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .fourier import (DEFAULT_ORDER, FourierSeries, dft, differentiate, grid_values,
-                      next_pow2, sup_norm)
+from .fourier import (CHECK_GRID, DEFAULT_ORDER, FourierSeries, dft, differentiate,
+                      grid_values, next_pow2, sup_norm)
 from .maps import CircleMap
 from .transfer import (TransferMatrix, apply_transfer, fixed_point_residual,
                        galerkin_matrix, invariant_density, solve_zero_mean)
@@ -33,16 +31,14 @@ class UnderResolvedError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ResponseProblem:
-    """A map and its Galerkin matrix; everything else follows from the matrix.
+    """A Galerkin matrix; the map, the order and everything else follow from it.
 
     density is the matrix's invariant density, galerkin_residual
     sup |M rho - rho| over its coefficients and pointwise_residual
-    sup |L rho - rho| on a 1024-point grid.  A matrix built from another map
-    (its degree or periodic coefficients differ) is a ValueError; a density
-    that fails the pointwise check (above 1e-9) raises UnderResolvedError.
+    sup |L rho - rho| on the ``CHECK_GRID`` points.  A density that fails the
+    pointwise check (above 1e-9) raises UnderResolvedError.
     """
 
-    map: CircleMap
     matrix: TransferMatrix = field(repr=False)
     density: FourierSeries = field(init=False)
     galerkin_residual: float = field(init=False)
@@ -51,14 +47,6 @@ class ResponseProblem:
     def __post_init__(self) -> None:
         if not isinstance(self.matrix, TransferMatrix):
             raise TypeError("matrix must be a TransferMatrix")
-        built = self.matrix.map
-        if built.degree != self.map.degree:
-            raise ValueError(f"matrix was built from a map of degree {built.degree}, "
-                             f"not {self.map.degree}")
-        order = max(built.periodic_part.order, self.map.periodic_part.order)
-        if not np.array_equal(built.periodic_part.with_order(order).coeffs,
-                              self.map.periodic_part.with_order(order).coeffs):
-            raise ValueError("matrix was built from a map with other periodic coefficients")
         rho = invariant_density(self.matrix)
         object.__setattr__(self, "density", rho)
         # the residual that invariant_density verified, not computed again
@@ -70,13 +58,17 @@ class ResponseProblem:
                 f"at truncation {self.order}; raise N")
 
     @property
+    def map(self) -> CircleMap:
+        return self.matrix.map
+
+    @property
     def order(self) -> int:
         return self.matrix.order
 
     @classmethod
     def for_map(cls, circle_map: CircleMap, order: int = DEFAULT_ORDER) -> "ResponseProblem":
         """The problem at an integer truncation ``order`` >= 1."""
-        return cls(circle_map, galerkin_matrix(circle_map, order))
+        return cls(galerkin_matrix(circle_map, order))
 
 
 def derivative_operator(problem: ResponseProblem, direction: FourierSeries,
@@ -100,7 +92,7 @@ def derivative_operator(problem: ResponseProblem, direction: FourierSeries,
     tpp = circle_map.grid_values(size, 2)
     combined = dft(-wv * epv / tp - ev * wpv / tp + ev * tpp * wv / tp**2, pad)
     alt = apply_transfer(circle_map, combined, out_order=order)
-    gap = sup_norm(result - alt, grid=1024)
+    gap = sup_norm(result - alt, grid=CHECK_GRID)
     if gap > CROSS_CHECK_TOL:
         raise RuntimeError(
             f"compact and three-term forms disagree by {gap:.3e} (> 1e-9)")

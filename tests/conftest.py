@@ -270,8 +270,8 @@ def reference_invert_lift(circle_map, targets):
     lift0 = circle_map.lift(0.0)
     shift = np.floor((t - lift0) / d)
     base = t - d * shift
-    lo = (base - circle_map._p_hi) / d
-    hi = (base - circle_map._p_lo) / d
+    lo = (base - circle_map._inversion.p_hi) / d
+    hi = (base - circle_map._inversion.p_lo) / d
     return _solve_increasing(lift_value, base, (base - lift0) / d, lo, hi) + shift
 
 

@@ -275,10 +275,10 @@ class TestRealBasis:
 
     def test_matrix_matches_explicit_change_of_basis(self, wavy):
         from linresp import galerkin_matrix
-        from linresp.transfer import _galerkin_rows
+        from linresp.transfer import _galerkin_rows, quadrature_size
         for order in (6, 64):
             matrix = galerkin_matrix(wavy, order)
-            rows = _galerkin_rows(wavy, order, order, matrix.quad_size)
+            rows = _galerkin_rows(wavy, order, order, quadrature_size(wavy, order, order))
             q = real_basis_change(order)
             np.testing.assert_allclose(q.conj().T @ q, np.eye(2 * order + 1), atol=1e-15)
             explicit = q.conj().T @ conjugate_fill(rows) @ q
@@ -290,10 +290,13 @@ class TestRealBasis:
         from linresp import TransferMatrix, galerkin_matrix
         real = galerkin_matrix(wavy, 4).real
         with pytest.raises(TypeError, match="complex"):
-            TransferMatrix(real.astype(complex), 4, 64, wavy)
-        for shape in ((9, 8), (7, 7)):
-            with pytest.raises(ValueError, match="9x9"):
-                TransferMatrix(np.zeros(shape), 4, 64, wavy)
+            TransferMatrix(real.astype(complex), wavy)
+        assert TransferMatrix(np.zeros((7, 7)), wavy).order == 3
+        # the order is (size - 1) / 2 of a square odd size >= 3: order 0 is
+        # refused, as galerkin_matrix refuses it
+        for shape in ((9, 8), (8, 8), (1, 1), (9,), (3, 3, 3)):
+            with pytest.raises(ValueError, match="square matrix of odd size >= 3"):
+                TransferMatrix(np.zeros(shape), wavy)
 
 
 def blocked_horner(rows, z):

@@ -363,8 +363,8 @@ class TestNewtonFallback:
     def test_bisection_meets_tolerance(self, newton_calls):
         steep = steep_map()
         base = steep.lift(0.0) + np.linspace(0.0, 5.0, 257)
-        lo = (base - steep._p_hi) / 5
-        hi = (base - steep._p_lo) / 5
+        lo = (base - steep._inversion.p_hi) / 5
+        hi = (base - steep._inversion.p_lo) / 5
         seed = (base - steep.lift(0.0)) / 5
         y = maps._solve_increasing(steep._lift_value, base, seed, lo, hi, maxit=1)
         assert newton_calls[-1][0] > 100  # the bisection sweeps ran
