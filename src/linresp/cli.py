@@ -18,7 +18,6 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -64,24 +63,16 @@ class ConfigError(ValueError):
     """The job configuration is malformed."""
 
 
-def _is_float_pairs(obj) -> bool:
-    """A non-empty list of [float, float] lists of exact type float: a coefficient array."""
-    return (type(obj) is list and len(obj) > 0
-            and all(type(p) is list and len(p) == 2 and type(p[0]) is float
-                    and type(p[1]) is float for p in obj))
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, %.17g floats.
 
-    A coefficient array (``_is_float_pairs``) is written by ``format_17g``;
-    it gives the same bytes as the recursive path.
+    A float array of pairs, such as a series' coefficients in ``to_dict``,
+    is written by one ``format_17g`` call, in the bytes of the nested lists.
     """
-    if _is_float_pairs(obj):
-        pairs = np.fromiter(chain.from_iterable(obj), float, 2 * len(obj)).reshape(-1, 2)
-        if not np.isfinite(pairs).all():
+    if isinstance(obj, np.ndarray):
+        if not np.isfinite(obj).all():
             raise ValueError("non-finite value in output")
-        return "[[" + format_17g(pairs, (b",", b"],[")).decode()[:-2] + "]"
+        return "[[" + format_17g(obj, (b",", b"],[")).decode()[:-2] + "]"
     if isinstance(obj, dict):
         items = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}"
                          for k, v in obj.items())
@@ -294,6 +285,12 @@ def cmd_verify(config: JobConfig, out: Path) -> int:
         raise ConfigError("verify needs a 'verify' block with delta and bins")
     if config.target is None:
         raise ConfigError("verify needs a 'target' entry")
+    settings = config.verify
+    # Bin averages alias modes above bins/2, as fourier.dft's samples do: with
+    # fewer bins a target can average to zero in every bin and pass vacuously.
+    if settings.bins < 2 * config.target.order + 1:
+        raise ConfigError(f"verify.bins {settings.bins} cannot resolve a target of order "
+                          f"{config.target.order}; use at least {2 * config.target.order + 1}")
     problem = ResponseProblem.for_map(config.map, config.order)
     if config.epsilon is not None:
         eps = config.epsilon
@@ -305,13 +302,11 @@ def cmd_verify(config: JobConfig, out: Path) -> int:
         source = "minimal_norm"
         solution_residual = solution.residual
     family = PerturbedFamily(config.map, eps)
-    settings = config.verify
-    # Ulam's oracle (degree 0) meets VERIFY_BUDGET with a wide margin; degree 2
-    # costs about 6x as much at 2^16 bins (0.68 s against 0.11 s per
-    # fd_response of the wavy map with the minimal-norm eps for "mix" at N=64,
-    # delta 1e-3: in-process medians, one BLAS thread, on a 2-vCPU host).
-    # Degree 0 inverts the bin edges in blocks and keeps two weights per segment.
-    binned = fd_response(family, settings.delta, settings.bins, degree=0)
+    # Ulam's method meets VERIFY_BUDGET with a wide margin (4.3e-4 on the wavy
+    # map at 2^16 bins); it inverts the bin edges in blocks and keeps two
+    # weights per segment.  Its first-order discretization error hides the
+    # O(delta^2) term, which the tests resolve with collocation_fd_response.
+    binned = fd_response(family, settings.delta, settings.bins)
     discrepancy = compare_l1(binned, config.target)
     passed = bool(discrepancy < VERIFY_BUDGET)
     payload = {

@@ -346,22 +346,6 @@ def kernel_directions(problem: ResponseProblem, order: int | None = None,
     return [from_real_basis(scale * v) for v in null[:count]]
 
 
-def minimal_norm_truncation_report(problem: ResponseProblem, target: FourierSeries,
-                                   weights: SobolevWeights = SobolevWeights(),
-                                   order: int | None = None) -> dict:
-    """Minimal norms at truncations N = ``order`` and 2N, and their difference.
-
-    Two ``minimal_norm_control`` solves, each with its own assembly.  To
-    check an order-N answer at 2N without a second solve, see
-    ``truncation_defect``.
-    """
-    order = as_integer("order", problem.order if order is None else order, 1)
-    low, high = (minimal_norm_control(problem, target, weights, k).norm
-                 for k in (order, 2 * order))
-    return {"order": order, "norm": low, "order_doubled": 2 * order, "norm_doubled": high,
-            "difference": abs(high - low)}
-
-
 def truncation_defect(problem: ResponseProblem, target: FourierSeries, eps: FourierSeries,
                       order: int) -> FourierSeries:
     """The defect A eps - r at modes |j| <= ``order`` (an integer >= 1), assembling no A.

@@ -191,8 +191,8 @@ class FourierSeries:
         return self * (1.0 / _real_scalar(scalar))
 
     def to_dict(self) -> dict:
-        return {"N": self.order,
-                "coeffs": np.column_stack((self.coeffs.real, self.coeffs.imag)).tolist()}
+        """N and the (2N+1, 2) float array of (real, imaginary) pairs, for ``canonical_json``."""
+        return {"N": self.order, "coeffs": np.column_stack((self.coeffs.real, self.coeffs.imag))}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FourierSeries":

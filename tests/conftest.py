@@ -275,16 +275,14 @@ def reference_invert_lift(circle_map, targets):
     return _solve_increasing(lift_value, base, (base - lift0) / d, lo, hi) + shift
 
 
-def dense_ulam_matrix(circle_map, bins, degree):
-    """The oracle's matrix, dense, from (row, column, value) triplets: the reference.
+def dense_ulam_matrix(circle_map, bins):
+    """Ulam's matrix, dense, from (row, column, value) triplets: the reference.
 
     Pieces are the preimages of the image bins, each cut at a source-bin edge,
-    concatenated into one list and integrated by Gauss-Legendre quadrature;
+    concatenated into one list; a piece's entry is its length times bins, and
     np.add.at sums the entries of pieces that share a row and column.  Meant
     for bins <= 1024.
     """
-    from numpy.polynomial import legendre
-
     d = circle_map.degree
     start = float(circle_map.lift(0.0))
     lo = int(np.ceil(start * bins - 1e-9))
@@ -302,25 +300,11 @@ def dense_ulam_matrix(circle_map, bins, degree):
     edge = (j0 + 1) / bins
     first = np.minimum(y_hi, edge) - y_lo
     whole, cut = first > 0.0, y_hi > edge
-    piece_lo = np.concatenate((y_lo[whole], edge[cut]))
     length = np.concatenate((first[whole], (y_hi - edge)[cut]))
     source = np.concatenate((j0[whole], j0[cut] + 1))
     image_edge = np.concatenate((image_edge[whole], image_edge[cut]))
-
-    size = degree + 1
-    local = np.arange(size)
-    vals = np.zeros((length.size, size, size))
-    for node, weight in zip(*legendre.leggauss(size)):
-        y_node = piece_lo + 0.5 * length * (node + 1.0)
-        source_basis = legendre.legvander(2.0 * (y_node * bins - source) - 1.0, degree)
-        eta = 2.0 * (circle_map.lift(y_node) * bins - image_edge) - 1.0
-        image_basis = legendre.legvander(eta, degree)
-        vals += 0.5 * weight * image_basis[:, :, None] * source_basis[:, None, :]
-    vals *= ((2 * local + 1) * bins)[:, None] * length[:, None, None]
-    rows = ((image_edge % bins)[:, None, None] * size + local[:, None]).repeat(size, axis=2)
-    cols = (source[:, None, None] * size + local).repeat(size, axis=1)
-    dense = np.zeros((bins * size, bins * size))
-    np.add.at(dense, (rows.ravel(), cols.ravel()), vals.ravel())
+    dense = np.zeros((bins, bins))
+    np.add.at(dense, (image_edge % bins, source), length * bins)
     return dense
 
 

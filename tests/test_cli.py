@@ -26,7 +26,7 @@ def write_config(tmp_path, name="job.json", **entries):
     cfg = {"map": DOUBLING, "N": 64}
     cfg.update(entries)
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg, default=np.ndarray.tolist))  # to_dict holds arrays
     return path
 
 
@@ -132,17 +132,19 @@ class TestConfig:
         series = FourierSeries(parts[0] + 1j * parts[1])
         data = series.to_dict()
         pairs = [[float(c.real), float(c.imag)] for c in series.coeffs]
-        assert data["coeffs"] == pairs
-        assert all(type(v) is float for pair in data["coeffs"] for v in pair)
+        assert data["coeffs"].dtype == float and data["coeffs"].tolist() == pairs
         recursive = "[" + ",".join(f"[{format(re, '.17g')},{format(im, '.17g')}]"
                                    for re, im in pairs) + "]"
         assert canonical_json(data) == '{"N":1024,"coeffs":' + recursive + "}"
         assert canonical_json(data["coeffs"]) == recursive
+        assert canonical_json(pairs) == recursive
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_coefficient_arrays_refuse_non_finite(self, value):
         with pytest.raises(ValueError, match="non-finite value in output"):
             canonical_json({"coeffs": [[0.5, 0.0], [0.25, value]]})
+        with pytest.raises(ValueError, match="non-finite value in output"):
+            canonical_json({"coeffs": np.array([[0.5, 0.0], [0.25, value]])})
 
     @pytest.mark.parametrize("obj, text", [
         ([], "[]"),
@@ -543,9 +545,13 @@ class TestVerify:
         assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
 
     def test_cli_uses_degree_zero_oracle(self, tmp_path):
+        # verify writes Ulam's discrepancy (2.6e-2 at 1024 bins); on the wavy
+        # map the collocation reference of the same central difference sits
+        # at 2.3e-4, so the two oracles cannot be mistaken for each other.
         from linresp import (PerturbedFamily, ResponseProblem, compare_l1,
                              fd_response, minimal_norm_control)
-        path = write_config(tmp_path, target="sin",
+        from linresp.verify import collocation_fd_response
+        path = write_config(tmp_path, map=WAVY, target="sin",
                             weights={"a": 0.5, "b": 0.0, "c": 0.0, "d": 1.0},
                             verify={"delta": 1e-3, "bins": 1024})
         out = tmp_path / "out"
@@ -555,11 +561,26 @@ class TestVerify:
         problem = ResponseProblem.for_map(config.map, config.order)
         eps = minimal_norm_control(problem, config.target, config.weights).epsilon
         family = PerturbedFamily(config.map, eps)
-        expected = {degree: compare_l1(fd_response(family, 1e-3, 1024, degree=degree),
-                                       config.target)
-                    for degree in (0, 2)}
-        assert expected[0] != expected[2]
-        assert payload["l1_discrepancy"] == expected[0]
+        assert payload["l1_discrepancy"] == compare_l1(fd_response(family, 1e-3, 1024),
+                                                       config.target)
+        nodes = np.arange(65) / 65
+        reference = float(np.mean(np.abs(collocation_fd_response(family, 1e-3, 65)
+                                         - config.target.evaluate(nodes))))
+        assert reference < 0.05 * payload["l1_discrepancy"]
+
+    @pytest.mark.parametrize("bins, refused", [(2, True), (4, True), (6, True), (7, False)])
+    def test_bins_must_resolve_the_target(self, tmp_path, capsys, bins, refused):
+        # mix = cos 2 pi x + 0.5 cos 6 pi x averages to zero in each of 2 bins,
+        # and modes 1 and 3 alias at 4 and 6: refused before any Ulam build.
+        # 7 bins resolve mode 3; the coarse Ulam answer then fails the budget.
+        path = write_config(tmp_path, target="mix", verify={"delta": 1e-3, "bins": bins})
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == (cli.EXIT_CONFIG if refused else cli.EXIT_VERIFY)
+        assert err.startswith("config error:") == refused
+        assert ("at least 7" in err) == refused
+        assert (out / "verify.json").exists() != refused
 
     def test_missing_verify_block(self, tmp_path):
         path = write_config(tmp_path, target="sin")

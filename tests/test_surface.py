@@ -14,17 +14,19 @@ EXPORTS = [
     "dft", "differentiate", "doubling_map", "exact_control", "exact_forward",
     "fd_response", "fixed_point_residual", "forward_response",
     "galerkin_matrix", "grid_values", "invariant_density", "kernel_directions",
-    "minimal_norm_control", "minimal_norm_truncation_report", "next_pow2",
+    "minimal_norm_control", "next_pow2",
     "sine", "sobolev_norm", "solve_control", "solve_zero_mean", "step1_g",
     "step2_epsilon", "sup_norm", "ulam_build", "zeros",
 ]
 
 # Test-only helpers moved to tests/conftest.py or deleted, the second
-# uniform-grid route (grid_values is the only one), and the oddness rule
-# that is now CircleMap.is_odd.
+# uniform-grid route (grid_values is the only one), the oddness rule
+# that is now CircleMap.is_odd, and the N/2N norm report that
+# truncation_defect replaced.
 REMOVED = ["CircleDiffeo", "build_conjugate", "transfer_conjugacy_check",
            "finite_difference_response_check", "multiply", "weighted_inner_product",
-           "l1_norm", "l2_norm", "GridFunction", "idft", "_is_odd"]
+           "l1_norm", "l2_norm", "GridFunction", "idft", "_is_odd",
+           "minimal_norm_truncation_report"]
 
 
 def test_every_exported_name_resolves():
@@ -43,7 +45,7 @@ def test_star_import():
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 46
+    assert len(EXPORTS) == 45
     assert sorted(linresp.__all__) == sorted(EXPORTS)
 
 

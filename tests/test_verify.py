@@ -11,8 +11,10 @@ import pytest
 import linresp
 
 from conftest import dense_ulam_matrix, seeded_maps, steep_map
-from linresp import (CircleMap, PerturbedFamily, bin_averages, compare_l1, constant, cosine,
-                     doubling_map, fd_response, sine, ulam_build, zeros)
+from linresp import (CircleMap, PerturbedFamily, ResponseProblem, UnderResolvedError,
+                     bin_averages, compare_l1, constant, cosine, doubling_map, exact_forward,
+                     fd_response, forward_response, sine, ulam_build, zeros)
+from linresp.verify import collocation_density, collocation_fd_response
 
 TWO_PI = 2 * np.pi
 
@@ -56,26 +58,6 @@ class TestUlamBuild:
         assert 0.35 < errors[13] / errors[12] < 0.65
         assert 0.35 < errors[14] / errors[13] < 0.65
 
-    def test_degree_two_matches_spectral_density(self, wavy, wavy_problem):
-        bins = 2**12
-        model = ulam_build(wavy, bins, degree=2)
-        v = model.stationary
-        assert v.shape == (bins,)
-        assert np.all(v > 0)
-        assert v.sum() == pytest.approx(bins, rel=1e-12)
-        assert compare_l1(v, wavy_problem.density) < 1e-9
-
-    def test_degree_two_moment_layout(self, wavy):
-        # P_0 rows of a P_0 column carry unit mass, of a P_q column (q > 0) none
-        bins = 2**10
-        model = ulam_build(wavy, bins, degree=2)
-        assert model.matrix.shape == (3 * bins, 3 * bins)
-        p0 = np.zeros(3 * bins)
-        p0[::3] = 1.0
-        mass = (p0 @ model.matrix).reshape(bins, 3)
-        assert np.max(np.abs(mass[:, 0] - 1.0)) < 1e-12
-        assert np.max(np.abs(mass[:, 1:])) < 1e-12
-
     def test_rejects_single_bin(self, doubling):
         with pytest.raises(ValueError):
             ulam_build(doubling, 1)
@@ -85,10 +67,6 @@ class TestUlamBuild:
         with pytest.raises(ValueError, match="bins must be an integer"):
             ulam_build(doubling, bins)
 
-    def test_rejects_negative_degree(self, doubling):
-        with pytest.raises(ValueError):
-            ulam_build(doubling, 4, degree=-1)
-
     def test_degree_zero_memory(self, perturbed_wavy):
         # The verify-bins64k build: the 2^17 + 1 edges are inverted in blocks
         # and the operator is written in place.  Measured at 7.3 MB (13.6 MB
@@ -96,7 +74,7 @@ class TestUlamBuild:
         # the bound leaves one more 2^17-point float array, 1.05 MB.
         tracemalloc.start()
         try:
-            ulam_build(perturbed_wavy, 2**16, 0)
+            ulam_build(perturbed_wavy, 2**16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -123,20 +101,21 @@ ORACLE_MAPS = {
 
 class TestTransitionOperator:
     @pytest.mark.parametrize("bins", [256, 300])
-    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
-    def test_products_match_dense_reference(self, name, degree, bins):
+    def test_products_match_dense_reference(self, name, seed, bins):
+        # seed draws the operand: three random vectors per map and bin count
         circle_map = ORACLE_MAPS[name]
-        matrix = ulam_build(circle_map, bins, degree).matrix
-        dense = dense_ulam_matrix(circle_map, bins, degree)
+        matrix = ulam_build(circle_map, bins).matrix
+        dense = dense_ulam_matrix(circle_map, bins)
         assert matrix.shape == dense.shape
-        v = np.random.default_rng(degree).uniform(-1.0, 1.0, dense.shape[0])
+        v = np.random.default_rng(seed).uniform(-1.0, 1.0, dense.shape[0])
         np.testing.assert_allclose(matrix @ v, dense @ v, rtol=0, atol=1e-14)
         np.testing.assert_allclose(v @ matrix, v @ dense, rtol=0, atol=1e-14)
 
     def test_refuses_operand_of_wrong_size(self, wavy):
-        matrix = ulam_build(wavy, 16, degree=1).matrix
-        for operand in (np.ones(16), np.ones((32, 2))):
+        matrix = ulam_build(wavy, 16).matrix
+        for operand in (np.ones(32), np.ones((16, 2))):
             with pytest.raises(ValueError, match="expected"):
                 matrix @ operand
             with pytest.raises(ValueError, match="expected"):
@@ -176,6 +155,71 @@ class TestFdResponse:
             fd_response(family, delta, 2**10)
 
 
+@pytest.fixture(scope="module")
+def galerkin_128(wavy):
+    """Galerkin problems at N=128, the reference the collocation density must meet."""
+    return {"wavy": ResponseProblem.for_map(wavy, 128),
+            "steep": ResponseProblem.for_map(steep_map(), 128)}
+
+
+class TestCollocation:
+    """The spectral collocation reference: density and central-difference response."""
+
+    def test_doubling_density_is_one(self, doubling):
+        assert np.max(np.abs(collocation_density(doubling, 33) - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("name, points", [("wavy", 65), ("steep", 257)])
+    def test_density_matches_galerkin(self, galerkin_128, name, points):
+        problem = galerkin_128[name]
+        rho = collocation_density(problem.map, points)
+        nodes = np.arange(points) / points
+        assert np.max(np.abs(rho - problem.density.evaluate(nodes))) < 1e-12
+
+    def test_refuses_too_few_points(self):
+        # steep at M = 129: midpoint residual 2.1e-9 against the 1e-9 gate
+        with pytest.raises(UnderResolvedError, match="midpoint residual"):
+            collocation_density(steep_map(), 129)
+
+    @pytest.mark.parametrize("points", [1, 2, 4, 64, 2.5, True])
+    def test_refuses_even_or_fewer_than_three_points(self, doubling, points):
+        with pytest.raises(ValueError, match="collocation points must be"):
+            collocation_density(doubling, points)
+
+    @pytest.mark.parametrize("name", ["wavy", "steep"])
+    def test_central_difference_is_second_order(self, galerkin_128, name):
+        problem = galerkin_128[name]
+        eps = cosine(1, 0.05) + sine(2, 0.02)
+        family = PerturbedFamily(problem.map, eps)
+        nodes = np.arange(257) / 257
+        exact = forward_response(problem, eps).evaluate(nodes)
+        coarse, fine = (collocation_fd_response(family, h, 257) for h in (1e-3, 5e-4))
+        ratio = np.max(np.abs(coarse - exact)) / np.max(np.abs(fine - exact))
+        assert 3.9 <= ratio <= 4.1
+        assert np.max(np.abs((4.0 * fine - coarse) / 3.0 - exact)) < 1e-9
+
+    def test_doubling_richardson_matches_exact_forward(self, doubling):
+        eps = cosine(2, 1 / TWO_PI) + sine(3, 0.01)
+        family = PerturbedFamily(doubling, eps)
+        coarse, fine = (collocation_fd_response(family, h, 65) for h in (1e-3, 5e-4))
+        exact = exact_forward(eps).evaluate(np.arange(65) / 65)
+        assert np.max(np.abs((4.0 * fine - coarse) / 3.0 - exact)) < 1e-10
+
+    def test_zero_direction(self, wavy):
+        family = PerturbedFamily(wavy, zeros(1))
+        assert np.max(np.abs(collocation_fd_response(family, 1e-3, 65))) == 0.0
+
+    def test_odd_in_direction(self, doubling):
+        plus = collocation_fd_response(PerturbedFamily(doubling, cosine(2, 0.01)), 1e-3, 33)
+        minus = collocation_fd_response(PerturbedFamily(doubling, cosine(2, -0.01)), 1e-3, 33)
+        assert np.max(np.abs(plus + minus)) < 1e-10
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, float("nan")])
+    def test_refuses_non_positive_step(self, doubling, delta):
+        family = PerturbedFamily(doubling, cosine(2, 0.01))
+        with pytest.raises(ValueError, match="delta must be positive"):
+            collocation_fd_response(family, delta, 33)
+
+
 class TestCompareL1:
     def test_identical_data(self):
         values = bin_averages(constant(1.0) + sine(1, 0.2), 64)
@@ -208,8 +252,8 @@ class TestCompareL1:
 
 
 def test_package_import_leaves_scipy_sparse_unloaded(tmp_path):
-    # linresp needs no scipy, the oracle included, and only an oracle of
-    # degree > 0 loads numpy.polynomial.
+    # linresp needs neither scipy nor numpy.polynomial, on import or in a
+    # verify run, the Ulam oracle included.
     src = str(Path(linresp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -219,13 +263,15 @@ def test_package_import_leaves_scipy_sparse_unloaded(tmp_path):
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
 
-    wavy = {"degree": 2, "periodic_part": sine(1, 0.1).to_dict()}
+    wavy = {"degree": 2, "periodic_part": {"N": 1, "coeffs": [[0.0, 0.05], [0.0, 0.0],
+                                                               [0.0, -0.05]]}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"map": wavy, "N": 16, "target": "mix",
                                   "verify": {"delta": 1e-3, "bins": 1024}}))
     run = ("import sys; from linresp.cli import main; "
            "code = main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]); "
-           "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+           "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+           " or m.startswith('numpy.polynomial')))")
     result = subprocess.run([sys.executable, "-c", run, str(config), str(tmp_path / "out")],
                             env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip().splitlines()[-1] == "0 []"
