@@ -3,14 +3,15 @@
 Ulam's matrix[a, b] is the fraction of bin b that the map sends into bin a,
 from exact interval-image intersections of the monotone branches (no
 sampling), so it is column-stochastic.  It is stored as the preimage
-segments of the image bins, two weights and two source bins per segment,
-and a product is two 1-D gathers or two ``bincount`` calls.  ``linresp
-verify`` checks the spectral solvers against central differences of its
-stationary bin averages.  Its first-order error in the bin width hides the
-O(delta^2) term of a central difference; the collocation reference,
-trigonometric collocation on M = 2K+1 equispaced points, resolves it and
-meets the Galerkin density to about 1e-13 on smooth maps.  Both share only
-the map's lift and its Newton inversion with the spectral path.
+segments of the image bins, two weights and one source bin per segment
+(the second weight's bin is the next one), and a product works through
+fixed-size blocks of segments.  ``linresp verify`` checks the spectral
+solvers against central differences of its stationary bin averages.  Its
+first-order error in the bin width hides the O(delta^2) term of a central
+difference; the collocation reference, trigonometric collocation on
+M = 2K+1 equispaced points, resolves it and meets the Galerkin density to
+about 1e-13 on smooth maps.  Both share only the map's lift and its Newton
+inversion with the spectral path.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .response import CROSS_CHECK_TOL, UnderResolvedError
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAXIT = 20_000
+# Segments per block of a product: no temporary of ``M @ v`` or ``v @ M``
+# is longer, whatever the bin count.
+PRODUCT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +36,12 @@ class TransitionOperator:
     """Ulam's transition matrix, stored by preimage segment.
 
     Segment s is the preimage of image bin (first + s) mod ``bins``, with
-    0 <= first < bins.  Its slot c (0 or 1) is its part in source bin
-    ``source[c, s]``, and ``weights[c, s]`` is the fraction of that source
-    bin it covers.  ``M @ v`` and ``v @ M`` are the products with the
-    ``bins`` x ``bins`` matrix.
+    0 <= first < bins.  Its slot 0 is its part in source bin ``source[s]``
+    and its slot 1 its part in the next bin, ``source[s] + 1``.
+    ``weights[c, s]`` is the fraction of that source bin that slot c
+    covers; it is exactly 0 where ``source[s] + 1`` would be ``bins``.  The
+    preimages rise with s, so ``source`` does not decrease.  ``M @ v`` and
+    ``v @ M`` are the products with the ``bins`` x ``bins`` matrix.
     """
 
     bins: int
@@ -55,33 +61,49 @@ class TransitionOperator:
             raise ValueError(f"operand of shape {v.shape}; expected {self.shape[:1]}")
         return v
 
-    def _runs(self):
+    def _blocks(self):
         """(segments, image bins) slice pairs that fold the segments mod bins.
 
         The segments' image bins are consecutive, so each run of at most
-        ``bins`` segments maps onto one slice of image bins.
+        ``bins`` segments maps onto one slice of image bins.  Runs are cut
+        into blocks of at most ``PRODUCT_BLOCK`` segments.
         """
-        segments = self.source.shape[1]
+        segments = self.source.size
         for start in range(-self.first, segments, self.bins):
-            yield (slice(max(start, 0), min(start + self.bins, segments)),
-                   slice(max(-start, 0), min(self.bins, segments - start)))
+            stop = min(start + self.bins, segments)
+            for lo in range(max(start, 0), stop, PRODUCT_BLOCK):
+                hi = min(lo + PRODUCT_BLOCK, stop)
+                yield slice(lo, hi), slice(lo - start, hi - start)
 
     def __matmul__(self, v) -> np.ndarray:
-        row, (w0, w1), (s0, s1) = self._operand(v), self.weights, self.source
-        images = w0 * row[s0] + w1 * row[s1]
-        out = np.zeros(self.bins)
-        for part, image_bins in self._runs():
-            out[image_bins] += images[part]
+        v, (w0, w1) = self._operand(v), self.weights
+        # Slot 1 gathers from v shifted by one bin; the zero weights past the
+        # last bin meet the 0 appended there.
+        following, out = np.append(v[1:], 0.0), np.zeros(self.bins)
+        for part, image_bins in self._blocks():
+            source = self.source[part]
+            images = w0[part] * v[source]
+            images += w1[part] * following[source]
+            out[image_bins] += images
         return out
 
     def __rmatmul__(self, v) -> np.ndarray:
-        values, image = self._operand(v), np.empty(self.source.shape[1])
-        for part, image_bins in self._runs():
-            image[part] = values[image_bins]
-        (w0, w1), (s0, s1) = self.weights, self.source
-        second = np.bincount(s1, w1 * image, self.bins)
-        image *= w0
-        return np.bincount(s0, image, self.bins) + second
+        values, source, (w0, w1) = self._operand(v), self.source, self.weights
+        out, lo = np.zeros(self.bins + 1), 0
+        while lo < source.size:
+            # A source bin's segments are consecutive, and one block holds
+            # them all, so each bin is summed in segment order by one
+            # bincount, as over all segments at once.
+            hi = min(lo + PRODUCT_BLOCK, source.size)
+            while lo + 1 < hi < source.size and source[hi - 1] == source[hi]:
+                hi -= 1
+            image = values.take(np.arange(lo, hi) + self.first, mode="wrap")
+            base, local = int(source[lo]), source[lo:hi] - source[lo]
+            for shift, weights in ((0, w0), (1, w1)):  # slot 1 is in the next bin
+                sums = np.bincount(local, weights[lo:hi] * image)
+                out[base + shift:base + shift + sums.size] += sums
+            lo = hi
+        return out[:-1]  # slot 1's zero weights past the last bin
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +132,8 @@ def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, i
     Segment s is the preimage on [0, 1] of image bin ``first`` + s on the
     lift.  Since min T' > 1 it is shorter than a bin, so it has two slots:
     its part in source bin j0 and its part in j0 + 1, of length zero when the
-    segment is not cut.  Returns the slots' lengths and source bins, each of
-    shape (2, segments), and ``first``.
+    segment is not cut.  Returns the slots' lengths, of shape (2, segments),
+    the source bins j0 and ``first``.
     """
     d = circle_map.degree
     start = float(circle_map.lift(0.0))
@@ -122,22 +144,24 @@ def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, i
         targets = np.concatenate(([start], targets))
     if targets[-1] < start + d - 1e-15:
         targets = np.concatenate((targets, [start + d]))
+    first = int(np.floor(0.5 * (targets[0] + targets[1]) * bins))
     y = circle_map.invert_lift(targets)
+    del targets
     # L(0) = start and L(1) = start + d hold identically; pin the endpoints
     # so the preimage segments tile [0, 1] exactly and columns sum to one.
     y[0], y[-1] = 0.0, 1.0
 
-    # Written in place, with no stacked copies: the cut at the source-bin
-    # edge sits in the second slot's length until that length replaces it.
+    # Written in place, with no copies of the segment arrays: slot 0's length
+    # holds y_lo * bins until the source row is cut from it, and slot 1's
+    # holds the source-bin edge until that length replaces it.
     y_lo, y_hi = y[:-1], y[1:]
-    first = int(np.floor(0.5 * (targets[0] + targets[1]) * bins))
-    source = np.empty((2, y_lo.size), dtype=int)
-    np.minimum((y_lo * bins).astype(int), bins - 1, out=source[0])
-    np.add(source[0], 1, out=source[1])
-    length = np.empty(source.shape)
-    cut = np.divide(source[1], bins, out=length[1])
+    length = np.empty((2, y_lo.size))
+    source = np.empty(y_lo.size, dtype=np.int64)
+    source[:] = np.multiply(y_lo, bins, out=length[0])
+    np.minimum(source, bins - 1, out=source)
+    cut = np.add(source, 1.0, out=length[1])
+    cut /= bins
     np.minimum(y_hi, cut, out=cut)
-    np.minimum(source[1], bins - 1, out=source[1])
     np.subtract(cut, y_lo, out=length[0])
     np.subtract(y_hi, cut, out=length[1])
     return length, source, first
@@ -146,19 +170,23 @@ def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, i
 def _transition_matrix(circle_map: CircleMap, bins: int) -> TransitionOperator:
     length, source, first = _pieces(circle_map, bins)
     # The fraction of source bin b in a slot is its length times bins.
-    matrix = TransitionOperator(bins, first % bins, source,
-                                np.multiply(length, bins, out=length))
-    col_defect = float(np.max(np.abs(np.ones(bins) @ matrix - 1.0)))
+    weights = np.multiply(length, bins, out=length)
+    # Column sums: slot 0 adds to its source bin, slot 1 to the next one.
+    sums = np.bincount(source, weights[0], bins + 1)
+    sums[1:] += np.bincount(source, weights[1], bins)
+    col_defect = float(np.max(np.abs(sums[:-1] - 1.0)))
     if col_defect > 1e-12:
         raise RuntimeError(f"column sums off by {col_defect:.3e}; bad branch cover")
-    return matrix
+    return TransitionOperator(bins, first % bins, source, weights)
 
 
 def _stationary_vector(matrix: TransitionOperator) -> np.ndarray:
     v = np.ones(matrix.bins)
     for _ in range(STATIONARY_MAXIT):
         nxt = matrix @ v
-        residual = float(np.mean(np.abs(nxt - v)))
+        # |v - nxt| in v's own storage: the same values as |nxt - v|
+        np.abs(np.subtract(v, nxt, out=v), out=v)
+        residual = float(np.mean(v))
         v = nxt
         if residual < 0.1 * STATIONARY_TOL:
             break
@@ -166,7 +194,9 @@ def _stationary_vector(matrix: TransitionOperator) -> np.ndarray:
         raise RuntimeError("stationary iteration did not converge")
     np.maximum(v, 0.0, out=v)
     v *= matrix.bins / v.sum()
-    final = float(np.mean(np.abs(matrix @ v - v)))
+    change = matrix @ v
+    change -= v
+    final = float(np.mean(np.abs(change, out=change)))
     if final > STATIONARY_TOL:
         raise RuntimeError(f"stationary residual {final:.3e} > {STATIONARY_TOL:.0e}")
     return v

@@ -37,17 +37,23 @@ def wavy_problem(wavy):
 
 
 @pytest.fixture(scope="session")
-def perturbed_wavy(wavy_problem):
-    """The wavy map perturbed by an order-64 minimal-norm control, as ``linresp verify`` runs it.
+def wavy_family(wavy_problem):
+    """The wavy map along an order-64 minimal-norm control, as ``linresp verify`` runs it.
 
-    This is the plus member of the verify-bins64k benchmark config: target
-    mix, weights a=0.5, d=1 and delta 1e-3.
+    This is the family of the verify-bins64k benchmark config: target mix
+    and weights a=0.5, d=1.
     """
     from linresp import SobolevWeights, minimal_norm_control
 
     target = cosine(1) + cosine(3, 0.5)
     eps = minimal_norm_control(wavy_problem, target, SobolevWeights(a=0.5, d=1.0)).epsilon
-    return PerturbedFamily(wavy_problem.map, eps).member(1e-3)
+    return PerturbedFamily(wavy_problem.map, eps)
+
+
+@pytest.fixture(scope="session")
+def perturbed_wavy(wavy_family):
+    """The plus member of the verify-bins64k benchmark config, at delta 1e-3."""
+    return wavy_family.member(1e-3)
 
 
 def random_series(rng, order, decay=0.5, zero_mean=False):
@@ -306,6 +312,23 @@ def dense_ulam_matrix(circle_map, bins):
     dense = np.zeros((bins, bins))
     np.add.at(dense, (image_edge % bins, source), length * bins)
     return dense
+
+
+def ulam_products(matrix, v):
+    """(M @ v, v @ M) from a ``TransitionOperator``'s own arrays, in one pass each: the reference.
+
+    Slot 1 of segment s sits in source bin min(source[s] + 1, bins - 1),
+    where its weight is 0 past the last bin, and segment s images into bin
+    (first + s) mod bins; np.add.at folds the segments in order.
+    """
+    bins, source = matrix.bins, matrix.source
+    (w0, w1), following = matrix.weights, np.minimum(source + 1, bins - 1)
+    image_bins = (matrix.first + np.arange(source.size)) % bins
+    forward = np.zeros(bins)
+    np.add.at(forward, image_bins, w0 * v[source] + w1 * v[following])
+    image = v[image_bins]
+    backward = np.bincount(source, w0 * image, bins) + np.bincount(following, w1 * image, bins)
+    return forward, backward
 
 
 def multiply(f, g):

@@ -626,3 +626,44 @@ class TestSobolevRefusal:
     def test_sobolev_weights_realize_the_target(self, steep_problem, name):
         sol = minimal_norm_control(steep_problem, REFUSED_TARGETS[name], BLOCK_WEIGHTS)
         assert sol.residual < FEASIBILITY_TOL
+
+
+SCALED_MIX = cosine(1) + cosine(3, 0.5)
+
+
+class TestScaledLinearProblems:
+    """Absolute gates refuse a linear problem whose data are scaled by 1e5.
+
+    On the wavy map at N=64 each call succeeds at scale 1 and 1e4 and
+    returns the scale times its unit answer.  At 1e5 the rounding error,
+    which grows with the data, crosses a fixed tolerance: forward_response's
+    compact and three-term forms disagree by 5.5e-9 (gate 1e-9),
+    solve_control's step-1 defect is 3.9e-9 (gate 1e-9), and
+    minimal_norm_control's residual of 1.65e-8 (gate 1e-8) reads as a false
+    "infeasible".  The refusals are a known defect: their tests are strict
+    xfails, so a fix shows as XPASS.
+    """
+
+    def test_scale_1e4_returns_the_scaled_unit_answer(self, wavy_problem):
+        weights = SobolevWeights(a=0.5, d=1.0)
+        for solve, data in ((forward_response, cosine(2)),
+                            (lambda p, t: solve_control(p, t).epsilon, SCALED_MIX),
+                            (lambda p, t: minimal_norm_control(p, t, weights).epsilon,
+                             SCALED_MIX)):
+            unit, scaled = solve(wavy_problem, data), solve(wavy_problem, data * 1e4)
+            assert sup_norm(scaled - unit * 1e4) < 1e-13 * sup_norm(scaled)
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="the 1e-9 cross-check gate does not scale with the direction")
+    def test_forward_response_at_scale_1e5(self, wavy_problem):
+        forward_response(wavy_problem, cosine(2, 1e5))
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="the 1e-9 step-1 gate does not scale with the target")
+    def test_solve_control_at_scale_1e5(self, wavy_problem):
+        solve_control(wavy_problem, SCALED_MIX * 1e5)
+
+    @pytest.mark.xfail(strict=True, raises=InfeasibleTargetError,
+                       reason="the 1e-8 feasibility gate does not scale with the target")
+    def test_minimal_norm_control_at_scale_1e5(self, wavy_problem):
+        minimal_norm_control(wavy_problem, SCALED_MIX * 1e5, SobolevWeights(a=0.5, d=1.0))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import linresp
+import linresp.verify as verify
 
-from conftest import dense_ulam_matrix, seeded_maps, steep_map
+from conftest import dense_ulam_matrix, seeded_maps, steep_map, ulam_products
 from linresp import (CircleMap, PerturbedFamily, ResponseProblem, UnderResolvedError,
                      bin_averages, compare_l1, constant, cosine, doubling_map, exact_forward,
                      fd_response, forward_response, sine, ulam_build, zeros)
@@ -67,18 +68,23 @@ class TestUlamBuild:
         with pytest.raises(ValueError, match="bins must be an integer"):
             ulam_build(doubling, bins)
 
-    def test_degree_zero_memory(self, perturbed_wavy):
-        # The verify-bins64k build: the 2^17 + 1 edges are inverted in blocks
-        # and the operator is written in place.  Measured at 7.3 MB (13.6 MB
-        # with one Newton solve over all edges and stacked segment arrays);
-        # the bound leaves one more 2^17-point float array, 1.05 MB.
-        tracemalloc.start()
-        try:
-            ulam_build(perturbed_wavy, 2**16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8.4e6
+    def test_degree_zero_memory(self, wavy_family, perturbed_wavy):
+        # The verify-bins64k build and response: the 2^17 + 1 edges are
+        # inverted in blocks and freed, the operator holds one source row
+        # beside its two weight rows, and a product's temporaries are one
+        # block of segments long.  Measured at 5.25 MB for the build and
+        # 5.91 MB for the response (7.34 and 8.01 MB with a stored second
+        # source row and full-length product temporaries); each bound leaves
+        # half of one more 2^17-point float array, 0.52 MB.
+        for run, bound in ((lambda: ulam_build(perturbed_wavy, 2**16), 5.8e6),
+                           (lambda: fd_response(wavy_family, 1e-3, 2**16), 6.45e6)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
     def test_nonzero_lift_at_origin(self):
         # branch windows shift when p(0) != 0; columns must still tile
@@ -112,6 +118,20 @@ class TestTransitionOperator:
         v = np.random.default_rng(seed).uniform(-1.0, 1.0, dense.shape[0])
         np.testing.assert_allclose(matrix @ v, dense @ v, rtol=0, atol=1e-14)
         np.testing.assert_allclose(v @ matrix, v @ dense, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["perturbed-wavy", "steep"])
+    def test_blocked_products_match_one_pass_reference(self, perturbed_wavy, name):
+        # At 2^16 bins every run of segments spans several product blocks
+        # (the steep map has five runs); the products must equal the
+        # unblocked formula bit for bit.
+        circle_map = perturbed_wavy if name == "perturbed-wavy" else steep_map()
+        matrix = ulam_build(circle_map, 2**16).matrix
+        assert matrix.source.shape == (matrix.weights.shape[1],)
+        assert matrix.source.size > 2 * verify.PRODUCT_BLOCK
+        v = np.random.default_rng(5).uniform(-1.0, 1.0, matrix.bins)
+        forward, backward = ulam_products(matrix, v)
+        assert np.array_equal(matrix @ v, forward)
+        assert np.array_equal(v @ matrix, backward)
 
     def test_refuses_operand_of_wrong_size(self, wavy):
         matrix = ulam_build(wavy, 16).matrix
