@@ -7,8 +7,8 @@ cross-check everything against an independent Ulam finite-difference
 oracle.
 """
 
-from .control import (ControlSolution, InfeasibleTargetError, kernel_directions,
-                      minimal_norm_control, solve_control, step1_g, step2_epsilon)
+from .control import (ControlSolution, InfeasibleTargetError, minimal_norm_control,
+                      solve_control, step1_g, step2_epsilon)
 from .doubling import exact_control, exact_forward
 from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, antiderivative,
                       constant, cosine, dft, differentiate, grid_values, next_pow2, sine,
@@ -32,7 +32,7 @@ __all__ = [
     "bin_averages", "compare_l1", "constant", "cosine", "derivative_operator",
     "dft", "differentiate", "doubling_map", "exact_control", "exact_forward",
     "fd_response", "fixed_point_residual", "forward_response",
-    "galerkin_matrix", "grid_values", "invariant_density", "kernel_directions",
+    "galerkin_matrix", "grid_values", "invariant_density",
     "minimal_norm_control", "next_pow2",
     "sine", "sobolev_norm", "solve_control", "solve_zero_mean", "step1_g",
     "step2_epsilon", "sup_norm", "ulam_build", "zeros",

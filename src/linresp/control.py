@@ -10,25 +10,25 @@ eps realizing it.  Two routes:
   minimal-norm least squares on the truncated constraint A eps = r in real
   cosine/sine coordinates, with a rank cutoff.  For an odd map the real
   system splits into two half-size blocks, solved one after the other under
-  one cutoff.  Only the rows j >= 0 of A are assembled, and the real system
-  and the feasibility residual are formed from them.  ``truncation_defect``
-  checks the order-N eps in the order-2N equations with no second solve.
+  one cutoff.  Only the rows j >= 0 of A are assembled, and the feasibility
+  residual and each block the solve reads are formed from them: the whole
+  real system is never formed.  ``truncation_defect`` checks the order-N
+  eps in the order-2N equations with no second solve.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fourier import (CHECK_GRID, FourierSeries, SobolevWeights, antiderivative, as_integer,
                       dft, differentiate, from_real_basis, grid_values, next_pow2,
-                      real_matrix_from_rows, sobolev_norm, sup_norm, to_real_basis)
+                      sobolev_norm, sup_norm, to_real_basis)
 from .maps import CircleMap
 from .response import ResponseProblem, derivative_operator
 from .transfer import (_galerkin_rows, apply_transfer, apply_transfer_pointwise,
-                       quadrature_size, solve_zero_mean)
+                       quadrature_size, real_matrix_from_rows, solve_zero_mean)
 
 PSEUDOINVERSE_CUTOFF = 1e-10
 FEASIBILITY_TOL = 1e-8
@@ -171,16 +171,29 @@ def _floored(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _weighted_system(rows: np.ndarray, weights: SobolevWeights):
-    """The W^{-1/2} scaling and Q^H A Q W^{-1/2}, from the rows j >= 0 of A.
+def _weight_scale(weights: SobolevWeights, order: int) -> np.ndarray:
+    """The diagonal of W^{-1/2} in real coordinates.
 
     W(n) = W(-n), so W is diagonal in real coordinates too: a_n and b_n
     both carry W(n).
     """
-    order = rows.shape[0] - 1
     w = weights.mode_weights(order)[order:]
-    scale = 1.0 / np.sqrt(np.concatenate((w, w[1:])))
-    return scale, real_matrix_from_rows(rows) * scale[None, :]
+    return 1.0 / np.sqrt(np.concatenate((w, w[1:])))
+
+
+def _weighted_block(rows: np.ndarray, scale: np.ndarray, block: tuple[slice, slice]):
+    """Rows and columns ``block`` of Q^H A Q W^{-1/2}, from the rows j >= 0 of A.
+
+    The block comes with one more row and column, zero, for the border of
+    ``_bordered_lstsq``.  It is built by ``real_matrix_from_rows`` and
+    scaled in place, so each entry equals that of the whole weighted matrix
+    bit for bit.
+    """
+    shape = [len(range(*part.indices(scale.size))) for part in block]
+    padded = np.zeros((shape[0] + 1, shape[1] + 1))
+    matrix = real_matrix_from_rows(rows, *block, out=padded[:-1, :-1])
+    matrix *= scale[block[1]]
+    return padded
 
 
 def _real_blocks(circle_map: CircleMap, order: int) -> list[tuple[slice, slice]]:
@@ -197,34 +210,36 @@ def _real_blocks(circle_map: CircleMap, order: int) -> list[tuple[slice, slice]]
     return [(cos, sin), (sin, cos)]
 
 
-def _bordered_lstsq(block: np.ndarray, rhs: np.ndarray, top: float):
-    """dgelsd on ``block`` with its cutoff at PSEUDOINVERSE_CUTOFF * max(top, own top).
+def _bordered_lstsq(padded: np.ndarray, rhs: np.ndarray, top: float):
+    """dgelsd on a block with its cutoff at PSEUDOINVERSE_CUTOFF * max(top, own top).
 
-    With top > 0 the block is bordered by one row and one column, zero but
-    for ``top`` where they cross, and the rhs by a 0: dgelsd's cutoff, rcond
-    times the largest singular value, then reads the global top.  The
-    border's singular value and coordinate are removed from the result.
+    ``padded`` is the block with one more row and column, and ``rhs`` its
+    right-hand side with one more entry, all zero.  With top = 0 the block
+    alone is solved.  With top > 0 the border is zero but for ``top`` where
+    it crosses, and dgelsd's cutoff, rcond times the largest singular value,
+    then reads the global top.  The border's singular value and coordinate
+    are removed from the result.
     Returns the coordinates, the rank kept and the singular values.  SVDs
     of the blocks under one cutoff give the same rank, margin and eps (to
     1e-15) on the benchmark's control-n256 config, but took 16.5 against
     13.4 ms (one BLAS thread) and 24.6 against 14.8 ms (two) on 2 vCPUs.
     """
     if not top:
-        x, _, rank, s = np.linalg.lstsq(block, rhs, rcond=PSEUDOINVERSE_CUTOFF)
+        x, _, rank, s = np.linalg.lstsq(padded[:-1, :-1], rhs[:-1],
+                                        rcond=PSEUDOINVERSE_CUTOFF)
         return x, int(rank), s
-    rows, cols = block.shape
-    bordered = np.zeros((rows + 1, cols + 1))
-    bordered[:rows, :cols] = block
-    bordered[rows, cols] = top
-    padded = np.zeros(rows + 1)
-    padded[:rows] = rhs
-    x, _, rank, s = np.linalg.lstsq(bordered, padded, rcond=PSEUDOINVERSE_CUTOFF)
-    return x[:cols], int(rank) - 1, np.delete(s, np.argmin(np.abs(s - top)))
+    padded[-1, -1] = top
+    x, _, rank, s = np.linalg.lstsq(padded, rhs, rcond=PSEUDOINVERSE_CUTOFF)
+    return x[:-1], int(rank) - 1, np.delete(s, np.argmin(np.abs(s - top)))
 
 
-def _block_lstsq(system: np.ndarray, rhs: np.ndarray, blocks: list[tuple[slice, slice]]):
+def _block_lstsq(padded: list[np.ndarray], rhs: np.ndarray,
+                 blocks: list[tuple[slice, slice]]):
     """Minimal-norm least squares on each block under one rank cutoff.
 
+    ``padded[i]`` holds the rows and columns ``blocks[i]`` of a square
+    system, with one more zero row and column (``_weighted_block``), and
+    ``rhs`` is the system's right-hand side.
     Singular values at or below PSEUDOINVERSE_CUTOFF of the largest over all
     blocks count as null space.  The block of largest Frobenius norm is
     solved first, and its largest singular value is the top; every later
@@ -236,10 +251,10 @@ def _block_lstsq(system: np.ndarray, rhs: np.ndarray, blocks: list[tuple[slice, 
     the margin: the smallest kept and the largest dropped singular value
     over the largest.
     """
-    views = [(system[rows, cols], rhs[rows]) for rows, cols in blocks]
+    views = [(block, np.append(rhs[rows], 0.0)) for block, (rows, _) in zip(padded, blocks)]
     solved: dict[int, tuple] = {}
     top = 0.0
-    for i in sorted(range(len(views)), key=lambda k: np.linalg.norm(views[k][0]),
+    for i in sorted(range(len(views)), key=lambda k: np.linalg.norm(views[k][0][:-1, :-1]),
                     reverse=True):
         solved[i] = _bordered_lstsq(*views[i], top)
         if solved[i][2][0] > top:
@@ -248,7 +263,7 @@ def _block_lstsq(system: np.ndarray, rhs: np.ndarray, blocks: list[tuple[slice, 
                 _, rank, s = solved[k]
                 if np.count_nonzero(s > PSEUDOINVERSE_CUTOFF * top) != rank:
                     solved[k] = _bordered_lstsq(*views[k], top)
-    coords = np.empty(system.shape[1])
+    coords = np.empty(rhs.size)
     for i, (_, cols) in enumerate(blocks):
         coords[cols] = solved[i][0]
     kept = np.concatenate([s[:rank] for _, rank, s in solved.values()])
@@ -265,11 +280,13 @@ def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
     Solves min ||eps||_W subject to A eps = r in the real coordinates of
     ``to_real_basis``, where A is the real matrix Q^H A Q: eps = W^{-1/2} y
     with y the minimal-norm least-squares solution of (Q^H A Q W^{-1/2}) y = Q^H r
-    by LAPACK dgelsd.  An odd map splits the system into its cos-rows x
-    sin-columns and sin-rows x cos-columns blocks, each solved by one dgelsd
-    at about an eighth of the cost of the whole, the later block bordered
-    with the earlier block's largest singular value so that one cutoff holds
-    for both (``_block_lstsq``); any other map is solved whole.  Singular
+    by LAPACK dgelsd.  Only the blocks the solve reads are built
+    (``_weighted_block``), never the whole real matrix.  An odd map splits
+    the system into its cos-rows x sin-columns and sin-rows x cos-columns
+    blocks, each solved by one dgelsd at about an eighth of the cost of the
+    whole, the later block bordered with the earlier block's largest
+    singular value so that one cutoff holds for both (``_block_lstsq``);
+    any other map is solved whole, as one block.  Singular
     values at or below 1e-10 of the largest over all blocks are treated as
     null space; the rank kept and the cutoff margin are recorded.  The
     constraint defect d = A eps - r is measured on the complex entries of
@@ -281,9 +298,10 @@ def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
     order = as_integer("order", problem.order if order is None else order, 1)
     r = _constraint_rhs(problem, target, order)
     rows = _floored(_constraint_rows(problem, order))
-    scale, system = _weighted_system(rows, weights)
-    coords, rank, margin = _block_lstsq(system, to_real_basis(r),
-                                        _real_blocks(problem.map, order))
+    scale = _weight_scale(weights, order)
+    blocks = _real_blocks(problem.map, order)
+    coords, rank, margin = _block_lstsq([_weighted_block(rows, scale, b) for b in blocks],
+                                        to_real_basis(r), blocks)
     eps = from_real_basis(scale * coords)
     d = rows @ eps.coeffs - r[order:]
     residual = float(np.sqrt(abs(d[0]) ** 2 + 2 * np.vdot(d[1:], d[1:]).real))
@@ -317,33 +335,6 @@ def solve_control(problem: ResponseProblem, target: FourierSeries,
     if residual > FEASIBILITY_TOL:
         raise RuntimeError(f"two-step constraint defect {residual:.3e} > 1e-8")
     return ControlSolution(eps, residual, sobolev_norm(eps, weights), "two_step")
-
-
-def kernel_directions(problem: ResponseProblem, order: int | None = None,
-                      count: int = 6,
-                      weights: SobolevWeights = SobolevWeights()) -> list[FourierSeries]:
-    """W-orthonormal directions spanning the numerical null space of A.
-
-    Perturbations along these directions change the invariant density only
-    at second order.  If fewer than ``count`` null directions exist at this
-    truncation, the available ones are returned with a warning; a ``count``
-    or an ``order`` that is not an integer >= 1 is a ValueError.
-    """
-    count = as_integer("count", count, 1)
-    order = as_integer("order", problem.order if order is None else order, 1)
-    scale, system = _weighted_system(_floored(_constraint_rows(problem, order)), weights)
-    _, s, vh = np.linalg.svd(system)
-    # Rows of vh are real and orthonormal, so eps = Q W^{-1/2} v is real and
-    # W-orthonormal; they come in decreasing singular value: a fixed order.
-    null = vh[s <= PSEUDOINVERSE_CUTOFF * s[0]]
-    if null.size == 0:
-        warnings.warn("no null directions at this truncation", RuntimeWarning)
-        return []
-    found = null.shape[0]
-    if found < count:
-        warnings.warn(f"only {found} null directions exist at truncation {order} "
-                      f"(requested {count})", RuntimeWarning)
-    return [from_real_basis(scale * v) for v in null[:count]]
 
 
 def truncation_defect(problem: ResponseProblem, target: FourierSeries, eps: FourierSeries,

@@ -313,14 +313,24 @@ def _require_hermitian(coeffs: np.ndarray) -> None:
                          "the series is not real-valued")
 
 
-def _real_coordinates(upper: np.ndarray) -> np.ndarray:
-    """Q^H v from the rows j >= 0 of Hermitian columns v: Re row 0, sqrt(2) Re, -sqrt(2) Im."""
+def _real_coordinates(upper: np.ndarray, rows: slice = slice(None), out=None) -> np.ndarray:
+    """Rows ``rows`` of Q^H v from the rows j >= 0 of Hermitian columns v.
+
+    Row 0 is Re v_0, row a_j is sqrt(2) Re v_j and row b_j is -sqrt(2) Im v_j.
+    """
     n = upper.shape[0] - 1
-    real = np.empty((2 * n + 1,) + upper.shape[1:])
-    real[0] = upper[0].real
-    np.multiply(upper[1:].real, np.sqrt(2), out=real[1:n + 1])
-    np.multiply(upper[1:].imag, -np.sqrt(2), out=real[n + 1:])
-    return real
+    r0, r1, _ = rows.indices(2 * n + 1)
+    if out is None:
+        out = np.empty((r1 - r0,) + upper.shape[1:])
+    if r0 == 0 < r1:
+        out[0] = upper[0].real
+    lo, hi = max(r0, 1), min(r1, n + 1)
+    if lo < hi:
+        np.multiply(upper[lo:hi].real, np.sqrt(2), out=out[lo - r0:hi - r0])
+    lo = max(r0, n + 1)
+    if lo < r1:
+        np.multiply(upper[lo - n:r1 - n].imag, -np.sqrt(2), out=out[lo - r0:])
+    return out
 
 
 def to_real_basis(coeffs: np.ndarray) -> np.ndarray:
@@ -342,24 +352,6 @@ def from_real_basis(coords: np.ndarray) -> FourierSeries:
     n = (u.size - 1) // 2
     upper = (u[1:n + 1] - 1j * u[n + 1:]) / np.sqrt(2)
     return FourierSeries(np.concatenate((np.conj(upper[::-1]), u[:1], upper)))
-
-
-def real_matrix_from_rows(upper: np.ndarray) -> np.ndarray:
-    """Q^H A Q from the rows j >= 0 of an A that commutes with conjugation.
-
-    The columns of A Q are Hermitian, so Q^H A Q is Re (row 0), sqrt(2) Re
-    (rows a_j) and -sqrt(2) Im (rows b_j) of the rows j >= 0 of A Q.  The
-    symmetry is not checked: the rows j < 0 are not given.
-    """
-    n = upper.shape[0] - 1
-    pos, neg = upper[:, n + 1:], upper[:, n - 1::-1]
-    columns = np.empty(upper.shape, dtype=complex)  # rows j >= 0 of A Q
-    columns[:, 0] = upper[:, n]
-    np.add(pos, neg, out=columns[:, 1:n + 1])
-    columns[:, 1:n + 1] /= np.sqrt(2)
-    np.subtract(pos, neg, out=columns[:, n + 1:])
-    columns[:, n + 1:] *= -1j / np.sqrt(2)
-    return _real_coordinates(columns)
 
 
 def zeros(order: int = 0) -> FourierSeries:

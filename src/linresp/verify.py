@@ -131,9 +131,14 @@ def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, i
 
     Segment s is the preimage on [0, 1] of image bin ``first`` + s on the
     lift.  Since min T' > 1 it is shorter than a bin, so it has two slots:
-    its part in source bin j0 and its part in j0 + 1, of length zero when the
-    segment is not cut.  Returns the slots' lengths, of shape (2, segments),
-    the source bins j0 and ``first``.
+    its part in source bin j0 and its part in j0 + 1, of weight zero when the
+    segment is not cut.  The preimages are scaled once to bin units,
+    u = y bins, where the edge of bin j is the integer j + 1: a slot's
+    weight, the fraction of its source bin it covers, is
+    min(u_hi, j0 + 1) - u_lo or u_hi - min(u_hi, j0 + 1), and both
+    differences are exact (Sterbenz), so each bin's weights telescope to 1
+    at any bin count.  Returns the weights, of shape (2, segments), the
+    source bins j0 and ``first``.
     """
     d = circle_map.degree
     start = float(circle_map.lift(0.0))
@@ -151,26 +156,22 @@ def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, i
     # so the preimage segments tile [0, 1] exactly and columns sum to one.
     y[0], y[-1] = 0.0, 1.0
 
-    # Written in place, with no copies of the segment arrays: slot 0's length
-    # holds y_lo * bins until the source row is cut from it, and slot 1's
-    # holds the source-bin edge until that length replaces it.
-    y_lo, y_hi = y[:-1], y[1:]
-    length = np.empty((2, y_lo.size))
-    source = np.empty(y_lo.size, dtype=np.int64)
-    source[:] = np.multiply(y_lo, bins, out=length[0])
+    # Written in place, with no copies of the segment arrays: slot 1's
+    # weight holds the source-bin edge until that weight replaces it.
+    u = np.multiply(y, bins, out=y)
+    u_lo, u_hi = u[:-1], u[1:]
+    weights = np.empty((2, u_lo.size))
+    source = u_lo.astype(np.int64)
     np.minimum(source, bins - 1, out=source)
-    cut = np.add(source, 1.0, out=length[1])
-    cut /= bins
-    np.minimum(y_hi, cut, out=cut)
-    np.subtract(cut, y_lo, out=length[0])
-    np.subtract(y_hi, cut, out=length[1])
-    return length, source, first
+    edge = np.add(source, 1.0, out=weights[1])
+    np.minimum(u_hi, edge, out=edge)
+    np.subtract(edge, u_lo, out=weights[0])
+    np.subtract(u_hi, edge, out=weights[1])
+    return weights, source, first
 
 
 def _transition_matrix(circle_map: CircleMap, bins: int) -> TransitionOperator:
-    length, source, first = _pieces(circle_map, bins)
-    # The fraction of source bin b in a slot is its length times bins.
-    weights = np.multiply(length, bins, out=length)
+    weights, source, first = _pieces(circle_map, bins)
     # Column sums: slot 0 adds to its source bin, slot 1 to the next one.
     sums = np.bincount(source, weights[0], bins + 1)
     sums[1:] += np.bincount(source, weights[1], bins)

@@ -1,13 +1,15 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from linresp import (CircleMap, FourierSeries, PerturbedFamily, ResponseProblem,
+from linresp import (CircleMap, FourierSeries, PerturbedFamily, ResponseProblem, SobolevWeights,
                      antiderivative, apply_transfer_pointwise, constant, cosine, dft, doubling_map,
                      forward_response, galerkin_matrix, grid_values, invariant_density, next_pow2,
                      sine, zeros)
-from linresp.fourier import differentiate, from_real_basis, to_real_basis
+from linresp.fourier import as_integer, differentiate, from_real_basis, to_real_basis
+from linresp.transfer import real_matrix_from_rows
 
 
 @pytest.fixture(scope="session")
@@ -206,15 +208,69 @@ def whole_restricted_solves(matrix, rhs):
     return (*solves, float(np.linalg.norm(system, 1) * np.linalg.norm(inverse, 1)))
 
 
+def weighted_system(problem, weights, order):
+    """The W^{-1/2} scaling and the whole weighted real system Q^H A Q W^{-1/2}.
+
+    The block builder with whole slices, scaled in one product: the
+    reference every block of ``control._weighted_block`` equals bit for bit.
+    """
+    from linresp.control import _constraint_rows, _floored, _weight_scale
+
+    scale = _weight_scale(weights, order)
+    return scale, real_matrix_from_rows(_floored(_constraint_rows(problem, order))) * scale
+
+
+def padded_blocks(system, blocks):
+    """The (rows, cols) blocks of ``system``, each with one more zero row and column.
+
+    The form ``control._block_lstsq`` reads, as ``control._weighted_block``
+    builds it.
+    """
+    padded = []
+    for rows, cols in blocks:
+        block = system[rows, cols]
+        padded.append(np.zeros((block.shape[0] + 1, block.shape[1] + 1)))
+        padded[-1][:-1, :-1] = block
+    return padded
+
+
+def kernel_directions(problem, order=None, count=6, weights=SobolevWeights()):
+    """W-orthonormal directions spanning the numerical null space of A.
+
+    Perturbations along these directions change the invariant density only
+    at second order: the right singular vectors of the whole weighted real
+    system beyond its rank.  If fewer than ``count`` null directions exist
+    at this truncation, the available ones are returned with a warning; a
+    ``count`` or an ``order`` that is not an integer >= 1 is a ValueError.
+    """
+    from linresp.control import PSEUDOINVERSE_CUTOFF
+
+    count = as_integer("count", count, 1)
+    order = as_integer("order", problem.order if order is None else order, 1)
+    scale, system = weighted_system(problem, weights, order)
+    _, s, vh = np.linalg.svd(system)
+    # Rows of vh are real and orthonormal, so eps = Q W^{-1/2} v is real and
+    # W-orthonormal; they come in decreasing singular value: a fixed order.
+    null = vh[s <= PSEUDOINVERSE_CUTOFF * s[0]]
+    if null.size == 0:
+        warnings.warn("no null directions at this truncation", RuntimeWarning)
+        return []
+    found = null.shape[0]
+    if found < count:
+        warnings.warn(f"only {found} null directions exist at truncation {order} "
+                      f"(requested {count})", RuntimeWarning)
+    return [from_real_basis(scale * v) for v in null[:count]]
+
+
 def full_system_lstsq(problem, target, weights, order):
     """One dgelsd call on the whole weighted real system: the block solve's reference.
 
     Returns the system, its right-hand side, the solution coordinates, the
     eps coefficients, the rank kept and the singular values.
     """
-    from linresp.control import _constraint_rhs, _constraint_rows, _floored, _weighted_system
+    from linresp.control import _constraint_rhs
 
-    scale, system = _weighted_system(_floored(_constraint_rows(problem, order)), weights)
+    scale, system = weighted_system(problem, weights, order)
     rhs = to_real_basis(_constraint_rhs(problem, target, order))
     coords, _, rank, s = np.linalg.lstsq(system, rhs, rcond=1e-10)
     return SimpleNamespace(system=system, rhs=rhs, coords=coords,
@@ -285,9 +341,10 @@ def dense_ulam_matrix(circle_map, bins):
     """Ulam's matrix, dense, from (row, column, value) triplets: the reference.
 
     Pieces are the preimages of the image bins, each cut at a source-bin edge,
-    concatenated into one list; a piece's entry is its length times bins, and
-    np.add.at sums the entries of pieces that share a row and column.  Meant
-    for bins <= 1024.
+    concatenated into one list; a piece's entry is its length in bin units
+    (preimages times bins, where bin edges are integers), and np.add.at sums
+    the entries of pieces that share a row and column.  Meant for
+    bins <= 1024.
     """
     d = circle_map.degree
     start = float(circle_map.lift(0.0))
@@ -300,17 +357,17 @@ def dense_ulam_matrix(circle_map, bins):
         targets = np.concatenate((targets, [start + d]))
     y = circle_map.invert_lift(targets)
     y[0], y[-1] = 0.0, 1.0
-    y_lo, y_hi = y[:-1], y[1:]
+    u_lo, u_hi = y[:-1] * bins, y[1:] * bins
     image_edge = np.floor(0.5 * (targets[:-1] + targets[1:]) * bins).astype(int)
-    j0 = np.minimum((y_lo * bins).astype(int), bins - 1)
-    edge = (j0 + 1) / bins
-    first = np.minimum(y_hi, edge) - y_lo
-    whole, cut = first > 0.0, y_hi > edge
-    length = np.concatenate((first[whole], (y_hi - edge)[cut]))
+    j0 = np.minimum(u_lo.astype(int), bins - 1)
+    edge = j0 + 1.0
+    first = np.minimum(u_hi, edge) - u_lo
+    whole, cut = first > 0.0, u_hi > edge
+    length = np.concatenate((first[whole], (u_hi - edge)[cut]))
     source = np.concatenate((j0[whole], j0[cut] + 1))
     image_edge = np.concatenate((image_edge[whole], image_edge[cut]))
     dense = np.zeros((bins, bins))
-    np.add.at(dense, (image_edge % bins, source), length * bins)
+    np.add.at(dense, (image_edge % bins, source), length)
     return dense
 
 

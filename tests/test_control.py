@@ -8,16 +8,17 @@ from linresp import (CircleMap, InfeasibleTargetError,
                      ResponseProblem, SobolevWeights, apply_transfer_pointwise,
                      constant, cosine, derivative_operator, dft, differentiate,
                      doubling_map, exact_control, forward_response,
-                     kernel_directions, minimal_norm_control, next_pow2, sine,
+                     minimal_norm_control, next_pow2, sine,
                      sobolev_norm, solve_control, step1_g, step2_epsilon,
                      sup_norm, zeros)
 from linresp.control import (FEASIBILITY_TOL, PSEUDOINVERSE_CUTOFF, _block_lstsq,
                              _constraint_rhs, _constraint_rows, _floored, _real_blocks,
-                             _weighted_system, truncation_defect)
+                             _weight_scale, _weighted_block, truncation_defect)
+from linresp.transfer import real_matrix_from_rows
 
 from conftest import (complex_minimal_norm, constraint_matrix, direct_galerkin_entries,
-                      full_system_lstsq, random_series, seeded_maps, steep_map,
-                      weighted_inner_product)
+                      full_system_lstsq, kernel_directions, padded_blocks, random_series,
+                      seeded_maps, steep_map, weighted_inner_product)
 
 TWO_PI = 2 * np.pi
 EPS0_COEFF = 1 / (4 * np.pi)  # cos(4 pi x)/(2 pi) has +-2 coefficients 1/(4 pi)
@@ -223,16 +224,33 @@ class TestRealBasisSolve:
         assert two_step.rank is None and two_step.margin is None
 
     def test_order_doubled_system_memory(self, benchmark_problem):
-        # Blocked assembly and the real basis from rows j >= 0 keep the
-        # order-512 system near its own size (about 32 MiB, 136.5 MiB unblocked).
+        # Blocked assembly, and only the two weighted blocks built from the
+        # rows j >= 0, keep the order-512 system near the size of those rows:
+        # 8 MiB of rows and a 12.7 MiB peak, against 24.1 MiB with the whole
+        # real system and its scaled copy (136.5 MiB unblocked).
         tracemalloc.start()
         try:
             rows = _floored(_constraint_rows(benchmark_problem, 512))
-            _weighted_system(rows, SobolevWeights(0.5, 0.0, 0.0, 1.0))
+            scale = _weight_scale(SobolevWeights(0.5, 0.0, 0.0, 1.0), 512)
+            [_weighted_block(rows, scale, b) for b in _real_blocks(benchmark_problem.map, 512)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * 2**20
+        assert peak <= 16 * 2**20
+
+    def test_minimal_norm_transient_memory(self, benchmark_problem):
+        # At N = 256 the call peaks at 3.66 MiB of traced memory: the 2 MiB
+        # of complex rows, the noise floor's magnitudes and the two 257 x 256
+        # blocks; the whole real system, its scaled copy and the bordered copy
+        # took it to 6.10 MiB.  The pin allows 0.5 MiB over the measured peak.
+        target = cosine(1) + cosine(3, 0.5)
+        tracemalloc.start()
+        try:
+            minimal_norm_control(benchmark_problem, target, BLOCK_WEIGHTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.66 * 2**20 + 0.5 * 2**20
 
 
 ODD_MAPS = {"doubling": doubling_map(), "wavy": CircleMap(2, sine(1, 0.1)),
@@ -272,6 +290,35 @@ class TestBlockSolve:
             gap = np.max(np.abs(sol.epsilon.coeffs - reference.epsilon))
             assert gap <= 1e-9 * np.max(np.abs(reference.epsilon))
 
+    @pytest.mark.parametrize("name", ["wavy", "doubling", "steep", "degree-three"])
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    def test_built_blocks_are_slices_of_the_whole_system(self, name, order):
+        # Each block, scaled in place, holds the bits of the same slice of
+        # the whole weighted real system, its zeros' signs included, with a
+        # zero border; the same holds for the blocks the other maps do not use.
+        circle_map = {**ODD_MAPS, **NON_ODD_MAPS}[name]
+        problem = ResponseProblem.for_map(circle_map, 96)
+        rows = _floored(_constraint_rows(problem, order))
+        scale = _weight_scale(BLOCK_WEIGHTS, order)
+        whole = real_matrix_from_rows(rows) * scale
+        cos, sin = slice(0, order + 1), slice(order + 1, None)
+        quarters = [(r, c) for r in (cos, sin) for c in (cos, sin)]
+        for block in _real_blocks(circle_map, order) + quarters:
+            padded = _weighted_block(rows, scale, block)
+            assert np.array_equal(padded[:-1, :-1], whole[block])
+            assert np.array_equal(np.signbit(padded[:-1, :-1]), np.signbit(whole[block]))
+            assert not padded[-1].any() and not padded[:, -1].any()
+
+    def test_solve_builds_only_the_blocks(self, benchmark_problem, monkeypatch):
+        # An odd map's solve asks the builder for its two blocks and nothing else.
+        calls = []
+        original = control.real_matrix_from_rows
+        monkeypatch.setattr(control, "real_matrix_from_rows",
+                            lambda rows, *block, **kw: calls.append(block)
+                            or original(rows, *block, **kw))
+        minimal_norm_control(benchmark_problem, cosine(1) + cosine(3, 0.5), BLOCK_WEIGHTS)
+        assert calls == [tuple(b) for b in _real_blocks(benchmark_problem.map, 256)]
+
     @pytest.mark.parametrize("name", NON_ODD_MAPS)
     def test_other_maps_solve_the_whole_system(self, name):
         # order 96 resolves every map's density; the target need not be feasible
@@ -280,7 +327,8 @@ class TestBlockSolve:
         reference = full_system_lstsq(problem, sine(1) + cosine(1), BLOCK_WEIGHTS, 96)
         blocks = _real_blocks(circle_map, 96)
         assert blocks == [(slice(None), slice(None))]
-        coords, rank, _ = _block_lstsq(reference.system, reference.rhs, blocks)
+        coords, rank, _ = _block_lstsq(padded_blocks(reference.system, blocks),
+                                       reference.rhs, blocks)
         assert np.array_equal(coords, reference.coords)
         assert rank == reference.rank
 
@@ -348,7 +396,7 @@ class TestBlockSolve:
         original = control.np.linalg.lstsq
         monkeypatch.setattr(control.np.linalg, "lstsq",
                             lambda *a, **kw: calls.append(a[0].shape) or original(*a, **kw))
-        got, got_rank, margin = _block_lstsq(system, rhs, blocks)
+        got, got_rank, margin = _block_lstsq(padded_blocks(system, blocks), rhs, blocks)
         # the first block, then the second bordered, then the first bordered again
         assert calls == [(k + 1, k), (k + 1, k + 2), (k + 2, k + 1)]
         assert got_rank == rank
@@ -364,7 +412,8 @@ class TestBlockSolve:
         own = [np.linalg.lstsq(reference.system[rows, cols], reference.rhs[rows],
                                rcond=PSEUDOINVERSE_CUTOFF)[2] for rows, cols in blocks]
         assert sum(own) == 527
-        _, rank, _ = _block_lstsq(reference.system, reference.rhs, blocks)
+        _, rank, _ = _block_lstsq(padded_blocks(reference.system, blocks),
+                                  reference.rhs, blocks)
         assert rank == reference.rank == 442
 
 

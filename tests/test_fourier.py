@@ -6,7 +6,8 @@ import pytest
 from linresp import (FourierSeries, SobolevWeights, antiderivative, constant, cosine, dft,
                      differentiate, grid_values, sine, sobolev_norm, sup_norm, zeros)
 from linresp.fourier import (HORNER_BLOCK, from_real_basis, half_spectrum, real_horner,
-                             real_matrix_from_rows, to_real_basis)
+                             to_real_basis)
+from linresp.transfer import real_matrix_from_rows
 
 from conftest import conjugate_fill, multiply, random_series, real_basis_change
 

@@ -59,6 +59,16 @@ class TestUlamBuild:
         assert 0.35 < errors[13] / errors[12] < 0.65
         assert 0.35 < errors[14] / errors[13] < 0.65
 
+    @pytest.mark.parametrize("name", ["doubling", "wavy"])
+    def test_bin_count_not_a_power_of_two(self, request, name):
+        # In bin units each slot weight is an exact difference, so every
+        # column telescopes to 1; weights from lengths times bins were off by
+        # 2.1e-12 here and refused.
+        model = ulam_build(request.getfixturevalue(name), 20_000)
+        sums = np.ones(20_000) @ model.matrix
+        assert np.max(np.abs(sums - 1.0)) <= 1e-12
+        assert model.stationary.sum() == pytest.approx(20_000, rel=1e-12)
+
     def test_rejects_single_bin(self, doubling):
         with pytest.raises(ValueError):
             ulam_build(doubling, 1)
