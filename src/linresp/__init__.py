@@ -11,9 +11,9 @@ from .control import (ControlSolution, InfeasibleTargetError, minimal_norm_contr
                       solve_control, step1_g, step2_epsilon)
 from .doubling import exact_control, exact_forward
 from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, antiderivative,
-                      constant, cosine, dft, differentiate, grid_values, next_pow2, sine,
+                      cosine, dft, differentiate, grid_values, next_pow2, sine,
                       sobolev_norm, sup_norm, zeros)
-from .maps import CircleMap, NotExpandingError, PerturbedFamily, PreimageError, doubling_map
+from .maps import CircleMap, NotExpandingError, PerturbedFamily, PreimageError
 from .response import (ResponseProblem, UnderResolvedError, derivative_operator,
                        forward_response)
 from .transfer import (SpectralGapError, TransferMatrix, apply_transfer,
@@ -29,8 +29,8 @@ __all__ = [
     "PerturbedFamily", "PreimageError", "ResponseProblem", "SobolevWeights",
     "SpectralGapError", "TransferMatrix", "UlamModel", "UnderResolvedError",
     "antiderivative", "apply_transfer", "apply_transfer_pointwise",
-    "bin_averages", "compare_l1", "constant", "cosine", "derivative_operator",
-    "dft", "differentiate", "doubling_map", "exact_control", "exact_forward",
+    "bin_averages", "compare_l1", "cosine", "derivative_operator",
+    "dft", "differentiate", "exact_control", "exact_forward",
     "fd_response", "fixed_point_residual", "forward_response",
     "galerkin_matrix", "grid_values", "invariant_density",
     "minimal_norm_control", "next_pow2",

@@ -3,9 +3,10 @@
 Given a prescribed first-order density change rho1, find a map perturbation
 eps realizing it.  Two routes:
 
-* a particular solution by the two-step scheme: choose g with
-  L0(g) = (I - L0) rho1 via the conjugacy closed form, then integrate the
-  resulting first-order linear ODE in closed form ((eps*rho/T')' = -g);
+* a particular solution by the two-step scheme (``solve_control``): with
+  f = (I - L0) rho1, ``step1_g`` chooses g with L0(g) = f via the
+  conjugacy closed form, then ``step2_epsilon`` integrates the resulting
+  first-order linear ODE in closed form ((eps*rho/T')' = -g);
 * the minimal solution in a derivative-weighted Sobolev norm, by
   minimal-norm least squares on the truncated constraint A eps = r in real
   cosine/sine coordinates, with a rank cutoff.  For an odd map the real
@@ -69,27 +70,20 @@ class ControlSolution:
 
 
 def _require_zero_mean(series: FourierSeries, what: str) -> None:
-    if abs(series.coeff(0)) > 1e-10:
+    if abs(series.coeff(0)) > 1e-10 * max(1.0, float(np.max(np.abs(series.coeffs)))):
         raise ValueError(f"{what} has mean {series.coeff(0):.3e}; densities "
                          "integrate to 1, so the change must have zero mean")
 
 
-def step1_g(problem: ResponseProblem, target: FourierSeries) -> FourierSeries:
-    """Solve L0(g) = (I - L0) rho1 in closed form.
+def step1_g(problem: ResponseProblem, f: FourierSeries) -> FourierSeries:
+    """Solve L0(g) = f in closed form, for f = (I - L0) rho1 at the problem's order.
 
-    With f = (I - L0) rho1, the function g = (f o T0) * rho / (rho o T0)
-    satisfies L0(g) = f exactly (the conjugacy to a Haar-preserving map,
-    simplified so that no numerical inversion is needed).  Verified to
-    ||L0 g - f||_inf < 1e-9 and integral g = 0 within 1e-10.  g is returned
-    at order (d+1) N, the bandwidth of f o T0.  A target beyond the
-    truncation raises InfeasibleTargetError.
+    The function g = (f o T0) * rho / (rho o T0) satisfies L0(g) = f exactly
+    (the conjugacy to a Haar-preserving map, simplified so that no numerical
+    inversion is needed).  With s = max(1, ||f||_inf), verified to
+    ||L0 g - f||_inf <= 1e-9 s and |integral g| <= 1e-10 s.  g is returned
+    at order (d+1) N, the bandwidth of f o T0.
     """
-    _require_zero_mean(target, "target density change")
-    return _step1_g(problem, FourierSeries(_constraint_rhs(problem, target, problem.order)))
-
-
-def _step1_g(problem: ResponseProblem, f: FourierSeries) -> FourierSeries:
-    """``step1_g`` from f = (I - L0) rho1, already at the problem's order."""
     circle_map, rho = problem.map, problem.density
     out_order = (circle_map.degree + 1) * problem.order
     size = next_pow2(max(4 * out_order, 512))
@@ -97,11 +91,12 @@ def _step1_g(problem: ResponseProblem, f: FourierSeries) -> FourierSeries:
     values = f.evaluate(image) * grid_values(rho, size) / rho.evaluate(image)
     g = dft(values, out_order)
     check = np.arange(CHECK_GRID) / CHECK_GRID
-    defect = float(np.max(np.abs(
-        apply_transfer_pointwise(circle_map, g, check) - grid_values(f, CHECK_GRID))))
-    if defect > 1e-9:
+    wanted = grid_values(f, CHECK_GRID)
+    scale = max(1.0, float(np.max(np.abs(wanted))))
+    defect = float(np.max(np.abs(apply_transfer_pointwise(circle_map, g, check) - wanted)))
+    if defect > 1e-9 * scale:
         raise RuntimeError(f"step-1 verification failed: ||L g - f||_inf = {defect:.3e}")
-    if abs(g.coeff(0)) > 1e-10:
+    if abs(g.coeff(0)) > 1e-10 * scale:
         raise RuntimeError(f"step-1 verification failed: integral g = {g.coeff(0):.3e}")
     return g
 
@@ -113,7 +108,7 @@ def step2_epsilon(problem: ResponseProblem, g: FourierSeries) -> FourierSeries:
     exact derivative identity (eps*rho/T')' = -g, so with G the zero-mean
     primitive of g, eps = (T'/rho) (C - G), the free constant C fixed by
     integral eps = 0, returned at order g.order + N.  The pointwise ODE
-    residual is verified below 1e-9.
+    residual is verified to be at most 1e-9 max(1, ||g||_inf).
     """
     _require_zero_mean(g, "step-2 right-hand side")
     circle_map, rho = problem.map, problem.density
@@ -131,10 +126,11 @@ def step2_epsilon(problem: ResponseProblem, g: FourierSeries) -> FourierSeries:
     rpv = grid_values(differentiate(rho), CHECK_GRID)
     ev = grid_values(eps, CHECK_GRID)
     epv = grid_values(differentiate(eps), CHECK_GRID)
-    residual = float(np.max(np.abs(
-        -epv * rv / tp - ev * rpv / tp + ev * rv * tpp / tp**2 - grid_values(g, CHECK_GRID))))
-    if residual > 1e-9:
-        raise RuntimeError(f"step-2 ODE residual {residual:.3e} > 1e-9")
+    gv = grid_values(g, CHECK_GRID)
+    residual = float(np.max(np.abs(-epv * rv / tp - ev * rpv / tp + ev * rv * tpp / tp**2 - gv)))
+    bound = 1e-9 * max(1.0, float(np.max(np.abs(gv))))
+    if residual > bound:
+        raise RuntimeError(f"step-2 ODE residual {residual:.3e} > {bound:.3e}")
     return eps
 
 
@@ -291,8 +287,8 @@ def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
     null space; the rank kept and the cutoff margin are recorded.  The
     constraint defect d = A eps - r is measured on the complex entries of
     the rows j >= 0, ||d||^2 = |d_0|^2 + 2 sum_{j>0} |d_j|^2 (d is
-    Hermitian); above 1e-8 the target is not realizable at this truncation.
-    ``order`` (default: the problem's) must be an integer >= 1.
+    Hermitian); above 1e-8 max(1, ||r||_2) the target is not realizable at
+    this truncation.  ``order`` (default: the problem's) must be an integer >= 1.
     """
     _require_zero_mean(target, "target density change")
     order = as_integer("order", problem.order if order is None else order, 1)
@@ -305,9 +301,10 @@ def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
     eps = from_real_basis(scale * coords)
     d = rows @ eps.coeffs - r[order:]
     residual = float(np.sqrt(abs(d[0]) ** 2 + 2 * np.vdot(d[1:], d[1:]).real))
-    if residual > FEASIBILITY_TOL:
+    bound = FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(r)))
+    if residual > bound:
         raise InfeasibleTargetError(
-            f"constraint residual {residual:.3e} > {FEASIBILITY_TOL:.0e}: target not "
+            f"constraint residual {residual:.3e} > {bound:.3e}: target not "
             f"realizable at truncation {order}; retry with a larger order")
     return ControlSolution(eps, residual, sobolev_norm(eps, weights), "minimal_norm",
                            rank, margin)
@@ -317,23 +314,27 @@ def solve_control(problem: ResponseProblem, target: FourierSeries,
                   weights: SobolevWeights = SobolevWeights()) -> ControlSolution:
     """Particular solution via the two-step scheme, with an end-to-end check.
 
-    forward_response of the returned eps must reproduce the target within
-    1e-6 in sup norm.  The reported norm uses ``weights`` (default: plain L2).
-    A nonzero-mean target (ValueError), then one beyond the truncation
-    (InfeasibleTargetError), is refused before any solve.
+    forward_response of the returned eps must reproduce the target t within
+    1e-6 max(1, sum_n |t_n|) in sup norm (the sum bounds ||t||_inf), and its
+    constraint defect must be at most 1e-8 max(1, ||(I - L0) t||_2).  The
+    reported norm uses ``weights`` (default: plain L2).  A nonzero-mean
+    target (ValueError), then one beyond the truncation
+    (InfeasibleTargetError), is refused before step 1, ``step1_g``.
     """
     _require_zero_mean(target, "target density change")
     rhs = _constraint_rhs(problem, target, problem.order)
-    g = _step1_g(problem, FourierSeries(rhs))
+    g = step1_g(problem, FourierSeries(rhs))
     eps = step2_epsilon(problem, g)
     drho = derivative_operator(problem, eps, problem.density)
     realized = solve_zero_mean(problem.matrix, drho)
     gap = sup_norm(realized - target)
-    if gap > ROUNDTRIP_TOL:
-        raise RuntimeError(f"two-step round trip error {gap:.3e} > 1e-6")
+    bound = ROUNDTRIP_TOL * max(1.0, float(np.sum(np.abs(target.coeffs))))
+    if gap > bound:
+        raise RuntimeError(f"two-step round trip error {gap:.3e} > {bound:.3e}")
     residual = float(np.linalg.norm(drho.coeffs - rhs))
-    if residual > FEASIBILITY_TOL:
-        raise RuntimeError(f"two-step constraint defect {residual:.3e} > 1e-8")
+    bound = FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(rhs)))
+    if residual > bound:
+        raise RuntimeError(f"two-step constraint defect {residual:.3e} > {bound:.3e}")
     return ControlSolution(eps, residual, sobolev_norm(eps, weights), "two_step")
 
 

@@ -144,11 +144,6 @@ class FourierSeries:
             return 0.0 + 0.0j
         return complex(self.coeffs[n + self.order])
 
-    @property
-    def hermitian_defect(self) -> float:
-        """Max deviation from coeffs[-n] == conj(coeffs[n])."""
-        return float(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))))
-
     def evaluate(self, x):
         """Evaluate at points x (scalar or array); returns real values.
 
@@ -182,13 +177,13 @@ class FourierSeries:
         return FourierSeries(-self.coeffs)
 
     def __mul__(self, scalar) -> "FourierSeries":
-        s = _real_scalar(scalar)
-        return FourierSeries(self.coeffs * s)
+        if isinstance(scalar, complex):
+            if scalar.imag != 0.0:
+                raise TypeError("only real scalars keep the function real-valued")
+            scalar = scalar.real
+        return FourierSeries(self.coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "FourierSeries":
-        return self * (1.0 / _real_scalar(scalar))
 
     def to_dict(self) -> dict:
         """N and the (2N+1, 2) float array of (real, imaginary) pairs, for ``canonical_json``."""
@@ -298,14 +293,6 @@ def grid_values(series: FourierSeries, size: int) -> np.ndarray:
     return np.fft.ifft(spectrum).real * size
 
 
-def _real_scalar(scalar) -> float:
-    if isinstance(scalar, complex):
-        if scalar.imag != 0.0:
-            raise TypeError("only real scalars keep the function real-valued")
-        return scalar.real
-    return float(scalar)
-
-
 def _require_hermitian(coeffs: np.ndarray) -> None:
     defect = float(np.max(np.abs(coeffs - np.conj(coeffs[::-1]))))
     if defect > 1e-12 * max(1.0, float(np.sum(np.abs(coeffs)))):
@@ -358,10 +345,6 @@ def zeros(order: int = 0) -> FourierSeries:
     return FourierSeries(np.zeros(2 * order + 1, dtype=complex))
 
 
-def constant(value: float) -> FourierSeries:
-    return FourierSeries(np.array([complex(value)]))
-
-
 def sine(k: int, amplitude: float = 1.0) -> FourierSeries:
     """amplitude * sin(2 pi k x) as a truncated series of order k."""
     if k < 1:
@@ -401,22 +384,20 @@ def dft(samples, order: int) -> FourierSeries:
     return FourierSeries(0.5 * (c + np.conj(c[::-1])))
 
 
-def differentiate(series: FourierSeries, order: int = 1) -> FourierSeries:
-    """Derivative of the given order: mode n is scaled by (2 pi i n)^order."""
-    if not 1 <= order <= 4:
-        raise ValueError("derivative order must be in 1..4")
-    factors = (2j * np.pi * series.modes) ** order
-    return FourierSeries(series.coeffs * factors)
+def differentiate(series: FourierSeries) -> FourierSeries:
+    """Derivative: mode n is scaled by 2 pi i n."""
+    return FourierSeries(series.coeffs * (2j * np.pi * series.modes))
 
 
 def antiderivative(series: FourierSeries) -> FourierSeries:
     """Zero-mean primitive: mode n divided by 2 pi i n, mode 0 set to 0.
 
-    Requires a zero-mean input (|mode 0| <= 1e-10); otherwise the primitive
-    would not be periodic.  Integration constants are the caller's business.
+    Requires a zero-mean input (|mode 0| <= 1e-10 max(1, max_n |c_n|));
+    otherwise the primitive would not be periodic.  Integration constants
+    are the caller's business.
     """
     mid = series.order
-    if abs(series.coeffs[mid]) > 1e-10:
+    if abs(series.coeffs[mid]) > 1e-10 * max(1.0, float(np.max(np.abs(series.coeffs)))):
         raise ValueError(
             f"mean {series.coeffs[mid]:.3e} != 0: antiderivative is not periodic")
     c = np.array(series.coeffs)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fourier import (HORNER_BLOCK, FourierSeries, as_integer, check_keys, differentiate,
-                      grid_values, half_spectrum, next_pow2, real_horner, zeros)
+                      grid_values, half_spectrum, next_pow2, real_horner)
 
 EXPANSIVITY_MARGIN = 1e-9
 FAMILY_MARGIN = 0.05
@@ -248,11 +248,6 @@ class CircleMap:
         keys = ("degree", "periodic_part")
         check_keys("map", data, keys, required=keys)
         return cls(data["degree"], FourierSeries.from_dict(data["periodic_part"]))
-
-
-def doubling_map() -> CircleMap:
-    """The linear degree-2 map x -> 2x (mod 1)."""
-    return CircleMap(2, zeros(0))
 
 
 @dataclass(frozen=True, eq=False)

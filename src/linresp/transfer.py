@@ -56,7 +56,8 @@ class TransferMatrix:
     (row j = output mode, column k = input mode) by trapezoidal quadrature,
     which is spectrally accurate for these analytic integrands.  M maps real
     functions to real ones, so real is a float matrix, square of odd size
-    2N + 1 >= 3; the order N follows from it.  map is the map T.
+    2N + 1 >= 3; the order N follows from it.  map is the map T.  A float
+    array is kept, not copied, and made read-only: the caller's array too.
     """
 
     real: np.ndarray
@@ -65,7 +66,7 @@ class TransferMatrix:
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.real):
             raise TypeError("real must be the real matrix Q^H M Q, not a complex one")
-        r = np.array(self.real, dtype=float)
+        r = np.asarray(self.real, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] % 2 == 0 or r.shape[0] < 3:
             raise ValueError(f"real must be a square matrix of odd size >= 3, not {r.shape}")
         r.flags.writeable = False
@@ -289,12 +290,14 @@ def invariant_density(matrix: TransferMatrix) -> FourierSeries:
 def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries:
     """Solve (I - L) v = rhs on the zero-mean subspace, returning mean-zero v.
 
-    The rhs must have zero mean (|mode 0| < 1e-10), which is exactly the
-    subspace where I - L is invertible, and an order at most the matrix's.
+    The rhs must have zero mean (|mode 0| <= 1e-10 max(1, max_n |rhs_n|)),
+    which is exactly the subspace where I - L is invertible, and an order at
+    most the matrix's.  The residual of the solve is held to the same bound.
     A condition number above 1e12 for the restricted system is reported as
     a warning.
     """
-    if abs(rhs.coeff(0)) > 1e-10:
+    bound = 1e-10 * max(1.0, float(np.max(np.abs(rhs.coeffs))))
+    if abs(rhs.coeff(0)) > bound:
         raise ValueError(f"rhs mean {rhs.coeff(0):.3e} is not zero")
     mid = matrix.order
     if rhs.order > mid:
@@ -309,6 +312,6 @@ def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries
     defect = u - matrix.real @ u - b
     defect[0] = 0.0
     residual = float(np.max(np.abs(from_real_basis(defect).coeffs)))
-    if residual > 1e-10:
-        raise SpectralGapError(f"zero-mean solve residual {residual:.3e} > 1e-10")
+    if residual > bound:
+        raise SpectralGapError(f"zero-mean solve residual {residual:.3e} > {bound:.3e}")
     return from_real_basis(u)

@@ -4,14 +4,15 @@ Ulam's matrix[a, b] is the fraction of bin b that the map sends into bin a,
 from exact interval-image intersections of the monotone branches (no
 sampling), so it is column-stochastic.  It is stored as the preimage
 segments of the image bins, two weights and one source bin per segment
-(the second weight's bin is the next one), and a product works through
-fixed-size blocks of segments.  ``linresp verify`` checks the spectral
-solvers against central differences of its stationary bin averages.  Its
-first-order error in the bin width hides the O(delta^2) term of a central
-difference; the collocation reference, trigonometric collocation on
-M = 2K+1 equispaced points, resolves it and meets the Galerkin density to
-about 1e-13 on smooth maps.  Both share only the map's lift and its Newton
-inversion with the spectral path.
+(the second weight's bin is the next one), and ``M @ v``, the one product
+the stationary iteration needs, works through fixed-size blocks of
+segments.  ``linresp verify`` checks the spectral solvers against central
+differences of its stationary bin averages.  Its first-order error in the
+bin width hides the O(delta^2) term of a central difference; the
+collocation reference, trigonometric collocation on M = 2K+1 equispaced
+points, resolves it and meets the Galerkin density to about 1e-13 on
+smooth maps.  Both share only the map's lift and its Newton inversion
+with the spectral path.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .response import CROSS_CHECK_TOL, UnderResolvedError
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAXIT = 20_000
-# Segments per block of a product: no temporary of ``M @ v`` or ``v @ M``
-# is longer, whatever the bin count.
+# Segments per block of ``M @ v``: no temporary of the product is longer,
+# whatever the bin count.
 PRODUCT_BLOCK = 1 << 15
 
 
@@ -40,8 +41,9 @@ class TransitionOperator:
     and its slot 1 its part in the next bin, ``source[s] + 1``.
     ``weights[c, s]`` is the fraction of that source bin that slot c
     covers; it is exactly 0 where ``source[s] + 1`` would be ``bins``.  The
-    preimages rise with s, so ``source`` does not decrease.  ``M @ v`` and
-    ``v @ M`` are the products with the ``bins`` x ``bins`` matrix.
+    preimages rise with s, so ``source`` does not decrease.  ``M @ v`` is
+    the product with the ``bins`` x ``bins`` matrix; an operand of another
+    shape is a ValueError.
     """
 
     bins: int
@@ -49,61 +51,30 @@ class TransitionOperator:
     source: np.ndarray
     weights: np.ndarray
 
-    __array_ufunc__ = None  # so that ndarray @ operator defers to __rmatmul__
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.bins, self.bins
 
-    def _operand(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
+    def __matmul__(self, v) -> np.ndarray:
+        v, (w0, w1) = np.asarray(v, dtype=float), self.weights
         if v.shape != self.shape[:1]:
             raise ValueError(f"operand of shape {v.shape}; expected {self.shape[:1]}")
-        return v
-
-    def _blocks(self):
-        """(segments, image bins) slice pairs that fold the segments mod bins.
-
-        The segments' image bins are consecutive, so each run of at most
-        ``bins`` segments maps onto one slice of image bins.  Runs are cut
-        into blocks of at most ``PRODUCT_BLOCK`` segments.
-        """
+        # Slot 1 gathers from v shifted by one bin; the zero weights past the
+        # last bin meet the 0 appended there.
+        following, out = np.append(v[1:], 0.0), np.zeros(self.bins)
+        # The segments' image bins are consecutive, so each run of at most
+        # ``bins`` segments folds onto one slice of image bins; runs are cut
+        # into blocks of at most PRODUCT_BLOCK segments.
         segments = self.source.size
         for start in range(-self.first, segments, self.bins):
             stop = min(start + self.bins, segments)
             for lo in range(max(start, 0), stop, PRODUCT_BLOCK):
                 hi = min(lo + PRODUCT_BLOCK, stop)
-                yield slice(lo, hi), slice(lo - start, hi - start)
-
-    def __matmul__(self, v) -> np.ndarray:
-        v, (w0, w1) = self._operand(v), self.weights
-        # Slot 1 gathers from v shifted by one bin; the zero weights past the
-        # last bin meet the 0 appended there.
-        following, out = np.append(v[1:], 0.0), np.zeros(self.bins)
-        for part, image_bins in self._blocks():
-            source = self.source[part]
-            images = w0[part] * v[source]
-            images += w1[part] * following[source]
-            out[image_bins] += images
+                source = self.source[lo:hi]
+                images = w0[lo:hi] * v[source]
+                images += w1[lo:hi] * following[source]
+                out[lo - start:hi - start] += images
         return out
-
-    def __rmatmul__(self, v) -> np.ndarray:
-        values, source, (w0, w1) = self._operand(v), self.source, self.weights
-        out, lo = np.zeros(self.bins + 1), 0
-        while lo < source.size:
-            # A source bin's segments are consecutive, and one block holds
-            # them all, so each bin is summed in segment order by one
-            # bincount, as over all segments at once.
-            hi = min(lo + PRODUCT_BLOCK, source.size)
-            while lo + 1 < hi < source.size and source[hi - 1] == source[hi]:
-                hi -= 1
-            image = values.take(np.arange(lo, hi) + self.first, mode="wrap")
-            base, local = int(source[lo]), source[lo:hi] - source[lo]
-            for shift, weights in ((0, w0), (1, w1)):  # slot 1 is in the next bin
-                sums = np.bincount(local, weights[lo:hi] * image)
-                out[base + shift:base + shift + sums.size] += sums
-            lo = hi
-        return out[:-1]  # slot 1's zero weights past the last bin
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +83,7 @@ class UlamModel:
 
     matrix[a, b] is the fraction of bin b mapped into bin a, and columns sum
     to one.  ``matrix`` is a ``TransitionOperator``: it offers ``shape``,
-    ``bins``, ``matrix @ v`` and ``v @ matrix``, not indexing.
+    ``bins`` and ``matrix @ v``, not indexing.
     ``stationary`` holds the bin averages of the invariant density
     (nonnegative, summing to the bin count).
     """

@@ -5,11 +5,20 @@ import numpy as np
 import pytest
 
 from linresp import (CircleMap, FourierSeries, PerturbedFamily, ResponseProblem, SobolevWeights,
-                     antiderivative, apply_transfer_pointwise, constant, cosine, dft, doubling_map,
-                     forward_response, galerkin_matrix, grid_values, invariant_density, next_pow2,
-                     sine, zeros)
+                     antiderivative, apply_transfer_pointwise, cosine, dft, forward_response,
+                     galerkin_matrix, grid_values, invariant_density, next_pow2, sine, zeros)
 from linresp.fourier import as_integer, differentiate, from_real_basis, to_real_basis
 from linresp.transfer import real_matrix_from_rows
+
+
+def constant(value):
+    """The constant function ``value`` as a series of order 0."""
+    return FourierSeries(np.array([complex(value)]))
+
+
+def doubling_map():
+    """The linear degree-2 map x -> 2x (mod 1)."""
+    return CircleMap(2, zeros(0))
 
 
 @pytest.fixture(scope="session")
@@ -372,10 +381,12 @@ def dense_ulam_matrix(circle_map, bins):
 
 
 def ulam_products(matrix, v):
-    """(M @ v, v @ M) from a ``TransitionOperator``'s own arrays, in one pass each: the reference.
+    """(M @ v, v @ M) from a ``TransitionOperator``'s own arrays, in one pass each.
 
-    Slot 1 of segment s sits in source bin min(source[s] + 1, bins - 1),
-    where its weight is 0 past the last bin, and segment s images into bin
+    The reference of the operator's one product, ``M @ v``, and the only
+    route to ``v @ M``, whose v = 1 gives the column sums.  Slot 1 of
+    segment s sits in source bin min(source[s] + 1, bins - 1), where its
+    weight is 0 past the last bin, and segment s images into bin
     (first + s) mod bins; np.add.at folds the segments in order.
     """
     bins, source = matrix.bins, matrix.source

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from linresp import (PerturbedFamily, SobolevWeights, apply_transfer,
-                     compare_l1, constant, cosine, derivative_operator, dft,
+                     compare_l1, cosine, derivative_operator, dft,
                      differentiate, exact_control, fd_response, fixed_point_residual,
                      forward_response, minimal_norm_control,
                      next_pow2, sine, sobolev_norm, solve_control, sup_norm)
 from linresp.verify import collocation_fd_response
 
-from conftest import (CircleDiffeo, build_conjugate, kernel_directions, preimage_shift,
+from conftest import (CircleDiffeo, build_conjugate, constant, kernel_directions, preimage_shift,
                       random_series, transfer_conjugacy_check, weighted_inner_product)
 
 TWO_PI = 2 * np.pi

@@ -4,39 +4,44 @@ import numpy as np
 import pytest
 
 import linresp.control as control
-from linresp import (CircleMap, InfeasibleTargetError,
-                     ResponseProblem, SobolevWeights, apply_transfer_pointwise,
-                     constant, cosine, derivative_operator, dft, differentiate,
-                     doubling_map, exact_control, forward_response,
-                     minimal_norm_control, next_pow2, sine,
-                     sobolev_norm, solve_control, step1_g, step2_epsilon,
+from linresp import (CircleMap, FourierSeries, InfeasibleTargetError, ResponseProblem,
+                     SobolevWeights, apply_transfer_pointwise, cosine, derivative_operator, dft,
+                     differentiate, exact_control, forward_response, minimal_norm_control,
+                     next_pow2, sine, sobolev_norm, solve_control, step1_g, step2_epsilon,
                      sup_norm, zeros)
 from linresp.control import (FEASIBILITY_TOL, PSEUDOINVERSE_CUTOFF, _block_lstsq,
                              _constraint_rhs, _constraint_rows, _floored, _real_blocks,
                              _weight_scale, _weighted_block, truncation_defect)
 from linresp.transfer import real_matrix_from_rows
 
-from conftest import (complex_minimal_norm, constraint_matrix, direct_galerkin_entries,
-                      full_system_lstsq, kernel_directions, padded_blocks, random_series,
-                      seeded_maps, steep_map, weighted_inner_product)
+from conftest import (complex_minimal_norm, constant, constraint_matrix, direct_galerkin_entries,
+                      doubling_map, full_system_lstsq, kernel_directions, padded_blocks,
+                      random_series, seeded_maps, steep_map, weighted_inner_product)
 
 TWO_PI = 2 * np.pi
 EPS0_COEFF = 1 / (4 * np.pi)  # cos(4 pi x)/(2 pi) has +-2 coefficients 1/(4 pi)
 
 
+def transfer_defect(problem, rho1):
+    """f = (I - L) rho1 at the problem's order, as ``solve_control`` gives it to step 1."""
+    return FourierSeries(_constraint_rhs(problem, rho1, problem.order))
+
+
 class TestStepOne:
     def test_doubling_sin_target(self, doubling_problem):
-        g = step1_g(doubling_problem, sine(1))
+        g = step1_g(doubling_problem, transfer_defect(doubling_problem, sine(1)))
         # f = (I - L) sin = sin, g = f o T = sin(4 pi x)
         assert g.coeff(2) == pytest.approx(1 / 2j, abs=1e-12)
         assert g.coeff(-2) == pytest.approx(-1 / 2j, abs=1e-12)
         assert sup_norm(g - sine(2)) < 1e-10
 
     def test_zero_target(self, doubling_problem):
-        assert sup_norm(step1_g(doubling_problem, zeros(2))) < 1e-13
+        f = transfer_defect(doubling_problem, zeros(2))
+        assert sup_norm(step1_g(doubling_problem, f)) < 1e-13
 
     def test_wavy_self_verification(self, wavy, wavy_problem):
-        g = step1_g(wavy_problem, sine(1))
+        g = step1_g(wavy_problem, transfer_defect(wavy_problem, sine(1)))
+        # f by Newton preimages, independent of the transfer image step 1 was given
         f = sine(1).with_order(64) - \
             dft(apply_transfer_pointwise(wavy, sine(1), np.arange(512) / 512), 64)
         x = np.arange(1024) / 1024
@@ -44,15 +49,19 @@ class TestStepOne:
         assert defect < 1e-9
         assert abs(g.coeff(0)) < 1e-10
 
-    def test_rejects_nonzero_mean(self, wavy_problem):
+    def test_rejects_nonzero_mean(self, wavy_problem, monkeypatch):
+        # solve_control refuses the target before step 1 runs
+        monkeypatch.setattr(control, "step1_g", None)
         with pytest.raises(ValueError, match="zero mean"):
-            step1_g(wavy_problem, constant(0.5))
+            solve_control(wavy_problem, constant(0.5))
 
-    def test_refuses_target_beyond_truncation(self, wavy):
-        # cos 40 pi x is mode 20 > N = 16: infeasible, not a failed verification
+    def test_refuses_target_beyond_truncation(self, wavy, monkeypatch):
+        # cos 40 pi x is mode 20 > N = 16: infeasible, not a failed verification,
+        # and refused before step 1 runs
         problem = ResponseProblem.for_map(wavy, 16)
+        monkeypatch.setattr(control, "step1_g", None)
         with pytest.raises(InfeasibleTargetError, match="exceeds truncation 16"):
-            step1_g(problem, sine(1) + cosine(20, 0.5))
+            solve_control(problem, sine(1) + cosine(20, 0.5))
 
 
 class TestStepTwo:
@@ -182,7 +191,7 @@ def triple_problem(triple):
 @pytest.fixture(scope="module")
 def seeded_degree_three_problem():
     periodic = random_series(np.random.default_rng(109), 3, zero_mean=True)
-    periodic = periodic / (2 * sup_norm(differentiate(periodic)))  # 2.5 <= T' <= 3.5
+    periodic = periodic * (1.0 / (2 * sup_norm(differentiate(periodic))))  # 2.5 <= T' <= 3.5
     return ResponseProblem.for_map(CircleMap(3, periodic), 64)
 
 
@@ -204,7 +213,8 @@ class TestRealBasisSolve:
         reference, rank = complex_minimal_norm(problem, target, weights, order)
         sol = minimal_norm_control(problem, target, weights, order)
         assert sol.rank == rank
-        assert sol.epsilon.hermitian_defect == 0.0
+        c = sol.epsilon.coeffs
+        assert np.array_equal(c, np.conj(c[::-1]))
         gap = np.max(np.abs(sol.epsilon.coeffs - reference))
         assert gap <= 1e-9 * np.max(np.abs(reference))
 
@@ -678,41 +688,45 @@ class TestSobolevRefusal:
 
 
 SCALED_MIX = cosine(1) + cosine(3, 0.5)
+SCALED_SOLVES = {
+    "forward_response": (forward_response, cosine(2)),
+    "solve_control": (lambda p, t: solve_control(p, t).epsilon, SCALED_MIX),
+    "minimal_norm_control": (
+        lambda p, t: minimal_norm_control(p, t, SobolevWeights(a=0.5, d=1.0)).epsilon,
+        SCALED_MIX),
+}
+
+
+def check_scaled(problem, name, scale):
+    """The answer to the data times ``scale`` is ``scale`` times the unit answer."""
+    solve, data = SCALED_SOLVES[name]
+    unit, scaled = solve(problem, data), solve(problem, data * scale)
+    assert sup_norm(scaled - unit * scale) < 1e-13 * sup_norm(scaled)
 
 
 class TestScaledLinearProblems:
-    """Absolute gates refuse a linear problem whose data are scaled by 1e5.
+    """A linear problem scaled by up to 1e6 returns the scale times its unit answer.
 
-    On the wavy map at N=64 each call succeeds at scale 1 and 1e4 and
-    returns the scale times its unit answer.  At 1e5 the rounding error,
-    which grows with the data, crosses a fixed tolerance: forward_response's
-    compact and three-term forms disagree by 5.5e-9 (gate 1e-9),
-    solve_control's step-1 defect is 3.9e-9 (gate 1e-9), and
-    minimal_norm_control's residual of 1.65e-8 (gate 1e-8) reads as a false
-    "infeasible".  The refusals are a known defect: their tests are strict
-    xfails, so a fix shows as XPASS.
+    On the wavy map at N=64 the rounding error grows with the data: at scale
+    1e5 forward_response's two forms differ by 5.5e-9, solve_control's
+    step-1 defect is 3.9e-9 and minimal_norm_control's residual is 1.65e-8,
+    above the unscaled tolerances 1e-9, 1e-9 and 1e-8.  So each gate holds
+    its defect to the tolerance times max(1, s), s the size of its data.
     """
 
     def test_scale_1e4_returns_the_scaled_unit_answer(self, wavy_problem):
-        weights = SobolevWeights(a=0.5, d=1.0)
-        for solve, data in ((forward_response, cosine(2)),
-                            (lambda p, t: solve_control(p, t).epsilon, SCALED_MIX),
-                            (lambda p, t: minimal_norm_control(p, t, weights).epsilon,
-                             SCALED_MIX)):
-            unit, scaled = solve(wavy_problem, data), solve(wavy_problem, data * 1e4)
-            assert sup_norm(scaled - unit * 1e4) < 1e-13 * sup_norm(scaled)
+        for name in SCALED_SOLVES:
+            check_scaled(wavy_problem, name, 1e4)
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                       reason="the 1e-9 cross-check gate does not scale with the direction")
+    def test_scale_1e6_returns_the_scaled_unit_answer(self, wavy_problem):
+        for name in SCALED_SOLVES:
+            check_scaled(wavy_problem, name, 1e6)
+
     def test_forward_response_at_scale_1e5(self, wavy_problem):
-        forward_response(wavy_problem, cosine(2, 1e5))
+        check_scaled(wavy_problem, "forward_response", 1e5)
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                       reason="the 1e-9 step-1 gate does not scale with the target")
     def test_solve_control_at_scale_1e5(self, wavy_problem):
-        solve_control(wavy_problem, SCALED_MIX * 1e5)
+        check_scaled(wavy_problem, "solve_control", 1e5)
 
-    @pytest.mark.xfail(strict=True, raises=InfeasibleTargetError,
-                       reason="the 1e-8 feasibility gate does not scale with the target")
     def test_minimal_norm_control_at_scale_1e5(self, wavy_problem):
-        minimal_norm_control(wavy_problem, SCALED_MIX * 1e5, SobolevWeights(a=0.5, d=1.0))
+        check_scaled(wavy_problem, "minimal_norm_control", 1e5)

@@ -5,7 +5,8 @@ from linresp import (FourierSeries, SobolevWeights, cosine, exact_control, exact
                      forward_response, minimal_norm_control, sine, sobolev_norm, sup_norm,
                      zeros)
 
-from conftest import random_series, reference_exact_control, reference_exact_forward
+from conftest import (constant, random_series, reference_exact_control,
+                      reference_exact_forward)
 
 TWO_PI = 2 * np.pi
 
@@ -39,7 +40,6 @@ class TestExactControl:
         assert np.max(gap) < 1e-10
 
     def test_rejects_nonzero_mean(self):
-        from linresp import constant
         with pytest.raises(ValueError, match="zero mean"):
             exact_control(constant(1.0))
 

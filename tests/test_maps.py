@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import (CircleDiffeo, horner_values, preimage_shift, random_series,
+from conftest import (CircleDiffeo, constant, horner_values, preimage_shift, random_series,
                       reference_invert_lift, seeded_maps, steep_map)
 from linresp import (CircleMap, FourierSeries, NotExpandingError, PerturbedFamily,
-                     PreimageError, constant, cosine, fourier, maps, sine, zeros)
+                     PreimageError, cosine, fourier, maps, sine, zeros)
 from linresp.fourier import differentiate
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from linresp import (constant, cosine, derivative_operator, dft, forward_response, sine,
-                     sup_norm, zeros)
+from linresp import cosine, derivative_operator, dft, forward_response, sine, sup_norm, zeros
 
-from conftest import finite_difference_response_check, random_series, seeded_maps, steep_map
+from conftest import (constant, finite_difference_response_check, random_series, seeded_maps,
+                      steep_map)
 
 TWO_PI = 2 * np.pi
 

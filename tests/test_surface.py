@@ -1,17 +1,23 @@
 from dataclasses import fields, is_dataclass
 from functools import cached_property
+from inspect import signature
 
 import linresp
 
-# The package exports what its commands run, and nothing else.
+# The package exports what its commands run, and nothing else, with one
+# exception: linresp/doubling.py, the paper's closed-form solution of the
+# doubling map, exports exact_control and exact_forward, and fourier exports
+# the zeros they use.  No command runs them; they stay in the package as the
+# paper's worked example, and perfbench's checker imports exact_forward.
+# Test fixtures such as constant and doubling_map live in tests/conftest.py.
 EXPORTS = [
     "CircleMap", "ControlSolution", "DEFAULT_ORDER", "FourierSeries",
     "InfeasibleTargetError", "NotExpandingError",
     "PerturbedFamily", "PreimageError", "ResponseProblem", "SobolevWeights",
     "SpectralGapError", "TransferMatrix", "UlamModel", "UnderResolvedError",
     "antiderivative", "apply_transfer", "apply_transfer_pointwise",
-    "bin_averages", "compare_l1", "constant", "cosine", "derivative_operator",
-    "dft", "differentiate", "doubling_map", "exact_control", "exact_forward",
+    "bin_averages", "compare_l1", "cosine", "derivative_operator",
+    "dft", "differentiate", "exact_control", "exact_forward",
     "fd_response", "fixed_point_residual", "forward_response",
     "galerkin_matrix", "grid_values", "invariant_density",
     "minimal_norm_control", "next_pow2",
@@ -21,12 +27,13 @@ EXPORTS = [
 
 # Test-only helpers moved to tests/conftest.py or deleted, the second
 # uniform-grid route (grid_values is the only one), the oddness rule
-# that is now CircleMap.is_odd, and the N/2N norm report that
-# truncation_defect replaced.
+# that is now CircleMap.is_odd, the N/2N norm report that
+# truncation_defect replaced, and the private step 1 that step1_g now is.
 REMOVED = ["CircleDiffeo", "build_conjugate", "transfer_conjugacy_check",
            "finite_difference_response_check", "multiply", "weighted_inner_product",
            "l1_norm", "l2_norm", "GridFunction", "idft", "_is_odd",
-           "minimal_norm_truncation_report", "kernel_directions", "_weighted_system"]
+           "minimal_norm_truncation_report", "kernel_directions", "_weighted_system",
+           "constant", "doubling_map", "_step1_g", "_real_scalar"]
 
 
 def test_every_exported_name_resolves():
@@ -45,7 +52,7 @@ def test_star_import():
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 44
+    assert len(EXPORTS) == 42
     assert sorted(linresp.__all__) == sorted(EXPORTS)
 
 
@@ -59,8 +66,20 @@ def test_removed_names_stay_out():
     assert not hasattr(linresp.FourierSeries, "hermitian_symmetrized")
     assert not hasattr(linresp.fourier, "_real_rows")
     assert not callable(linresp.sine(1))
-    assert not callable(linresp.doubling_map())
+    assert not callable(linresp.CircleMap(2, linresp.zeros(0)))
     assert not hasattr(linresp.PerturbedFamily, "preimage_shift")
+    # Only tests read these: Hermitian checks compare the coefficients with
+    # their conjugate reverse, and a series is scaled by multiplication.
+    assert not hasattr(linresp.FourierSeries, "hermitian_defect")
+    assert not hasattr(linresp.FourierSeries, "__truediv__")
+    # The Ulam operator offers M @ v, the stationary iteration's product,
+    # and no v @ M; column sums come from conftest.ulam_products.
+    operator = linresp.verify.TransitionOperator
+    assert [n for n in ("__rmatmul__", "__array_ufunc__", "_operand", "_blocks")
+            if n in vars(operator)] == []
+    # One derivative order, and step 1 takes f = (I - L) rho1.
+    assert list(signature(linresp.differentiate).parameters) == ["series"]
+    assert list(signature(linresp.step1_g).parameters) == ["problem", "f"]
 
 
 def _cached_names(cls) -> set:

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from linresp import (CircleMap, ResponseProblem, SobolevWeights, apply_transfer, compare_l1,
-                     constant, cosine, derivative_operator, dft, doubling_map,
-                     fixed_point_residual, forward_response, galerkin_matrix, grid_values,
-                     invariant_density, sine, solve_zero_mean, sup_norm, ulam_build, zeros)
+                     cosine, derivative_operator, dft, fixed_point_residual, forward_response,
+                     galerkin_matrix, grid_values, invariant_density, sine, solve_zero_mean,
+                     sup_norm, ulam_build, zeros)
 from linresp.control import minimal_norm_control
 from linresp import transfer
 from linresp.fourier import baby_steps
 from linresp.transfer import apply_transfer_pointwise, quadrature_size
 
 from conftest import (CircleDiffeo, build_conjugate, complex_entries, complex_restricted_solves,
-                      conjugate_fill, direct_galerkin_entries, multiply, random_series,
-                      seeded_maps, steep_map, transfer_conjugacy_check, whole_restricted_solves)
+                      conjugate_fill, constant, direct_galerkin_entries, doubling_map, multiply,
+                      random_series, seeded_maps, steep_map, transfer_conjugacy_check,
+                      whole_restricted_solves)
 
 GALERKIN_MAPS = {"wavy": CircleMap(2, sine(1, 0.1)), "steep": steep_map(),
                  **{f"seeded-degree{m.degree}": m for m in seeded_maps()}}
