@@ -9,12 +9,18 @@ which hands the values it cannot settle to Python's ``%``, value by value.
 
 Exit codes: 0 success, 1 config error, 2 solver failure, 3 target not
 realizable at the requested truncation, 4 verification budget violation.
+
+This module imports only what every command runs (``fourier``, ``maps``,
+``response`` with ``transfer``, and ``_format``).  ``control`` and ``verify``
+load when a command that runs them is dispatched, before its config is read,
+so ``density`` and ``respond`` never import them.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import sys
 from dataclasses import dataclass
@@ -23,13 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from ._format import format_17g
-from .control import (InfeasibleTargetError, minimal_norm_control, solve_control,
-                      truncation_defect)
 from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, as_integer, as_real,
                       check_keys, cosine, grid_values, next_pow2, sine, sup_norm)
 from .maps import CircleMap, PerturbedFamily
-from .response import ResponseProblem, forward_response
-from .verify import compare_l1, fd_response
+from .response import InfeasibleTargetError, ResponseProblem, forward_response
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -254,6 +257,7 @@ def cmd_respond(config: JobConfig, out: Path) -> int:
 
 
 def cmd_control(config: JobConfig, out: Path) -> int:
+    from .control import minimal_norm_control, solve_control, truncation_defect
     if config.target is None:
         raise ConfigError("control needs a 'target' entry")
     problem = ResponseProblem.for_map(config.map, config.order)
@@ -281,6 +285,8 @@ def cmd_control(config: JobConfig, out: Path) -> int:
 
 
 def cmd_verify(config: JobConfig, out: Path) -> int:
+    from .control import minimal_norm_control
+    from .verify import compare_l1, fd_response
     if config.verify is None:
         raise ConfigError("verify needs a 'verify' block with delta and bins")
     if config.target is None:
@@ -331,11 +337,14 @@ def cmd_verify(config: JobConfig, out: Path) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
+# Each command, and the solver modules it runs beyond those imported above.
+# main imports them before it reads the config, so that they load before
+# the command allocates any array.
 _COMMANDS = {
-    "density": cmd_density,
-    "respond": cmd_respond,
-    "control": cmd_control,
-    "verify": cmd_verify,
+    "density": (cmd_density, ()),
+    "respond": (cmd_respond, ()),
+    "control": (cmd_control, ("control",)),
+    "verify": (cmd_verify, ("control", "verify")),
 }
 
 
@@ -359,6 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command, solvers = _COMMANDS[args.command]
+    for name in solvers:
+        importlib.import_module(f".{name}", __package__)
     try:
         config = load_config(args.config)
         if args.modes is not None:
@@ -367,7 +379,7 @@ def main(argv=None) -> int:
             config.grid = next_pow2(_checked(as_integer, "--grid", args.grid, 1))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out)
+        return command(config, out)
     except InfeasibleTargetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

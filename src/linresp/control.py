@@ -27,7 +27,7 @@ from .fourier import (CHECK_GRID, FourierSeries, SobolevWeights, antiderivative,
                       dft, differentiate, from_real_basis, grid_values, next_pow2,
                       sobolev_norm, sup_norm, to_real_basis)
 from .maps import CircleMap
-from .response import ResponseProblem, derivative_operator
+from .response import InfeasibleTargetError, ResponseProblem, derivative_operator
 from .transfer import (_galerkin_rows, apply_transfer, apply_transfer_pointwise,
                        quadrature_size, real_matrix_from_rows, solve_zero_mean)
 
@@ -39,10 +39,6 @@ ROUNDTRIP_TOL = 1e-6
 # clearing them keeps the weighted solve's null space aligned with the
 # operator's true kernel.
 ASSEMBLY_NOISE_FLOOR = 1e-13
-
-
-class InfeasibleTargetError(RuntimeError):
-    """The target is not realizable at this truncation."""
 
 
 @dataclass(frozen=True, eq=False)

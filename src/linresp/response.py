@@ -29,6 +29,10 @@ class UnderResolvedError(RuntimeError):
     """The density computed at this truncation fails the pointwise fixed-point check."""
 
 
+class InfeasibleTargetError(RuntimeError):
+    """The target is not realizable at this truncation (raised by ``control``)."""
+
+
 @dataclass(frozen=True, eq=False)
 class ResponseProblem:
     """A Galerkin matrix; the map, the order and everything else follow from it.

@@ -2,10 +2,13 @@ from dataclasses import fields, is_dataclass
 from functools import cached_property
 from inspect import signature
 
+import pytest
+
 import linresp
 
-# The package exports what its commands run, and nothing else, with one
-# exception: linresp/doubling.py, the paper's closed-form solution of the
+# The package exports what its commands run, and nothing else, each name
+# imported from its submodule on first access, with one exception:
+# linresp/doubling.py, the paper's closed-form solution of the
 # doubling map, exports exact_control and exact_forward, and fourier exports
 # the zeros they use.  No command runs them; they stay in the package as the
 # paper's worked example, and perfbench's checker imports exact_forward.
@@ -39,6 +42,33 @@ REMOVED = ["CircleDiffeo", "build_conjugate", "transfer_conjugacy_check",
 def test_every_exported_name_resolves():
     missing = [name for name in linresp.__all__ if not hasattr(linresp, name)]
     assert missing == []
+    assert set(linresp.__all__) <= set(dir(linresp))
+
+
+def test_first_access_imports_and_caches_the_name(monkeypatch):
+    # An export not yet read is found through the package's __getattr__, and
+    # the name is then kept in the package namespace.
+    monkeypatch.delitem(vars(linresp), "sine", raising=False)
+    assert linresp.sine is linresp.fourier.sine
+    assert vars(linresp)["sine"] is linresp.fourier.sine
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        linresp.no_such_name
+
+
+def test_submodules_import_by_name():
+    from linresp import doubling, fourier  # perfbench's checker imports these
+    assert doubling.exact_forward is linresp.exact_forward
+    assert fourier is linresp.fourier
+
+
+def test_infeasible_target_error_is_one_class():
+    # Defined beside UnderResolvedError, so that cli.main maps it to exit 3
+    # without importing control; control re-exports it.
+    assert linresp.InfeasibleTargetError is linresp.control.InfeasibleTargetError
+    assert linresp.InfeasibleTargetError is linresp.response.InfeasibleTargetError
 
 
 def test_exported_names_unique():

@@ -279,28 +279,65 @@ class TestCompareL1:
         np.testing.assert_allclose(vals, exact, atol=1e-14)
 
 
-def test_package_import_leaves_scipy_sparse_unloaded(tmp_path):
-    # linresp needs neither scipy nor numpy.polynomial, on import or in a
-    # verify run, the Ulam oracle included.
+# Modules no linresp process needs.  Each command also leaves the solvers it
+# does not run unimported: density and respond compile neither the control
+# solves nor the Ulam oracle, and no command runs the doubling-map closed form.
+NEVER_LOADED = ("scipy", "numpy.polynomial")
+NOT_RUN = {
+    "density": ("linresp.control", "linresp.verify", "linresp.doubling"),
+    "respond": ("linresp.control", "linresp.verify", "linresp.doubling"),
+    "control": ("linresp.verify", "linresp.doubling"),
+    "verify": ("linresp.doubling",),
+}
+DOUBLING_MAP = {"degree": 2, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}
+PROBE_MAP = {"degree": 2, "periodic_part": {"N": 1, "coeffs": [[0.0, 0.05], [0.0, 0.0],
+                                                                [0.0, -0.05]]}}
+
+
+def _loaded(modules: tuple) -> str:
+    """An expression listing the loaded ones of ``modules`` and their submodules."""
+    return (f"sorted(m for m in sys.modules "
+            f"if any(m == w or m.startswith(w + '.') for w in {modules!r}))")
+
+
+def _child_output(code: str, *argv) -> str:
+    """The last line ``code`` prints in a fresh interpreter importing linresp from here."""
     src = str(Path(linresp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    probe = ("import sys, linresp; "
-             "print([m for m in ('scipy', 'numpy.polynomial') if m in sys.modules])")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                            env=dict(os.environ, PYTHONPATH=path),
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
 
-    wavy = {"degree": 2, "periodic_part": {"N": 1, "coeffs": [[0.0, 0.05], [0.0, 0.0],
-                                                               [0.0, -0.05]]}}
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"map": wavy, "N": 16, "target": "mix",
-                                  "verify": {"delta": 1e-3, "bins": 1024}}))
-    run = ("import sys; from linresp.cli import main; "
-           "code = main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]); "
-           "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-           " or m.startswith('numpy.polynomial')))")
-    result = subprocess.run([sys.executable, "-c", run, str(config), str(tmp_path / "out")],
-                            env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip().splitlines()[-1] == "0 []"
-    assert (tmp_path / "out" / "verify.json").exists()
+
+def _command_probe(tmp_path, command: str, **config) -> tuple[int, list[str]]:
+    """Exit code of ``linresp <command>`` run by cli.main, and the listed modules it loaded."""
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps({"map": PROBE_MAP, **config}))
+    watched = NEVER_LOADED + NOT_RUN[command]
+    code = ("import json, sys; from linresp.cli import main; "
+            "code = main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]); "
+            f"print(json.dumps([code, {_loaded(watched)}]))")
+    return tuple(json.loads(_child_output(code, command, path, tmp_path / command)))
+
+
+def test_package_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # import linresp loads the package alone, not numpy and no submodule;
+    # a verify run, the Ulam oracle included, needs neither scipy nor
+    # numpy.polynomial.
+    probe = f"import sys, linresp; print({_loaded(('linresp', 'numpy', 'scipy'))})"
+    assert _child_output(probe) == "['linresp']"
+    config = {"N": 16, "target": "mix", "verify": {"delta": 1e-3, "bins": 1024}}
+    assert _command_probe(tmp_path, "verify", **config) == (0, [])
+    assert (tmp_path / "verify" / "verify.json").exists()
+
+
+@pytest.mark.parametrize("command, config, exit_code", [
+    ("density", {"N": 16}, 0),
+    ("respond", {"N": 16, "epsilon": "cos2"}, 0),
+    ("control", {"N": 16, "target": "mix"}, 0),
+    # the target's mode 3 lies beyond N=2: main maps the refusal to exit 3
+    ("control", {"map": DOUBLING_MAP, "N": 2, "target": "cos3"}, 3),
+], ids=["density", "respond", "control", "control-infeasible"])
+def test_commands_import_only_the_solvers_they_run(tmp_path, command, config, exit_code):
+    assert _command_probe(tmp_path, command, **config) == (exit_code, [])
