@@ -30,7 +30,7 @@ import numpy as np
 
 from ._format import format_17g
 from .fourier import (DEFAULT_ORDER, FourierSeries, SobolevWeights, as_integer, as_real,
-                      check_keys, cosine, grid_values, next_pow2, sine, sup_norm)
+                      check_keys, cosine, exact_size, grid_values, next_pow2, sine, sup_norm)
 from .maps import CircleMap, PerturbedFamily
 from .response import InfeasibleTargetError, ResponseProblem, forward_response
 
@@ -214,7 +214,7 @@ def _write_csv(path: Path, header: tuple[str, str], xs, values) -> None:
 
 
 def _series_csv(path: Path, series: FourierSeries, grid: int) -> None:
-    size = next_pow2(max(grid, 2 * series.order + 2))
+    size = exact_size(series.order, grid)
     _write_csv(path, ("x", "value"), np.arange(size) / size, grid_values(series, size))
 
 

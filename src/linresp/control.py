@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import (CHECK_GRID, FourierSeries, SobolevWeights, antiderivative, as_integer,
-                      dft, differentiate, from_real_basis, grid_values, next_pow2,
-                      sobolev_norm, sup_norm, to_real_basis)
+                      dft, differentiate, exact_size, from_real_basis, grid_values, next_pow2,
+                      require_zero_mean, sobolev_norm, sup_norm, to_real_basis)
 from .maps import CircleMap
 from .response import InfeasibleTargetError, ResponseProblem, derivative_operator
 from .transfer import (_galerkin_rows, apply_transfer, apply_transfer_pointwise,
@@ -65,10 +65,9 @@ class ControlSolution:
                 "norm": self.norm, "method": self.method}
 
 
-def _require_zero_mean(series: FourierSeries, what: str) -> None:
-    if abs(series.coeff(0)) > 1e-10 * max(1.0, float(np.max(np.abs(series.coeffs)))):
-        raise ValueError(f"{what} has mean {series.coeff(0):.3e}; densities "
-                         "integrate to 1, so the change must have zero mean")
+def _two_step_size(out_order: int) -> int:
+    """Grid of the two-step products for an answer of order ``out_order``."""
+    return next_pow2(max(4 * out_order, 512))
 
 
 def step1_g(problem: ResponseProblem, f: FourierSeries) -> FourierSeries:
@@ -82,7 +81,7 @@ def step1_g(problem: ResponseProblem, f: FourierSeries) -> FourierSeries:
     """
     circle_map, rho = problem.map, problem.density
     out_order = (circle_map.degree + 1) * problem.order
-    size = next_pow2(max(4 * out_order, 512))
+    size = _two_step_size(out_order)
     image = circle_map.grid_values(size)
     values = f.evaluate(image) * grid_values(rho, size) / rho.evaluate(image)
     g = dft(values, out_order)
@@ -106,11 +105,10 @@ def step2_epsilon(problem: ResponseProblem, g: FourierSeries) -> FourierSeries:
     integral eps = 0, returned at order g.order + N.  The pointwise ODE
     residual is verified to be at most 1e-9 max(1, ||g||_inf).
     """
-    _require_zero_mean(g, "step-2 right-hand side")
+    primitive = antiderivative(g)  # refuses a g of nonzero mean
     circle_map, rho = problem.map, problem.density
     out_order = g.order + problem.order
-    primitive = antiderivative(g)
-    size = next_pow2(max(4 * out_order, 512))
+    size = _two_step_size(out_order)
     base = circle_map.grid_values(size, 1) / grid_values(rho, size)
     gvals = grid_values(primitive, size)
     c = float(np.mean(base * gvals) / np.mean(base))
@@ -286,7 +284,7 @@ def minimal_norm_control(problem: ResponseProblem, target: FourierSeries,
     Hermitian); above 1e-8 max(1, ||r||_2) the target is not realizable at
     this truncation.  ``order`` (default: the problem's) must be an integer >= 1.
     """
-    _require_zero_mean(target, "target density change")
+    require_zero_mean(target, "target density change")
     order = as_integer("order", problem.order if order is None else order, 1)
     r = _constraint_rhs(problem, target, order)
     rows = _floored(_constraint_rows(problem, order))
@@ -317,7 +315,7 @@ def solve_control(problem: ResponseProblem, target: FourierSeries,
     target (ValueError), then one beyond the truncation
     (InfeasibleTargetError), is refused before step 1, ``step1_g``.
     """
-    _require_zero_mean(target, "target density change")
+    require_zero_mean(target, "target density change")
     rhs = _constraint_rhs(problem, target, problem.order)
     g = step1_g(problem, FourierSeries(rhs))
     eps = step2_epsilon(problem, g)
@@ -339,7 +337,7 @@ def truncation_defect(problem: ResponseProblem, target: FourierSeries, eps: Four
     """The defect A eps - r at modes |j| <= ``order`` (an integer >= 1), assembling no A.
 
     (L0 w)' = L0((w/T0')'), so A eps = -L0((eps rho/T0')') = -(L0(rho eps))':
-    one ``apply_transfer`` of the product rho eps, exact on next_pow2(2 K + 2)
+    one ``apply_transfer`` of the product rho eps, exact on ``exact_size(K)``
     points for its order K.  The derivative's 2 pi j amplifies rounding, so
     the defect's floor grows with ``order``.  A target beyond ``order``
     raises InfeasibleTargetError.
@@ -348,7 +346,7 @@ def truncation_defect(problem: ResponseProblem, target: FourierSeries, eps: Four
     r = _constraint_rhs(problem, target, order)
     rho = problem.density
     product_order = rho.order + eps.order
-    size = next_pow2(2 * product_order + 2)
+    size = exact_size(product_order)
     product = dft(grid_values(rho, size) * grid_values(eps, size), product_order)
     image = apply_transfer(problem.map, product, out_order=order)
     return FourierSeries(-differentiate(image).coeffs - r)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fourier import FourierSeries, antiderivative, differentiate, zeros
+from .fourier import FourierSeries, antiderivative, differentiate, require_zero_mean, zeros
 
 
 def _halve(series: FourierSeries) -> FourierSeries:
@@ -30,8 +30,7 @@ def exact_control(target: FourierSeries,
     omitted this is the minimal solution for the L2 norm and for every
     diagonal derivative-weighted norm.
     """
-    if abs(target.coeff(0)) > 1e-10:
-        raise ValueError("target must have zero mean")
+    require_zero_mean(target, "target")
     free = zeros(0) if odd_modes is None else odd_modes
     if np.any(_halve(free).coeffs):  # the even modes of the free part
         raise ValueError("free coefficients live on odd frequencies only")

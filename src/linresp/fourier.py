@@ -22,8 +22,9 @@ from numbers import Integral, Real
 import numpy as np
 
 DEFAULT_ORDER = 64
-HORNER_BLOCK = 16384  # points per Horner block, and the temporaries of a row in complex values
+BLOCK = 1 << 14  # complex values (256 KB) per numpy temporary of a blocked loop
 CHECK_GRID = 1024  # uniform points of the pointwise checks on a computed answer
+DENSE_GRID = 4096  # fewest uniform points of a sup norm, a positivity check or a Newton table
 FLOAT_MAX = sys.float_info.max
 
 
@@ -33,6 +34,11 @@ def next_pow2(n: int) -> int:
     while m < n:
         m *= 2
     return m
+
+
+def exact_size(order: int, at_least: int = 2) -> int:
+    """Uniform grid, a power of two >= ``at_least``, that samples order-``order`` data exactly."""
+    return next_pow2(max(at_least, 2 * order + 2))
 
 
 def as_integer(what: str, value, low: int) -> int:
@@ -235,9 +241,9 @@ def real_horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     sum_{a<R} c_{Rb+a} z^a for every b are one real matrix product of the
     baby powers z^a with the coefficients, then S = ceil(K/R) Horner steps
     in z^R add them up.  The points go through in blocks sized so that the
-    powers, inner sums and accumulator hold at most rows x HORNER_BLOCK
+    powers, inner sums and accumulator hold at most rows x BLOCK
     complex values, the Horner accumulator of a shorter row.  A row of
-    fewer than 64 modes is a plain Horner pass over blocks of HORNER_BLOCK
+    fewer than 64 modes is a plain Horner pass over blocks of BLOCK
     points: R = 1, whose inner sums are the coefficients themselves.  The
     block form breaks even near 32 modes at 2048 points and near 100 at
     16384 points.
@@ -247,7 +253,7 @@ def real_horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     giant = -(-length // baby)
     if baby == 1:
         inner = rows.T[None]  # (1, S, rows): the coefficients, broadcast over the points
-        points = HORNER_BLOCK
+        points = BLOCK
     else:
         c = np.zeros((count, giant * baby), dtype=complex)
         c[:, :length] = rows
@@ -260,7 +266,7 @@ def real_horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
         coeffs[:, 1, :, 0] = -c.imag
         coeffs = coeffs.reshape(2 * baby, 2 * giant * count)
         points = block_length(
-            z.size, count * HORNER_BLOCK // (baby + giant * count + count + 1))
+            z.size, count * BLOCK // (baby + giant * count + count + 1))
     out = np.empty((count, z.size))
     for start in range(0, z.size, points):
         block = z[start:start + points]
@@ -392,14 +398,12 @@ def differentiate(series: FourierSeries) -> FourierSeries:
 def antiderivative(series: FourierSeries) -> FourierSeries:
     """Zero-mean primitive: mode n divided by 2 pi i n, mode 0 set to 0.
 
-    Requires a zero-mean input (|mode 0| <= 1e-10 max(1, max_n |c_n|));
-    otherwise the primitive would not be periodic.  Integration constants
-    are the caller's business.
+    Requires a zero-mean input (``require_zero_mean``); otherwise the
+    primitive would not be periodic.  Integration constants are the
+    caller's business.
     """
+    require_zero_mean(series, "antiderivative input")
     mid = series.order
-    if abs(series.coeffs[mid]) > 1e-10 * max(1.0, float(np.max(np.abs(series.coeffs)))):
-        raise ValueError(
-            f"mean {series.coeffs[mid]:.3e} != 0: antiderivative is not periodic")
     c = np.array(series.coeffs)
     n = series.modes.astype(float)
     n[mid] = 1.0  # avoid 0/0; mode 0 is overwritten below
@@ -408,12 +412,19 @@ def antiderivative(series: FourierSeries) -> FourierSeries:
     return FourierSeries(c)
 
 
+def require_zero_mean(series: FourierSeries, what: str) -> float:
+    """Refuse (ValueError) a mean above 1e-10 max(1, max_n |c_n|); return that bound."""
+    bound = 1e-10 * max(1.0, float(np.max(np.abs(series.coeffs))))
+    if abs(series.coeff(0)) > bound:
+        raise ValueError(f"{what} has mean {series.coeff(0):.3e}; it must have zero mean")
+    return bound
+
+
 def sobolev_norm(series: FourierSeries, weights: SobolevWeights) -> float:
     """sqrt(sum_n W(n) |c_n|^2) with the quadratic-form weights W(n)."""
     w = weights.mode_weights(series.order)
     return float(np.sqrt(np.sum(w * np.abs(series.coeffs) ** 2)))
 
 
-def sup_norm(series: FourierSeries, grid: int = 4096) -> float:
-    size = next_pow2(max(grid, 2 * series.order + 2))
-    return float(np.max(np.abs(grid_values(series, size))))
+def sup_norm(series: FourierSeries, grid: int = DENSE_GRID) -> float:
+    return float(np.max(np.abs(grid_values(series, exact_size(series.order, grid)))))

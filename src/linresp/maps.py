@@ -6,7 +6,7 @@ strictly increasing lift.  Newton is seeded by cubic Hermite interpolation of
 the lift's inverse, whose values and slopes are known at the images of the
 uniform grid that the construction checks sample; on smooth maps the seed
 already meets the tolerance, so the first residual sweep ends the iteration.
-The targets go through in blocks of ``HORNER_BLOCK``, so an inversion of many
+The targets go through in blocks of ``fourier.BLOCK``, so an inversion of many
 points holds temporaries the size of one block.  That inverter is the only
 one in the package, and only the pointwise checks and the Ulam oracle call
 it.  One-parameter families T_delta = T0 + delta*eps model first-order
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fourier import (HORNER_BLOCK, FourierSeries, as_integer, check_keys, differentiate,
+from .fourier import (BLOCK, DENSE_GRID, FourierSeries, as_integer, check_keys, differentiate,
                       grid_values, half_spectrum, next_pow2, real_horner)
 
 EXPANSIVITY_MARGIN = 1e-9
@@ -42,7 +42,7 @@ def _validation_size(order: int) -> int:
     # The construction checks' samples of p and p' also seed Newton: sized
     # from the order of p, never from the targets of an inversion, and a
     # power of two, so that the seed's grid values k/n are exact.
-    return next_pow2(max(16 * (order + 1), 4096))
+    return next_pow2(max(16 * (order + 1), DENSE_GRID))
 
 
 def _interpolated_inverse(table: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -206,21 +206,21 @@ class CircleMap:
     def invert_lift(self, targets):
         """Solve L(y) = t for each t; the unique real solution of the lift.
 
-        Each block of HORNER_BLOCK targets is shifted, seeded, bracketed and
+        Each block of BLOCK targets is shifted, seeded, bracketed and
         solved on its own and written into one output array.
         """
         t = np.asarray(targets, dtype=float)
         tf = t.ravel()
         y = np.empty(tf.size)
         table, lift0, p_lo, p_hi = self._inversion
-        for start in range(0, tf.size, HORNER_BLOCK):
-            block = tf[start:start + HORNER_BLOCK]
+        for start in range(0, tf.size, BLOCK):
+            block = tf[start:start + BLOCK]
             shift = np.floor((block - lift0) / self.degree)
             base = block - self.degree * shift  # now within [L(0), L(0)+d)
             seed = _interpolated_inverse(table, base)
             lo = (base - p_hi) / self.degree
             hi = (base - p_lo) / self.degree
-            y[start:start + HORNER_BLOCK] = (
+            y[start:start + BLOCK] = (
                 _solve_increasing(self._lift_value, base, seed, lo, hi) + shift)
         return float(y[0]) if t.ndim == 0 else y.reshape(t.shape)
 

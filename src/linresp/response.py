@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fourier import (CHECK_GRID, DEFAULT_ORDER, FourierSeries, dft, differentiate,
-                      grid_values, next_pow2, sup_norm)
+                      exact_size, grid_values, sup_norm)
 from .maps import CircleMap
 from .transfer import (TransferMatrix, apply_transfer, fixed_point_residual,
                        galerkin_matrix, invariant_density, solve_zero_mean)
@@ -86,7 +86,7 @@ def derivative_operator(problem: ResponseProblem, direction: FourierSeries,
     """
     circle_map, order = problem.map, problem.order
     pad = PAD_FACTOR * order
-    size = next_pow2(max(2 * pad + 2, 2 * direction.order + 2, 2 * w.order + 2))
+    size = exact_size(max(pad, direction.order, w.order))
     ev = grid_values(direction, size)
     wv = grid_values(w, size)
     tp = circle_map.grid_values(size, 1)

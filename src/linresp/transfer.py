@@ -32,15 +32,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import (CHECK_GRID, HORNER_BLOCK, FourierSeries, _real_coordinates, as_integer,
-                      baby_steps, block_length, from_real_basis, grid_values, next_pow2,
-                      to_real_basis)
+from .fourier import (BLOCK, CHECK_GRID, DENSE_GRID, FourierSeries, _real_coordinates,
+                      as_integer, baby_steps, block_length, exact_size, from_real_basis,
+                      grid_values, next_pow2, require_zero_mean, to_real_basis)
 from .maps import CircleMap
 
 CONDITION_LIMIT = 1e12
 DENSITY_TOL = 1e-10
-ASSEMBLY_BLOCK = 1 << 15  # complex grid samples per assembly block (512 KB)
-# At HORNER_BLOCK, control at N=256 writes other bytes and ran 3 ms slower (2 vCPUs).
 
 
 class SpectralGapError(RuntimeError):
@@ -107,8 +105,7 @@ class TransferMatrix:
         if residual > DENSITY_TOL:
             raise SpectralGapError(
                 f"density Galerkin residual {residual:.3e} > {DENSITY_TOL:.0e}")
-        samples = grid_values(rho, next_pow2(max(4096, 2 * self.order + 2)))
-        if float(np.min(samples)) <= 0.0:
+        if float(np.min(grid_values(rho, exact_size(self.order, DENSE_GRID)))) <= 0.0:
             raise SpectralGapError(
                 "computed density is not strictly positive; truncation too small?")
         return rho, residual
@@ -127,13 +124,13 @@ def _galerkin_rows(circle_map: CircleMap, row_order: int, col_order: int,
 
     For real w the rows j < 0 are their conjugates and are never formed.  Row
     j is the inverse FFT of w z^j, z = e^{-2 pi i T}, with the powers by
-    running product.  The rows go through in blocks of ASSEMBLY_BLOCK grid
+    running product.  The rows go through in blocks of ``fourier.BLOCK`` grid
     samples, and each block keeps only its 2 col_order + 1 wanted columns,
     so the transient memory is one block, not row_order x quad_size.
     """
     z = np.exp(-2j * np.pi * circle_map.grid_values(quad_size))
     cols = np.arange(-col_order, col_order + 1)
-    rows = min(max(1, ASSEMBLY_BLOCK // quad_size), row_order + 1)
+    rows = min(max(1, BLOCK // quad_size), row_order + 1)
     powers = np.empty((rows, quad_size), dtype=complex)
     powers[0] = weight
     upper = np.empty((row_order + 1, cols.size), dtype=complex)
@@ -156,7 +153,7 @@ def real_matrix_from_rows(upper: np.ndarray, rows: slice = slice(None),
     Q^H A Q is Re (row 0), sqrt(2) Re (rows a_j) and -sqrt(2) Im (rows b_j)
     of the rows j >= 0 of A Q.  Column 0 of A Q is A's, column a_k is
     (A_k + A_-k) / sqrt(2) and column b_k is -i (A_k - A_-k) / sqrt(2); they
-    are formed in chunks of at most HORNER_BLOCK complex values, by the same
+    are formed in chunks of at most ``fourier.BLOCK`` complex values, by the same
     operations for every entry, so any block (slices of step 1, written to
     ``out`` if given) equals that slice of the whole matrix bit for bit, and
     no complex copy of A is made.  The symmetry is not checked: the rows
@@ -164,7 +161,7 @@ def real_matrix_from_rows(upper: np.ndarray, rows: slice = slice(None),
     """
     n = upper.shape[0] - 1
     (r0, r1, _), (c0, c1, _) = rows.indices(2 * n + 1), cols.indices(2 * n + 1)
-    width = max(1, HORNER_BLOCK // (n + 1))
+    width = max(1, BLOCK // (n + 1))
     for a in range(c0, c1, width):
         b = min(a + width, c1)
         columns = np.empty((n + 1, b - a), dtype=complex)  # columns a..b-1 of A Q
@@ -231,8 +228,8 @@ def apply_transfer(circle_map: CircleMap, w: FourierSeries,
     w z^{Rb}: moment Rb + a is entry (b, a) of giant times baby transposed,
     one real matrix product per chunk of the grid.  A chunk holds R + 2S
     rows (the giant rows twice, for the real and imaginary parts) in at most
-    ASSEMBLY_BLOCK / 2 complex samples (256 KB): chunks of ASSEMBLY_BLOCK
-    were slower and raised the peak RSS of a run of small problems.
+    ``fourier.BLOCK`` complex samples: chunks twice as long were slower and
+    raised the peak RSS of a run of small problems.
     Pointwise values through Newton preimages are
     ``apply_transfer_pointwise``.
     """
@@ -245,7 +242,7 @@ def apply_transfer(circle_map: CircleMap, w: FourierSeries,
     weight = grid_values(w, size)
     baby = baby_steps(out_order + 1)
     giant = -(-(out_order + 1) // baby)
-    chunk = block_length(size, ASSEMBLY_BLOCK // 2 // (baby + 2 * giant))
+    chunk = block_length(size, BLOCK // (baby + 2 * giant))
     moments = np.zeros((2 * giant, baby))  # Re, then Im, of moment Rb + a at (b, a)
     for start in range(0, size, chunk):
         z = np.exp(-2j * np.pi * lift[start:start + chunk])
@@ -281,8 +278,8 @@ def invariant_density(matrix: TransferMatrix) -> FourierSeries:
     a_0 = 1 and the others solve R u = (Q^H M Q)[1:, 0], the real coordinates
     of column 0 of M: one product with the restricted inverse that every
     zero-mean solve uses.  Verified to satisfy
-    ||M rho - rho||_inf <= 1e-10 and to be strictly positive on a 4096-point
-    grid; either failure is a SpectralGapError.
+    ||M rho - rho||_inf <= 1e-10 and to be strictly positive on a
+    ``fourier.DENSE_GRID``-point grid; either failure is a SpectralGapError.
     """
     return matrix._density[0]
 
@@ -290,15 +287,13 @@ def invariant_density(matrix: TransferMatrix) -> FourierSeries:
 def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries:
     """Solve (I - L) v = rhs on the zero-mean subspace, returning mean-zero v.
 
-    The rhs must have zero mean (|mode 0| <= 1e-10 max(1, max_n |rhs_n|)),
-    which is exactly the subspace where I - L is invertible, and an order at
-    most the matrix's.  The residual of the solve is held to the same bound.
+    The rhs must have zero mean (``fourier.require_zero_mean``), which is
+    exactly the subspace where I - L is invertible, and an order at most the
+    matrix's.  The residual of the solve is held to the same bound.
     A condition number above 1e12 for the restricted system is reported as
     a warning.
     """
-    bound = 1e-10 * max(1.0, float(np.max(np.abs(rhs.coeffs))))
-    if abs(rhs.coeff(0)) > bound:
-        raise ValueError(f"rhs mean {rhs.coeff(0):.3e} is not zero")
+    bound = require_zero_mean(rhs, "rhs")
     mid = matrix.order
     if rhs.order > mid:
         raise ValueError(f"rhs order {rhs.order} exceeds solver truncation {mid}")

@@ -21,15 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSeries, as_integer
+from .fourier import BLOCK, FourierSeries, as_integer
 from .maps import CircleMap, PerturbedFamily
 from .response import CROSS_CHECK_TOL, UnderResolvedError
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAXIT = 20_000
-# Segments per block of ``M @ v``: no temporary of the product is longer,
-# whatever the bin count.
-PRODUCT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +61,12 @@ class TransitionOperator:
         following, out = np.append(v[1:], 0.0), np.zeros(self.bins)
         # The segments' image bins are consecutive, so each run of at most
         # ``bins`` segments folds onto one slice of image bins; runs are cut
-        # into blocks of at most PRODUCT_BLOCK segments.
+        # into blocks of at most 2 BLOCK segments (float temporaries of 256 KB).
         segments = self.source.size
         for start in range(-self.first, segments, self.bins):
             stop = min(start + self.bins, segments)
-            for lo in range(max(start, 0), stop, PRODUCT_BLOCK):
-                hi = min(lo + PRODUCT_BLOCK, stop)
+            for lo in range(max(start, 0), stop, 2 * BLOCK):
+                hi = min(lo + 2 * BLOCK, stop)
                 source = self.source[lo:hi]
                 images = w0[lo:hi] * v[source]
                 images += w1[lo:hi] * following[source]

@@ -43,6 +43,16 @@ class TestExactControl:
         with pytest.raises(ValueError, match="zero mean"):
             exact_control(constant(1.0))
 
+    def test_scaled_target_with_rounding_level_mean(self):
+        # The mean gate is relative to the target's size: 1e5 sin 2 pi x with a
+        # mean of 1e-9 (1e-14 of it) is the unit problem scaled, but a mean of
+        # 1e-4 (1e-9 of it) is refused.
+        eps = exact_control(1e5 * sine(1) + constant(1e-9))
+        np.testing.assert_allclose(eps.coeffs, 1e5 * exact_control(sine(1)).coeffs,
+                                   rtol=0, atol=1e-11)
+        with pytest.raises(ValueError, match="zero mean"):
+            exact_control(1e5 * sine(1) + constant(1e-4))
+
     def test_free_odd_modes_integrated(self):
         eps_plain = exact_control(sine(1))
         eps = exact_control(sine(1), odd_modes=sine(1))

@@ -5,9 +5,11 @@ import pytest
 
 from linresp import (FourierSeries, SobolevWeights, antiderivative, cosine, dft,
                      differentiate, grid_values, sine, sobolev_norm, sup_norm, zeros)
-from linresp.fourier import (HORNER_BLOCK, from_real_basis, half_spectrum, real_horner,
+from linresp import control, transfer
+from linresp.fourier import (BLOCK, DENSE_GRID, baby_steps, exact_size, from_real_basis,
+                             half_spectrum, next_pow2, real_horner, require_zero_mean,
                              to_real_basis)
-from linresp.transfer import real_matrix_from_rows
+from linresp.transfer import quadrature_size, real_matrix_from_rows
 
 from conftest import constant, conjugate_fill, multiply, random_series, real_basis_change
 
@@ -129,6 +131,17 @@ class TestAntiderivative:
         f = random_series(rng, 8, zero_mean=True)
         np.testing.assert_allclose(differentiate(antiderivative(f)).coeffs,
                                    f.coeffs, atol=1e-12)
+
+
+class TestRequireZeroMean:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+    def test_gate_is_relative_to_the_largest_coefficient(self, scale):
+        # bound 1e-10 max(1, max |c_n|): a cos 2 pi x of amplitude 2 scale has
+        # coefficients of size scale
+        bound = 1e-10 * max(1.0, scale)
+        assert require_zero_mean(cosine(1, 2 * scale) + constant(0.9 * bound), "t") == bound
+        with pytest.raises(ValueError, match="t has mean .*zero mean"):
+            require_zero_mean(cosine(1, 2 * scale) + constant(1.1 * bound), "t")
 
 
 class TestMultiply:
@@ -304,15 +317,15 @@ class TestRealBasis:
 
 
 def blocked_horner(rows, z):
-    """One Horner pass per block of HORNER_BLOCK points: the evaluation of short rows."""
+    """One Horner pass per block of BLOCK points: the evaluation of short rows."""
     out = np.empty((rows.shape[0], z.size))
-    for start in range(0, z.size, HORNER_BLOCK):
-        block = z[start:start + HORNER_BLOCK]
+    for start in range(0, z.size, BLOCK):
+        block = z[start:start + BLOCK]
         acc = np.repeat(rows[:, -1:], block.size, axis=1)
         for k in range(rows.shape[1] - 2, -1, -1):
             acc *= block
             acc += rows[:, k:k + 1]
-        out[:, start:start + HORNER_BLOCK] = 2.0 * acc.real
+        out[:, start:start + BLOCK] = 2.0 * acc.real
     return out
 
 
@@ -331,7 +344,7 @@ class TestRealHorner:
     def unit(self, k):
         return self.TABLE[k % self.TURN]
 
-    @pytest.mark.parametrize("points", [1, 3, HORNER_BLOCK - 1, HORNER_BLOCK + 1])
+    @pytest.mark.parametrize("points", [1, 3, BLOCK - 1, BLOCK + 1])
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("order", [0, 1, 2, 40, 62, 63, 64, 65, 256, 768, 769, 1024])
     def test_matches_direct_sum(self, order, count, points):
@@ -344,7 +357,7 @@ class TestRealHorner:
                 direct += (s.coeff(n) * e).real + (s.coeff(-n) * np.conj(e)).real
             assert np.max(np.abs(row - direct)) <= 1e-13 * np.sum(np.abs(s.coeffs))
 
-    @pytest.mark.parametrize("points", [3, HORNER_BLOCK + 1])
+    @pytest.mark.parametrize("points", [3, BLOCK + 1])
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("order", [0, 1, 2, 39, 62])
     def test_short_rows_are_plain_horner(self, order, count, points):
@@ -356,8 +369,8 @@ class TestRealHorner:
     @pytest.mark.parametrize("count", [1, 2])
     def test_long_row_memory(self, count):
         # the powers, inner sums and accumulator of a 769-mode pass fit in the
-        # Horner accumulator of count x HORNER_BLOCK points
-        series, k = self.rows_and_points(768, count, 2 * HORNER_BLOCK)
+        # Horner accumulator of count x BLOCK points
+        series, k = self.rows_and_points(768, count, 2 * BLOCK)
         rows, z = half_spectrum(*series), self.unit(k)
         peaks = []
         for evaluate in (blocked_horner, real_horner):
@@ -366,3 +379,47 @@ class TestRealHorner:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= peaks[0]
+
+
+# Orders from 0 to 4096, each side of the powers of two.
+SIZE_ORDERS = [0, 1, 2, 3, 31, 32, 33, 63, 64, 96, 255, 256, 257, 511, 512, 1023, 1024,
+               2047, 2048, 4095, 4096]
+
+
+@pytest.mark.parametrize("order", SIZE_ORDERS)
+def test_size_rules_keep_the_sizes_they_replace(wavy, monkeypatch, order):
+    """Each grid and block size rule gives the value of its closed formula."""
+    # truncation_defect (at least 2), the CLI's default CSV grid (512), sup_norm
+    # and the density's positivity check (DENSE_GRID)
+    for at_least in (2, 512, DENSE_GRID):
+        assert exact_size(order, at_least) == next_pow2(max(at_least, 2 * order + 2))
+    assert DENSE_GRID == 4096
+    # derivative_operator: one grid for the orders of the padded product,
+    # the direction and w
+    for pad, others in ((4 * order, (order, 1)), (4, (order, 0)), (0, (1, order))):
+        assert exact_size(max(pad, *others)) == next_pow2(
+            max(2 * pad + 2, *(2 * k + 2 for k in others)))
+    assert control._two_step_size(order) == next_pow2(max(4 * order, 512))
+    # Ulam products: 2^15 segments per block
+    assert 2 * BLOCK == 1 << 15
+
+    # Galerkin assembly: half the rows of a 2^15-sample block, at least one
+    quad = quadrature_size(wavy, order, order)
+    rows = max(1, (1 << 15) // quad // 2)
+    ifft, blocks = np.fft.ifft, []
+
+    def row_ffts(a, **kw):  # the map's grid values are one 1-D transform
+        blocks.extend(a.shape[:a.ndim - 1])
+        return ifft(a, **kw)
+
+    monkeypatch.setattr(np.fft, "ifft", row_ffts)
+    transfer._galerkin_rows(wavy, 2 * rows, 0, quad)
+    assert blocks == [rows, rows, 1]
+
+    # apply_transfer: chunks of at most 2^15 / 2 complex samples over its rows
+    limits, chunked = [], transfer.block_length
+    monkeypatch.setattr(transfer, "block_length",
+                        lambda size, limit: limits.append(limit) or chunked(size, limit))
+    transfer.apply_transfer(wavy, cosine(1), out_order=order)
+    baby = baby_steps(order + 1)
+    assert limits == [(1 << 15) // 2 // (baby + 2 * -(-(order + 1) // baby))]

@@ -243,7 +243,7 @@ class TestAgainstReference:
         # two full blocks and a partial one, each solved on its own; the steep
         # map takes a Newton step in every block
         steep = steep_map()
-        t = np.linspace(-2.0, 7.0, 2 * fourier.HORNER_BLOCK + 301)
+        t = np.linspace(-2.0, 7.0, 2 * fourier.BLOCK + 301)
         y = steep.invert_lift(t)
         assert len(newton_calls) == 3
         assert all(values == 2 for values, _ in newton_calls), newton_calls
@@ -262,7 +262,7 @@ class TestAgainstReference:
     def test_lift_pair(self, doubling, wavy, triple, perturbed_wavy):
         # two full Horner blocks and a partial one, against the full-spectrum
         # pass; the perturbed member's value pass is chopped, its slope is not
-        x = np.linspace(-1.0, 2.0, 2 * fourier.HORNER_BLOCK + 301)
+        x = np.linspace(-1.0, 2.0, 2 * fourier.BLOCK + 301)
         value_row, slope_row = perturbed_wavy._half
         assert (value_row.shape, slope_row.shape) == ((1, 40), (1, 65))
         for circle_map in _all_maps(doubling, wavy, triple) + [perturbed_wavy]:
@@ -354,7 +354,7 @@ class TestNewtonSweeps:
         bins = 2 ** 16
         edges = (np.ceil(perturbed_wavy.lift(0.0) * bins) + np.arange(2 * bins + 1)) / bins
         perturbed_wavy.invert_lift(edges)
-        assert sizes == [fourier.HORNER_BLOCK] * 8 + [1]
+        assert sizes == [fourier.BLOCK] * 8 + [1]
         assert sum(sizes) == 2 * bins + 1
         assert newton_calls == [(1, 0)] * len(sizes)
 

@@ -157,7 +157,7 @@ class TestTransferMoments:
         w = random_series(np.random.default_rng(67), 48, decay=0.02)
         baby = baby_steps(out + 1)
         rows = baby + 2 * -(-(out + 1) // baby)
-        monkeypatch.setattr(transfer, "ASSEMBLY_BLOCK", 2 * points * rows)
+        monkeypatch.setattr(transfer, "BLOCK", points * rows)
         got = apply_transfer(wavy, w, out_order=out)
         reference = running_product_transfer(wavy, w, out)
         assert np.max(np.abs(got.coeffs - reference)) <= 1e-13 * np.sum(np.abs(w.coeffs))
@@ -208,7 +208,7 @@ class TestGalerkinMatrix:
         weights = [1.0, np.random.default_rng(53).normal(size=quad)]
         results = []
         for rows in (1, 7, order + 1):
-            monkeypatch.setattr(transfer, "ASSEMBLY_BLOCK", rows * quad)
+            monkeypatch.setattr(transfer, "BLOCK", rows * quad)
             results.append([transfer._galerkin_rows(wavy, order, order, quad, w)
                             for w in weights])
         for other in results[1:]:

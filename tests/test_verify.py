@@ -139,7 +139,7 @@ class TestTransitionOperator:
         circle_map = perturbed_wavy if name == "perturbed-wavy" else steep_map()
         matrix = ulam_build(circle_map, 2**16).matrix
         assert matrix.source.shape == (matrix.weights.shape[1],)
-        assert matrix.source.size > 2 * verify.PRODUCT_BLOCK
+        assert matrix.source.size > 2 * (2 * verify.BLOCK)  # blocks of 2 BLOCK segments
         v = np.random.default_rng(5).uniform(-1.0, 1.0, matrix.bins)
         assert np.array_equal(matrix @ v, ulam_products(matrix, v)[0])
 
