@@ -25,11 +25,10 @@ _EXPORTS = {
                 "cosine", "dft", "differentiate", "grid_values", "next_pow2", "sine",
                 "sobolev_norm", "sup_norm", "zeros"),
     "maps": ("CircleMap", "NotExpandingError", "PerturbedFamily", "PreimageError"),
-    "response": ("InfeasibleTargetError", "ResponseProblem", "UnderResolvedError",
-                 "derivative_operator", "forward_response"),
-    "transfer": ("SpectralGapError", "TransferMatrix", "apply_transfer",
+    "response": ("InfeasibleTargetError", "derivative_operator", "forward_response"),
+    "transfer": ("ResponseProblem", "SpectralGapError", "UnderResolvedError", "apply_transfer",
                  "apply_transfer_pointwise", "fixed_point_residual", "galerkin_matrix",
-                 "invariant_density", "solve_zero_mean"),
+                 "solve_zero_mean"),
     "verify": ("UlamModel", "bin_averages", "compare_l1", "fd_response", "ulam_build"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -387,7 +387,8 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError, so this clause comes first.
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # A MemoryError is a config that asks for arrays larger than the host holds.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -320,7 +320,7 @@ def solve_control(problem: ResponseProblem, target: FourierSeries,
     g = step1_g(problem, FourierSeries(rhs))
     eps = step2_epsilon(problem, g)
     drho = derivative_operator(problem, eps, problem.density)
-    realized = solve_zero_mean(problem.matrix, drho)
+    realized = solve_zero_mean(problem, drho)
     gap = sup_norm(realized - target)
     bound = ROUNDTRIP_TOL * max(1.0, float(np.sum(np.abs(target.coeffs))))
     if gap > bound:

@@ -100,11 +100,22 @@ class SobolevWeights:
             object.__setattr__(self, name, v)
 
     def mode_weights(self, order: int) -> np.ndarray:
-        """Diagonal weights W(n) for n = -order..order."""
+        """Diagonal weights W(n) for n = -order..order.
+
+        W grows with |n|, so a W(order) too large for a float is a ValueError
+        naming the weight with the largest term there.
+        """
         n = np.arange(-order, order + 1)
         w = 2.0 * np.pi * n
-        return (1.0 + (self.a * w) ** 2 + (self.b * w**2) ** 2
-                + (self.c * w**3) ** 2 + (self.d * w**4) ** 2)
+        with np.errstate(over="ignore"):
+            terms = ((self.a * w) ** 2, (self.b * w**2) ** 2, (self.c * w**3) ** 2,
+                     (self.d * w**4) ** 2)
+            weights = 1.0 + terms[0] + terms[1] + terms[2] + terms[3]
+        if not np.isfinite(weights[-1]):
+            name = "abcd"[int(np.argmax([term[-1] for term in terms]))]
+            raise ValueError(f"weight {name!r} = {getattr(self, name)!r} makes W(n) overflow "
+                             f"at order {order}")
+        return weights
 
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}

@@ -7,72 +7,23 @@ transfer operators acts as
 
 (the compact product-rule form of the three-term expansion), and the
 first-order density change is rho1 = (I - L0)^{-1} D rho, solved on the
-zero-mean subspace.
+zero-mean subspace of a ``transfer.ResponseProblem``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .fourier import (CHECK_GRID, DEFAULT_ORDER, FourierSeries, dft, differentiate,
-                      exact_size, grid_values, sup_norm)
-from .maps import CircleMap
-from .transfer import (TransferMatrix, apply_transfer, fixed_point_residual,
-                       galerkin_matrix, invariant_density, solve_zero_mean)
+from .fourier import (CHECK_GRID, FourierSeries, dft, differentiate, exact_size, grid_values,
+                      sup_norm)
+# Re-exported: control and the CLI import ResponseProblem from here, verify UnderResolvedError.
+from .transfer import ResponseProblem, UnderResolvedError, apply_transfer, solve_zero_mean
 
 # Products are formed at PAD_FACTOR*N modes and truncated back to N.
 PAD_FACTOR = 4
 CROSS_CHECK_TOL = 1e-9
 
 
-class UnderResolvedError(RuntimeError):
-    """The density computed at this truncation fails the pointwise fixed-point check."""
-
-
 class InfeasibleTargetError(RuntimeError):
     """The target is not realizable at this truncation (raised by ``control``)."""
-
-
-@dataclass(frozen=True, eq=False)
-class ResponseProblem:
-    """A Galerkin matrix; the map, the order and everything else follow from it.
-
-    density is the matrix's invariant density, galerkin_residual
-    sup |M rho - rho| over its coefficients and pointwise_residual
-    sup |L rho - rho| on the ``CHECK_GRID`` points.  A density that fails the
-    pointwise check (above 1e-9) raises UnderResolvedError.
-    """
-
-    matrix: TransferMatrix = field(repr=False)
-    density: FourierSeries = field(init=False)
-    galerkin_residual: float = field(init=False)
-    pointwise_residual: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.matrix, TransferMatrix):
-            raise TypeError("matrix must be a TransferMatrix")
-        rho = invariant_density(self.matrix)
-        object.__setattr__(self, "density", rho)
-        # the residual that invariant_density verified, not computed again
-        object.__setattr__(self, "galerkin_residual", self.matrix._density[1])
-        object.__setattr__(self, "pointwise_residual", fixed_point_residual(self.map, rho))
-        if self.pointwise_residual > 1e-9:
-            raise UnderResolvedError(
-                f"density fixed-point residual {self.pointwise_residual:.3e} > 1e-9 "
-                f"at truncation {self.order}; raise N")
-
-    @property
-    def map(self) -> CircleMap:
-        return self.matrix.map
-
-    @property
-    def order(self) -> int:
-        return self.matrix.order
-
-    @classmethod
-    def for_map(cls, circle_map: CircleMap, order: int = DEFAULT_ORDER) -> "ResponseProblem":
-        """The problem at an integer truncation ``order`` >= 1."""
-        return cls(galerkin_matrix(circle_map, order))
 
 
 def derivative_operator(problem: ResponseProblem, direction: FourierSeries,
@@ -108,4 +59,4 @@ def derivative_operator(problem: ResponseProblem, direction: FourierSeries,
 def forward_response(problem: ResponseProblem, direction: FourierSeries) -> FourierSeries:
     """First-order density change rho1 for the perturbation ``direction``."""
     drho = derivative_operator(problem, direction, problem.density)
-    return solve_zero_mean(problem.matrix, drho)
+    return solve_zero_mean(problem, drho)

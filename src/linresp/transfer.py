@@ -1,4 +1,4 @@
-"""Transfer operator of an expanding circle map.
+"""Transfer operator of an expanding circle map, and its Galerkin problem.
 
 (L w)(x) = sum over preimages y of x of w(y)/T'(y).  The operator pushes
 densities forward, preserves the integral, and on the zero-mean subspace
@@ -7,7 +7,7 @@ solvers exploit.  The Galerkin matrix M in the Fourier basis is assembled via
 the duality  integral (L w) phi = integral w (phi o T), so no preimages are
 needed for matrix entries; each row is one FFT.  M maps real functions to
 real ones, so only its rows j >= 0 are assembled (``_galerkin_rows``, which
-also serves the constraint matrix of ``control``), and a ``TransferMatrix``
+also serves the constraint matrix of ``control``), and a ``ResponseProblem``
 keeps M only as the real matrix Q^H M Q in the coordinates of
 ``fourier.to_real_basis``, built from those rows by ``real_matrix_from_rows``
 (which builds the blocks of ``control``'s weighted system too).  The same
@@ -15,13 +15,14 @@ duality applies L to a series (``apply_transfer``): its moments are a
 baby-step/giant-step sum, one real matrix product per chunk of the grid.
 Each of these integrals is a grid mean on the grid that ``quadrature_size``
 derives from the map and the orders involved.  Without the a_0 coordinate,
-I - Q^H M Q is a real 2N x 2N matrix R, inverted once; it serves both the
-invariant density and every zero-mean solve, whose outputs are Hermitian by
-construction.  An odd map has a real M, so R maps cosines to cosines and
-sines to sines and is inverted as its two N x N diagonal blocks.  Newton
-preimages serve the pointwise checks only (``apply_transfer_pointwise``,
-``fixed_point_residual``).  Uniform-grid samples, such as the density's
-positivity check, come from ``fourier.grid_values``.
+I - Q^H M Q is a real 2N x 2N matrix R, inverted once per problem; it serves
+both the problem's invariant density and every zero-mean solve, whose
+outputs are Hermitian by construction.  An odd map has a real M, so R maps
+cosines to cosines and sines to sines and is inverted as its two N x N
+diagonal blocks.  Newton preimages serve the pointwise checks only
+(``apply_transfer_pointwise``, ``fixed_point_residual``).  Uniform-grid
+samples, such as the density's positivity check, come from
+``fourier.grid_values``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import (BLOCK, CHECK_GRID, DENSE_GRID, FourierSeries, _real_coordinates,
-                      as_integer, baby_steps, block_length, exact_size, from_real_basis,
-                      grid_values, next_pow2, require_zero_mean, to_real_basis)
+from .fourier import (BLOCK, CHECK_GRID, DEFAULT_ORDER, DENSE_GRID, FourierSeries,
+                      _real_coordinates, as_integer, baby_steps, block_length, exact_size,
+                      from_real_basis, grid_values, next_pow2, require_zero_mean, to_real_basis)
 from .maps import CircleMap
 
 CONDITION_LIMIT = 1e12
@@ -45,9 +46,13 @@ class SpectralGapError(RuntimeError):
     """A Galerkin fixed-point or zero-mean solve failed its verification."""
 
 
+class UnderResolvedError(RuntimeError):
+    """The density computed at this truncation fails the pointwise fixed-point check."""
+
+
 @dataclass(frozen=True, eq=False)
-class TransferMatrix:
-    """Dense Galerkin matrix of the transfer operator, modes -N..N, in real coordinates.
+class ResponseProblem:
+    """The Galerkin matrix of a map, modes -N..N in real coordinates, and its density.
 
     real = Q^H M Q, with Q as in ``fourier.from_real_basis`` and
     M[j, k] = integral_0^1 e^{2 pi i k x} e^{-2 pi i j T(x)} dx
@@ -56,10 +61,22 @@ class TransferMatrix:
     functions to real ones, so real is a float matrix, square of odd size
     2N + 1 >= 3; the order N follows from it.  map is the map T.  A float
     array is kept, not copied, and made read-only: the caller's array too.
+
+    density is the invariant density, the fixed point of M with mean 1.  Row
+    0 of M is e_0 (L preserves the integral), so a_0 = 1 and the other real
+    coordinates solve R u = real[1:, 0]: one product with the restricted
+    inverse that every zero-mean solve uses.  galerkin_residual is
+    sup |M rho - rho| over its coefficients; above 1e-10, or a density not
+    strictly positive on a ``fourier.DENSE_GRID``-point grid, is a
+    SpectralGapError.  pointwise_residual is ``fixed_point_residual``;
+    above 1e-9 it is an UnderResolvedError.
     """
 
-    real: np.ndarray
+    real: np.ndarray = field(repr=False)
     map: CircleMap = field(repr=False)
+    density: FourierSeries = field(init=False)
+    galerkin_residual: float = field(init=False)
+    pointwise_residual: float = field(init=False)
 
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.real):
@@ -69,6 +86,27 @@ class TransferMatrix:
             raise ValueError(f"real must be a square matrix of odd size >= 3, not {r.shape}")
         r.flags.writeable = False
         object.__setattr__(self, "real", r)
+        u = np.concatenate(([1.0], self._restricted_solve(r[1:, 0])))
+        rho = from_real_basis(u)
+        residual = float(np.max(np.abs(from_real_basis(r @ u - u).coeffs)))
+        if residual > DENSITY_TOL:
+            raise SpectralGapError(
+                f"density Galerkin residual {residual:.3e} > {DENSITY_TOL:.0e}")
+        if float(np.min(grid_values(rho, exact_size(self.order, DENSE_GRID)))) <= 0.0:
+            raise SpectralGapError(
+                "computed density is not strictly positive; truncation too small?")
+        pointwise = fixed_point_residual(self.map, rho)
+        if pointwise > 1e-9:
+            raise UnderResolvedError(f"density fixed-point residual {pointwise:.3e} > 1e-9 "
+                                     f"at truncation {self.order}; raise N")
+        object.__setattr__(self, "density", rho)
+        object.__setattr__(self, "galerkin_residual", residual)
+        object.__setattr__(self, "pointwise_residual", pointwise)
+
+    @classmethod
+    def for_map(cls, circle_map: CircleMap, order: int = DEFAULT_ORDER) -> "ResponseProblem":
+        """The problem at an integer truncation ``order`` >= 1."""
+        return cls(galerkin_matrix(circle_map, order), circle_map)
 
     @property
     def order(self) -> int:
@@ -94,21 +132,6 @@ class TransferMatrix:
         inverses = [(b, np.linalg.inv(system)) for b, system in systems]
         norm = max(np.linalg.norm(system, 1) for _, system in systems)
         return inverses, float(norm * max(np.linalg.norm(inv, 1) for _, inv in inverses))
-
-    @cached_property
-    def _density(self) -> tuple[FourierSeries, float]:
-        # ``invariant_density`` and its Galerkin residual ||M rho - rho||_inf,
-        # computed once per matrix.
-        u = np.concatenate(([1.0], self._restricted_solve(self.real[1:, 0])))
-        rho = from_real_basis(u)
-        residual = float(np.max(np.abs(from_real_basis(self.real @ u - u).coeffs)))
-        if residual > DENSITY_TOL:
-            raise SpectralGapError(
-                f"density Galerkin residual {residual:.3e} > {DENSITY_TOL:.0e}")
-        if float(np.min(grid_values(rho, exact_size(self.order, DENSE_GRID)))) <= 0.0:
-            raise SpectralGapError(
-                "computed density is not strictly positive; truncation too small?")
-        return rho, residual
 
     def _restricted_solve(self, rhs: np.ndarray) -> np.ndarray:
         """R^{-1} rhs, block by block."""
@@ -201,11 +224,11 @@ def quadrature_size(circle_map: CircleMap, out_order: int, in_order: int) -> int
     return next_pow2(int(in_order + out_order * circle_map.max_derivative + tail) + 1)
 
 
-def galerkin_matrix(circle_map: CircleMap, order: int) -> TransferMatrix:
-    """Galerkin matrix at truncation ``order``, an integer >= 1."""
+def galerkin_matrix(circle_map: CircleMap, order: int) -> np.ndarray:
+    """``ResponseProblem.real`` at truncation ``order``, an integer >= 1."""
     order = as_integer("truncation order", order, 1)
     rows = _galerkin_rows(circle_map, order, order, quadrature_size(circle_map, order, order))
-    return TransferMatrix(real_matrix_from_rows(rows), circle_map)
+    return real_matrix_from_rows(rows)
 
 
 def apply_transfer_pointwise(circle_map: CircleMap, series: FourierSeries,
@@ -263,48 +286,34 @@ def apply_transfer(circle_map: CircleMap, w: FourierSeries,
     return FourierSeries(np.concatenate((np.conj(upper[:0:-1]), upper)))
 
 
-def fixed_point_residual(circle_map: CircleMap, density: FourierSeries,
-                         grid: int = CHECK_GRID) -> float:
-    """sup norm of L(rho) - rho, evaluated pointwise (not in the Galerkin system)."""
-    x = np.arange(grid) / grid
+def fixed_point_residual(circle_map: CircleMap, density: FourierSeries) -> float:
+    """sup |L(rho) - rho| on the ``CHECK_GRID`` points, pointwise (not in the Galerkin system)."""
+    x = np.arange(CHECK_GRID) / CHECK_GRID
     return float(np.max(np.abs(
-        apply_transfer_pointwise(circle_map, density, x) - grid_values(density, grid))))
+        apply_transfer_pointwise(circle_map, density, x) - grid_values(density, CHECK_GRID))))
 
 
-def invariant_density(matrix: TransferMatrix) -> FourierSeries:
-    """Invariant density: the fixed point of the Galerkin matrix with mean 1.
-
-    Row 0 of M is e_0 (L preserves the integral), so in real coordinates
-    a_0 = 1 and the others solve R u = (Q^H M Q)[1:, 0], the real coordinates
-    of column 0 of M: one product with the restricted inverse that every
-    zero-mean solve uses.  Verified to satisfy
-    ||M rho - rho||_inf <= 1e-10 and to be strictly positive on a
-    ``fourier.DENSE_GRID``-point grid; either failure is a SpectralGapError.
-    """
-    return matrix._density[0]
-
-
-def solve_zero_mean(matrix: TransferMatrix, rhs: FourierSeries) -> FourierSeries:
+def solve_zero_mean(problem: ResponseProblem, rhs: FourierSeries) -> FourierSeries:
     """Solve (I - L) v = rhs on the zero-mean subspace, returning mean-zero v.
 
     The rhs must have zero mean (``fourier.require_zero_mean``), which is
     exactly the subspace where I - L is invertible, and an order at most the
-    matrix's.  The residual of the solve is held to the same bound.
+    problem's.  The residual of the solve is held to the same bound.
     A condition number above 1e12 for the restricted system is reported as
     a warning.
     """
     bound = require_zero_mean(rhs, "rhs")
-    mid = matrix.order
+    mid = problem.order
     if rhs.order > mid:
         raise ValueError(f"rhs order {rhs.order} exceeds solver truncation {mid}")
-    if matrix.restricted_condition > CONDITION_LIMIT:
+    if problem.restricted_condition > CONDITION_LIMIT:
         warnings.warn(
-            f"restricted system condition {matrix.restricted_condition:.3e} > "
+            f"restricted system condition {problem.restricted_condition:.3e} > "
             f"{CONDITION_LIMIT:.0e}: truncation under-resolved", RuntimeWarning)
     b = to_real_basis(rhs.with_order(mid).coeffs)
-    u = np.concatenate(([0.0], matrix._restricted_solve(b[1:])))
+    u = np.concatenate(([0.0], problem._restricted_solve(b[1:])))
     # (I - M) v - b off mode 0, the restricted system's residual since v_0 = 0.
-    defect = u - matrix.real @ u - b
+    defect = u - problem.real @ u - b
     defect[0] = 0.0
     residual = float(np.max(np.abs(from_real_basis(defect).coeffs)))
     if residual > bound:

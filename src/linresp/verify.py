@@ -2,11 +2,12 @@
 
 Ulam's matrix[a, b] is the fraction of bin b that the map sends into bin a,
 from exact interval-image intersections of the monotone branches (no
-sampling), so it is column-stochastic.  It is stored as the preimage
-segments of the image bins, two weights and one source bin per segment
-(the second weight's bin is the next one), and ``M @ v``, the one product
-the stationary iteration needs, works through fixed-size blocks of
-segments.  ``linresp verify`` checks the spectral solvers against central
+sampling), so it is column-stochastic.  A ``UlamModel`` stores it as the
+preimage segments of the image bins, two weights and one source bin per
+segment (the second weight's bin is the next one), beside its stationary
+vector, iterated to once on construction; ``M @ v``, the one product that
+iteration needs, works through fixed-size blocks of segments.
+``linresp verify`` checks the spectral solvers against central
 differences of its stationary bin averages.  Its first-order error in the
 bin width hides the O(delta^2) term of a central difference; the
 collocation reference, trigonometric collocation on M = 2K+1 equispaced
@@ -17,7 +18,7 @@ with the spectral path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,23 +31,49 @@ STATIONARY_MAXIT = 20_000
 
 
 @dataclass(frozen=True, eq=False)
-class TransitionOperator:
-    """Ulam's transition matrix, stored by preimage segment.
+class UlamModel:
+    """Ulam's discretization of a map's transfer operator, stored by preimage segment.
 
     Segment s is the preimage of image bin (first + s) mod ``bins``, with
     0 <= first < bins.  Its slot 0 is its part in source bin ``source[s]``
     and its slot 1 its part in the next bin, ``source[s] + 1``.
     ``weights[c, s]`` is the fraction of that source bin that slot c
     covers; it is exactly 0 where ``source[s] + 1`` would be ``bins``.  The
-    preimages rise with s, so ``source`` does not decrease.  ``M @ v`` is
-    the product with the ``bins`` x ``bins`` matrix; an operand of another
-    shape is a ValueError.
+    preimages rise with s, so ``source`` does not decrease.  ``model @ v``
+    is the product with the ``bins`` x ``bins`` matrix, whose entry [a, b]
+    is the fraction of bin b mapped into bin a; an operand of another shape
+    is a ValueError.  ``stationary``, read-only, holds the bin averages of
+    the invariant density (nonnegative, summing to the bin count), iterated
+    to on construction.
     """
 
     bins: int
     first: int
     source: np.ndarray
     weights: np.ndarray
+    stationary: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        v = np.ones(self.bins)
+        for _ in range(STATIONARY_MAXIT):
+            nxt = self @ v
+            # |v - nxt| in v's own storage: the same values as |nxt - v|
+            np.abs(np.subtract(v, nxt, out=v), out=v)
+            residual = float(np.mean(v))
+            v = nxt
+            if residual < 0.1 * STATIONARY_TOL:
+                break
+        else:
+            raise RuntimeError("stationary iteration did not converge")
+        np.maximum(v, 0.0, out=v)
+        v *= self.bins / v.sum()
+        change = self @ v
+        change -= v
+        final = float(np.mean(np.abs(change, out=change)))
+        if final > STATIONARY_TOL:
+            raise RuntimeError(f"stationary residual {final:.3e} > {STATIONARY_TOL:.0e}")
+        v.flags.writeable = False
+        object.__setattr__(self, "stationary", v)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -72,26 +99,6 @@ class TransitionOperator:
                 images += w1[lo:hi] * following[source]
                 out[lo - start:hi - start] += images
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class UlamModel:
-    """Ulam's discretization of a map's transfer operator.
-
-    matrix[a, b] is the fraction of bin b mapped into bin a, and columns sum
-    to one.  ``matrix`` is a ``TransitionOperator``: it offers ``shape``,
-    ``bins`` and ``matrix @ v``, not indexing.
-    ``stationary`` holds the bin averages of the invariant density
-    (nonnegative, summing to the bin count).
-    """
-
-    matrix: TransitionOperator
-    stationary: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.array(self.stationary, dtype=float)
-        s.flags.writeable = False
-        object.__setattr__(self, "stationary", s)
 
 
 def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -138,44 +145,18 @@ def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, i
     return weights, source, first
 
 
-def _transition_matrix(circle_map: CircleMap, bins: int) -> TransitionOperator:
+def ulam_build(circle_map: CircleMap, bins: int) -> UlamModel:
+    """Ulam's method: transition fractions from branch-wise preimages of the bin edges."""
+    bins = as_integer("bins", bins, 2)
     weights, source, first = _pieces(circle_map, bins)
     # Column sums: slot 0 adds to its source bin, slot 1 to the next one.
     sums = np.bincount(source, weights[0], bins + 1)
     sums[1:] += np.bincount(source, weights[1], bins)
     col_defect = float(np.max(np.abs(sums[:-1] - 1.0)))
+    del sums  # freed before the model's stationary iteration
     if col_defect > 1e-12:
         raise RuntimeError(f"column sums off by {col_defect:.3e}; bad branch cover")
-    return TransitionOperator(bins, first % bins, source, weights)
-
-
-def _stationary_vector(matrix: TransitionOperator) -> np.ndarray:
-    v = np.ones(matrix.bins)
-    for _ in range(STATIONARY_MAXIT):
-        nxt = matrix @ v
-        # |v - nxt| in v's own storage: the same values as |nxt - v|
-        np.abs(np.subtract(v, nxt, out=v), out=v)
-        residual = float(np.mean(v))
-        v = nxt
-        if residual < 0.1 * STATIONARY_TOL:
-            break
-    else:
-        raise RuntimeError("stationary iteration did not converge")
-    np.maximum(v, 0.0, out=v)
-    v *= matrix.bins / v.sum()
-    change = matrix @ v
-    change -= v
-    final = float(np.mean(np.abs(change, out=change)))
-    if final > STATIONARY_TOL:
-        raise RuntimeError(f"stationary residual {final:.3e} > {STATIONARY_TOL:.0e}")
-    return v
-
-
-def ulam_build(circle_map: CircleMap, bins: int) -> UlamModel:
-    """Ulam's method: transition fractions from branch-wise preimages of the bin edges."""
-    bins = as_integer("bins", bins, 2)
-    matrix = _transition_matrix(circle_map, bins)
-    return UlamModel(matrix, _stationary_vector(matrix))
+    return UlamModel(bins, first % bins, source, weights)
 
 
 def _central_difference(family: PerturbedFamily, delta: float, density) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 from linresp import (CircleMap, FourierSeries, PerturbedFamily, ResponseProblem, SobolevWeights,
                      antiderivative, apply_transfer_pointwise, cosine, dft, forward_response,
-                     galerkin_matrix, grid_values, invariant_density, next_pow2, sine, zeros)
+                     grid_values, next_pow2, sine, zeros)
 from linresp.fourier import as_integer, differentiate, from_real_basis, to_real_basis
 from linresp.transfer import real_matrix_from_rows
 
@@ -144,10 +144,10 @@ def real_basis_change(order):
     return np.array([from_real_basis(e).coeffs for e in np.eye(size)]).T
 
 
-def complex_entries(matrix):
-    """The complex Galerkin matrix M = Q real Q^H of a ``TransferMatrix``."""
-    q = real_basis_change(matrix.order)
-    return q @ matrix.real @ q.conj().T
+def complex_entries(real):
+    """The complex Galerkin matrix M = Q real Q^H of ``galerkin_matrix``'s real matrix."""
+    q = real_basis_change(real.shape[0] // 2)
+    return q @ real @ q.conj().T
 
 
 def constraint_matrix(problem, order):
@@ -181,15 +181,15 @@ def complex_minimal_norm(problem, target, weights, order):
     return 0.5 * (eps + np.conj(eps[::-1])), int(np.count_nonzero(keep))
 
 
-def complex_restricted_solves(matrix, rhs):
+def complex_restricted_solves(problem, rhs):
     """Density and zero-mean solve by the complex restricted inverse: the real route's reference.
 
     I - M without the row and column of mode 0 is inverted as a complex
     (2N) x (2N) matrix; rho = (1, R^{-1} M[r, 0]) and v = (0, R^{-1} b_r),
     each Hermitian-symmetrized.  Returns the coefficients of rho and of v.
     """
-    mid = matrix.order
-    entries = complex_entries(matrix)
+    mid = problem.order
+    entries = complex_entries(problem.real)
     system = np.eye(2 * mid + 1) - entries
     inverse = np.linalg.inv(np.delete(np.delete(system, mid, axis=0), mid, axis=1))
     solves = []
@@ -199,18 +199,18 @@ def complex_restricted_solves(matrix, rhs):
     return solves
 
 
-def whole_restricted_solves(matrix, rhs):
+def whole_restricted_solves(problem, rhs):
     """Density and zero-mean solve by one inverse of the whole real R: the parity split's reference.
 
     R = I - Q^H M Q without the a_0 row and column, inverted as one 2N x 2N
     matrix.  Returns the coefficients of rho and of v, and the 1-norm
     condition number of R.
     """
-    mid = matrix.order
-    system = np.eye(2 * mid) - matrix.real[1:, 1:]
+    mid = problem.order
+    system = np.eye(2 * mid) - problem.real[1:, 1:]
     inverse = np.linalg.inv(system)
     solves = []
-    for value, column in ((1.0, matrix.real[1:, 0]),
+    for value, column in ((1.0, problem.real[1:, 0]),
                           (0.0, to_real_basis(rhs.with_order(mid).coeffs)[1:])):
         coords = inverse @ column
         solves.append(from_real_basis(np.concatenate(([value], coords))).coeffs)
@@ -380,8 +380,8 @@ def dense_ulam_matrix(circle_map, bins):
     return dense
 
 
-def ulam_products(matrix, v):
-    """(M @ v, v @ M) from a ``TransitionOperator``'s own arrays, in one pass each.
+def ulam_products(model, v):
+    """(M @ v, v @ M) from a ``UlamModel``'s own arrays, in one pass each.
 
     The reference of the operator's one product, ``M @ v``, and the only
     route to ``v @ M``, whose v = 1 gives the column sums.  Slot 1 of
@@ -389,9 +389,9 @@ def ulam_products(matrix, v):
     weight is 0 past the last bin, and segment s images into bin
     (first + s) mod bins; np.add.at folds the segments in order.
     """
-    bins, source = matrix.bins, matrix.source
-    (w0, w1), following = matrix.weights, np.minimum(source + 1, bins - 1)
-    image_bins = (matrix.first + np.arange(source.size)) % bins
+    bins, source = model.bins, model.source
+    (w0, w1), following = model.weights, np.minimum(source + 1, bins - 1)
+    image_bins = (model.first + np.arange(source.size)) % bins
     forward = np.zeros(bins)
     np.add.at(forward, image_bins, w0 * v[source] + w1 * v[following])
     image = v[image_bins]
@@ -427,7 +427,7 @@ def finite_difference_response_check(problem, direction, delta, grid=4096):
     The gap scales as O(delta^2).
     """
     family = PerturbedFamily(problem.map, direction)
-    rho_plus, rho_minus = (invariant_density(galerkin_matrix(family.member(s), problem.order))
+    rho_plus, rho_minus = (ResponseProblem.for_map(family.member(s), problem.order).density
                            for s in (delta, -delta))
     gap = (rho_plus - rho_minus) * (0.5 / delta) - forward_response(problem, direction)
     return float(np.mean(np.abs(grid_values(gap, next_pow2(max(grid, 2 * gap.order + 2))))))

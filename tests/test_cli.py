@@ -8,7 +8,7 @@ import pytest
 
 import linresp._format as fmt
 import linresp.cli as cli
-import linresp.response
+import linresp.transfer
 from linresp import FourierSeries, InfeasibleTargetError, SpectralGapError, cosine, sine
 from linresp.cli import EXIT_INFEASIBLE, JobConfig, canonical_json, main
 
@@ -17,6 +17,9 @@ from conftest import seeded_maps, steep_map
 DOUBLING = {"degree": 2, "periodic_part": {"N": 0, "coeffs": [[0.0, 0.0]]}}
 WAVY = {"degree": 2,
         "periodic_part": {"N": 1, "coeffs": [[0.0, 0.05], [0.0, 0.0], [0.0, -0.05]]}}
+# 3x + 0.15 sin(2 pi x) + 0.05 cos(4 pi x): not odd, so I - M is inverted whole.
+NONODD = {"degree": 3, "periodic_part": {"N": 2, "coeffs": [[0.025, 0.0], [0.0, 0.075], [0.0, 0.0],
+                                                            [0.0, -0.075], [0.025, 0.0]]}}
 # 2x + 0.155 sin(2 pi x): at N=8 its density fails the pointwise fixed-point check.
 STEEP = {"degree": 2,
          "periodic_part": {"N": 1, "coeffs": [[0.0, 0.0775], [0.0, 0.0], [0.0, -0.0775]]}}
@@ -613,11 +616,40 @@ class TestDeterminism:
         def boom(*args, **kwargs):
             raise error("Singular matrix")
 
-        monkeypatch.setattr(linresp.response, "invariant_density", boom)
+        monkeypatch.setattr(linresp.transfer, "galerkin_matrix", boom)
         path = write_config(tmp_path)
         assert main(["density", "--config", str(path), "--out",
                      str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("solver failure:")
+
+    def test_memory_error_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # A grid or order too large for the host ends in numpy's MemoryError.
+        def boom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "_series_csv", boom)
+        path = write_config(tmp_path)
+        assert main(["density", "--config", str(path), "--out",
+                     str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Unable to allocate 8.00 TiB")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, order", [("control", 64), ("verify", 16)])
+    def test_sobolev_weights_that_overflow_are_config_errors(self, tmp_path, capsys,
+                                                             command, order):
+        # W(n) overflows for a = 1e200: refused at the first order that asks
+        # for it (the two-step answer's in control, N in verify's minimal-norm
+        # solve), with no RuntimeWarning and no false "infeasible"
+        path = write_config(tmp_path, map=WAVY, N=16, target="mix", weights={"a": 1e200},
+                            verify={"delta": 1e-3, "bins": 1024})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: weight 'a' = 1e+200")
+        assert err.rstrip().endswith(f"at order {order}")
+        assert "Traceback" not in err
+        assert not (out / f"{command}.json").exists()
 
     def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -627,3 +659,41 @@ class TestDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write output:")
         assert "Traceback" not in err
+
+
+class TestOneAssemblyOneFactorization:
+    """The Galerkin matrix is assembled once per command and factored once.
+
+    Control and verify's minimal-norm solve assemble the rho-weighted
+    constraint rows besides; the Galerkin route inverts I - M once per
+    parity block: two on the odd wavy map, one on the non-odd map.
+    """
+
+    @pytest.mark.parametrize("name, inverses", [("wavy", 2), ("nonodd", 1)])
+    @pytest.mark.parametrize("command, epsilon, assemblies", [
+        ("density", True, 1), ("respond", True, 1), ("control", True, 2),
+        ("verify", True, 1), ("verify", False, 2)])
+    def test_counts(self, tmp_path, monkeypatch, name, inverses, command, epsilon,
+                    assemblies):
+        import linresp.control as control
+        calls = {"rows": 0, "inv": 0}
+
+        def counted(key, original):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        rows = counted("rows", linresp.transfer._galerkin_rows)
+        for module in (linresp.transfer, control):
+            monkeypatch.setattr(module, "_galerkin_rows", rows)
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        entries = {"map": {"wavy": WAVY, "nonodd": NONODD}[name], "N": 32, "target": "mix",
+                   "verify": {"delta": 1e-3, "bins": 1024}}
+        if epsilon:
+            entries["epsilon"] = "cos2"
+        path = write_config(tmp_path, **entries)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        # verify compares cos2's response with the target mix, and fails its budget
+        assert code == (cli.EXIT_VERIFY if command == "verify" and epsilon else 0)
+        assert calls == {"rows": assemblies, "inv": inverses}

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -207,6 +208,22 @@ class TestSobolevNorm:
             with pytest.raises(ValueError, match="finite number"):
                 SobolevWeights(d=bad)
 
+    @pytest.mark.parametrize("name, value", [("a", 1e200), ("d", 1e300)])
+    def test_weights_that_overflow_are_refused(self, wavy_problem, name, value):
+        # W(n) overflows at order 1 for these weights; the pytest settings
+        # turn a RuntimeWarning into an error, so none is emitted either
+        from linresp import minimal_norm_control
+        weights = SobolevWeights(**{name: value})
+        with pytest.raises(ValueError, match=re.escape(f"weight '{name}' = {value!r} ") +
+                           ".* at order 16"):
+            weights.mode_weights(16)
+        with pytest.raises(ValueError, match=f"weight '{name}' .* at order 1$"):
+            sobolev_norm(cosine(1), weights)
+        with pytest.raises(ValueError, match=f"weight '{name}' .* at order 64"):
+            minimal_norm_control(wavy_problem, cosine(1), weights)
+        # at order 0, W(0) = 1 whatever the weights
+        assert sobolev_norm(constant(1.0), weights) == 1.0
+
     def test_weights_from_dict_refuses_unknown_keys(self):
         assert SobolevWeights.from_dict({"d": 1.0}) == SobolevWeights(d=1.0)
         with pytest.raises(ValueError, match="unknown weights keys"):
@@ -301,19 +318,19 @@ class TestRealBasis:
             explicit = q.conj().T @ conjugate_fill(rows) @ q
             assert np.max(np.abs(explicit.imag)) < 1e-15
             np.testing.assert_allclose(real_matrix_from_rows(rows), explicit.real, atol=1e-15)
-            assert np.array_equal(matrix.real, real_matrix_from_rows(rows))
+            assert np.array_equal(matrix, real_matrix_from_rows(rows))
 
-    def test_transfer_matrix_is_real_and_square(self, wavy):
-        from linresp import TransferMatrix, galerkin_matrix
-        real = galerkin_matrix(wavy, 4).real
+    def test_transfer_matrix_is_real_and_square(self, wavy, doubling):
+        from linresp import ResponseProblem, galerkin_matrix
+        real = galerkin_matrix(wavy, 4)
         with pytest.raises(TypeError, match="complex"):
-            TransferMatrix(real.astype(complex), wavy)
-        assert TransferMatrix(np.zeros((7, 7)), wavy).order == 3
+            ResponseProblem(real.astype(complex), wavy)
+        assert ResponseProblem(galerkin_matrix(doubling, 3), doubling).order == 3
         # the order is (size - 1) / 2 of a square odd size >= 3: order 0 is
         # refused, as galerkin_matrix refuses it
         for shape in ((9, 8), (8, 8), (1, 1), (9,), (3, 3, 3)):
             with pytest.raises(ValueError, match="square matrix of odd size >= 3"):
-                TransferMatrix(np.zeros(shape), wavy)
+                ResponseProblem(np.zeros(shape), wavy)
 
 
 def blocked_horner(rows, z):

@@ -17,28 +17,31 @@ def series_of(values_fn, order, size=1024):
 class TestResponseProblem:
     def test_order_is_the_matrix_order(self, wavy):
         from linresp import ResponseProblem, galerkin_matrix
-        problem = ResponseProblem(galerkin_matrix(wavy, 16))
-        assert problem.order == problem.matrix.order == 16
+        problem = ResponseProblem(galerkin_matrix(wavy, 16), wavy)
+        assert problem.order == problem.real.shape[0] // 2 == 16
         assert ResponseProblem.for_map(wavy, 24).order == 24
 
     def test_refuses_a_density_or_order_from_the_caller(self, wavy):
-        # the map, the density and the order follow from the matrix; the old
-        # (map, density, order, matrix) and (map, matrix) forms are refused
+        # the density and the order follow from the matrix; the old
+        # (map, density, order, matrix), (map, matrix) and (matrix) forms
+        # are refused
         from linresp import ResponseProblem, galerkin_matrix
         matrix = galerkin_matrix(wavy, 16)
-        rho = ResponseProblem(matrix).density
+        rho = ResponseProblem(matrix, wavy).density
         with pytest.raises(TypeError):
             ResponseProblem(wavy, rho, 3, matrix)
         with pytest.raises(TypeError):
             ResponseProblem(wavy, matrix)
-        with pytest.raises(TypeError, match="TransferMatrix"):
-            ResponseProblem(rho)
+        with pytest.raises(TypeError):
+            ResponseProblem(matrix)
+        with pytest.raises(TypeError):
+            ResponseProblem(matrix, wavy, rho)
 
     def test_matrix_of_an_equal_map_is_accepted(self, wavy):
         from linresp import CircleMap, ResponseProblem, galerkin_matrix
         twin = CircleMap(2, sine(1, 0.1).with_order(3))
         # another object, its periodic part padded to order 3
-        problem = ResponseProblem(galerkin_matrix(twin, 32))
+        problem = ResponseProblem(galerkin_matrix(wavy, 32), twin)
         assert problem.map is twin
         assert problem.pointwise_residual < 1e-9
 

@@ -17,12 +17,12 @@ EXPORTS = [
     "CircleMap", "ControlSolution", "DEFAULT_ORDER", "FourierSeries",
     "InfeasibleTargetError", "NotExpandingError",
     "PerturbedFamily", "PreimageError", "ResponseProblem", "SobolevWeights",
-    "SpectralGapError", "TransferMatrix", "UlamModel", "UnderResolvedError",
+    "SpectralGapError", "UlamModel", "UnderResolvedError",
     "antiderivative", "apply_transfer", "apply_transfer_pointwise",
     "bin_averages", "compare_l1", "cosine", "derivative_operator",
     "dft", "differentiate", "exact_control", "exact_forward",
     "fd_response", "fixed_point_residual", "forward_response",
-    "galerkin_matrix", "grid_values", "invariant_density",
+    "galerkin_matrix", "grid_values",
     "minimal_norm_control", "next_pow2",
     "sine", "sobolev_norm", "solve_control", "solve_zero_mean", "step1_g",
     "step2_epsilon", "sup_norm", "ulam_build", "zeros",
@@ -31,12 +31,15 @@ EXPORTS = [
 # Test-only helpers moved to tests/conftest.py or deleted, the second
 # uniform-grid route (grid_values is the only one), the oddness rule
 # that is now CircleMap.is_odd, the N/2N norm report that
-# truncation_defect replaced, and the private step 1 that step1_g now is.
+# truncation_defect replaced, the private step 1 that step1_g now is, and
+# the wrappers that ResponseProblem (the Galerkin matrix and its density)
+# and UlamModel (the Ulam operator) now are.
 REMOVED = ["CircleDiffeo", "build_conjugate", "transfer_conjugacy_check",
            "finite_difference_response_check", "multiply", "weighted_inner_product",
            "l1_norm", "l2_norm", "GridFunction", "idft", "_is_odd",
            "minimal_norm_truncation_report", "kernel_directions", "_weighted_system",
-           "constant", "doubling_map", "_step1_g", "_real_scalar"]
+           "constant", "doubling_map", "_step1_g", "_real_scalar",
+           "TransferMatrix", "invariant_density", "TransitionOperator"]
 
 
 def test_every_exported_name_resolves():
@@ -65,7 +68,7 @@ def test_submodules_import_by_name():
 
 
 def test_infeasible_target_error_is_one_class():
-    # Defined beside UnderResolvedError, so that cli.main maps it to exit 3
+    # Defined in response, so that cli.main maps it to exit 3
     # without importing control; control re-exports it.
     assert linresp.InfeasibleTargetError is linresp.control.InfeasibleTargetError
     assert linresp.InfeasibleTargetError is linresp.response.InfeasibleTargetError
@@ -82,13 +85,13 @@ def test_star_import():
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 42
+    assert len(EXPORTS) == 40
     assert sorted(linresp.__all__) == sorted(EXPORTS)
 
 
 def test_removed_names_stay_out():
     modules = (linresp, linresp.control, linresp.fourier, linresp.maps,
-               linresp.response, linresp.transfer)
+               linresp.response, linresp.transfer, linresp.verify)
     assert [(m.__name__, n) for m in modules for n in REMOVED if hasattr(m, n)] == []
     assert not hasattr(linresp.FourierSeries, "plus_constant")
     assert not hasattr(linresp.FourierSeries, "mean")
@@ -102,9 +105,9 @@ def test_removed_names_stay_out():
     # their conjugate reverse, and a series is scaled by multiplication.
     assert not hasattr(linresp.FourierSeries, "hermitian_defect")
     assert not hasattr(linresp.FourierSeries, "__truediv__")
-    # The Ulam operator offers M @ v, the stationary iteration's product,
+    # The Ulam model offers M @ v, the stationary iteration's product,
     # and no v @ M; column sums come from conftest.ulam_products.
-    operator = linresp.verify.TransitionOperator
+    operator = linresp.UlamModel
     assert [n for n in ("__rmatmul__", "__array_ufunc__", "_operand", "_blocks")
             if n in vars(operator)] == []
     # One derivative order, and step 1 takes f = (I - L) rho1.
@@ -124,12 +127,12 @@ def test_frozen_objects_hold_only_declared_state(wavy):
                          minimal_norm_control, ulam_build)
     wavy.preimages(0.3)  # caches the Horner rows of the branch inversion
     problem = ResponseProblem.for_map(wavy, 16)
-    problem.matrix.restricted_condition  # the density and the factorization are cached
+    problem.restricted_condition  # the factorization is cached
     family = PerturbedFamily(wavy, cosine(1, 0.01))
     family.delta_max
     model = ulam_build(wavy, 64)
-    objects = [cosine(1), SobolevWeights(a=0.5), wavy, family, problem.matrix, problem,
-               minimal_norm_control(problem, cosine(1)), model, model.matrix]
+    objects = [cosine(1), SobolevWeights(a=0.5), wavy, family, problem,
+               minimal_norm_control(problem, cosine(1)), model]
     assert [type(o).__name__ for o in objects if not is_dataclass(o)] == []
     undeclared = {type(o).__name__: sorted(set(vars(o)) - {f.name for f in fields(o)}
                                            - _cached_names(type(o))) for o in objects}

@@ -5,8 +5,8 @@ import pytest
 
 from linresp import (CircleMap, ResponseProblem, SobolevWeights, apply_transfer, compare_l1,
                      cosine, derivative_operator, dft, fixed_point_residual, forward_response,
-                     galerkin_matrix, grid_values, invariant_density, sine, solve_zero_mean,
-                     sup_norm, ulam_build, zeros)
+                     galerkin_matrix, grid_values, sine, solve_zero_mean, sup_norm, ulam_build,
+                     zeros)
 from linresp.control import minimal_norm_control
 from linresp import transfer
 from linresp.fourier import baby_steps
@@ -20,6 +20,9 @@ from conftest import (CircleDiffeo, build_conjugate, complex_entries, complex_re
 GALERKIN_MAPS = {"wavy": CircleMap(2, sine(1, 0.1)), "steep": steep_map(),
                  **{f"seeded-degree{m.degree}": m for m in seeded_maps()}}
 ALIASING_MAPS = {**GALERKIN_MAPS, "triple": CircleMap(3, zeros(0)), "doubling": doubling_map()}
+# Order 64, but 109 for the steep map: at 64 its density fails the pointwise
+# gate, at 109 it passes (test_response).
+PROBLEM_ORDER = {**dict.fromkeys(GALERKIN_MAPS, 64), "steep": 109}
 
 
 class TestApplyTransfer:
@@ -40,7 +43,7 @@ class TestApplyTransfer:
         assert out.coeff(0) == pytest.approx(1.0, abs=1e-10)
         # Ulam row sums are exact bin averages of L(1)
         model = ulam_build(wavy, 2**15)
-        rows = model.matrix @ np.ones(2**15)
+        rows = model @ np.ones(2**15)
         assert compare_l1(rows, out) < 1e-6
 
     def test_pointwise_on_grid_matches_series_route(self, wavy):
@@ -278,20 +281,20 @@ class TestQuadratureSize:
 
 class TestInvariantDensity:
     def test_doubling_uniform(self, doubling):
-        rho = invariant_density(galerkin_matrix(doubling, 16))
+        rho = ResponseProblem.for_map(doubling, 16).density
         np.testing.assert_allclose(rho.coeffs, constant(1.0).with_order(16).coeffs,
                                    atol=1e-12)
 
     def test_triple_uniform(self, triple):
-        rho = invariant_density(galerkin_matrix(triple, 16))
+        rho = ResponseProblem.for_map(triple, 16).density
         np.testing.assert_allclose(rho.coeffs, constant(1.0).with_order(16).coeffs,
                                    atol=1e-12)
 
     @pytest.mark.parametrize("name", list(GALERKIN_MAPS))
     def test_solves_galerkin_system_to_rounding(self, name):
-        m = galerkin_matrix(GALERKIN_MAPS[name], 64)
-        rho = invariant_density(m).coeffs
-        assert np.max(np.abs(complex_entries(m) @ rho - rho)) <= 1e-14
+        problem = ResponseProblem.for_map(GALERKIN_MAPS[name], PROBLEM_ORDER[name])
+        rho = problem.density.coeffs
+        assert np.max(np.abs(complex_entries(problem.real) @ rho - rho)) <= 1e-14
 
     def test_wavy_matches_ulam(self, wavy, wavy_problem):
         model = ulam_build(wavy, 2**15)
@@ -309,52 +312,51 @@ class TestInvariantDensity:
 class TestSolveZeroMean:
     def test_doubling_odd_mode(self, doubling):
         # L kills sin(2 pi x), so the Neumann series stops immediately
-        out = solve_zero_mean(galerkin_matrix(doubling, 16), sine(1))
+        out = solve_zero_mean(ResponseProblem.for_map(doubling, 16), sine(1))
         np.testing.assert_allclose(out.coeffs, sine(1).with_order(16).coeffs,
                                    atol=1e-12)
 
     def test_doubling_two_term_series(self, doubling):
-        out = solve_zero_mean(galerkin_matrix(doubling, 16), sine(2))
+        out = solve_zero_mean(ResponseProblem.for_map(doubling, 16), sine(2))
         expected = sine(2) + sine(1)
         np.testing.assert_allclose(out.coeffs, expected.with_order(16).coeffs,
                                    atol=1e-12)
 
     def test_zero_rhs(self, wavy):
-        out = solve_zero_mean(galerkin_matrix(wavy, 16), zeros(4))
+        out = solve_zero_mean(ResponseProblem.for_map(wavy, 16), zeros(4))
         assert np.all(out.coeffs == 0)
 
     def test_rejects_nonzero_mean(self, wavy):
         with pytest.raises(ValueError, match="mean"):
-            solve_zero_mean(galerkin_matrix(wavy, 16), constant(1.0))
+            solve_zero_mean(ResponseProblem.for_map(wavy, 16), constant(1.0))
 
     def test_residual_small(self, wavy_problem):
         rng = np.random.default_rng(53)
         rhs = random_series(rng, 20, zero_mean=True).with_order(64)
-        v = solve_zero_mean(wavy_problem.matrix, rhs)
-        defect = complex_entries(wavy_problem.matrix) @ v.coeffs
+        v = solve_zero_mean(wavy_problem, rhs)
+        defect = complex_entries(wavy_problem.real) @ v.coeffs
         np.testing.assert_allclose(v.coeffs - defect, rhs.coeffs, atol=1e-10)
         assert abs(v.coeff(0)) == 0.0
 
     @pytest.mark.parametrize("name", list(GALERKIN_MAPS))
     def test_real_route_matches_complex_inverse(self, name):
-        matrix = galerkin_matrix(GALERKIN_MAPS[name], 64)
+        problem = ResponseProblem.for_map(GALERKIN_MAPS[name], PROBLEM_ORDER[name])
         rhs = random_series(np.random.default_rng(59), 20, zero_mean=True)
-        rho, v = complex_restricted_solves(matrix, rhs)
-        for got, want in ((invariant_density(matrix), rho), (solve_zero_mean(matrix, rhs), v)):
+        rho, v = complex_restricted_solves(problem, rhs)
+        for got, want in ((problem.density, rho), (solve_zero_mean(problem, rhs), v)):
             assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
 
     @staticmethod
     def retained_share(circle_map):
         tracemalloc.start()
         try:
-            matrix = galerkin_matrix(circle_map, 256)
-            invariant_density(matrix)
-            solve_zero_mean(matrix, sine(3))
+            problem = ResponseProblem.for_map(circle_map, 256)
+            solve_zero_mean(problem, sine(3))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         # in units of the bytes of a complex (2N+1) x (2N+1) matrix
-        return retained / (16 * matrix.real.size)
+        return retained / (16 * problem.real.size)
 
     def test_retains_one_factorization(self, wavy):
         # After the density and a solve, the matrix keeps its real form, half
@@ -369,14 +371,14 @@ class TestSolveZeroMean:
         assert self.retained_share(CircleMap(3, sine(1, 0.15) + cosine(2, 0.05))) <= 1.05
 
     def test_restricted_system_well_conditioned(self, wavy_problem):
-        cond = wavy_problem.matrix.restricted_condition
+        cond = wavy_problem.restricted_condition
         assert np.isfinite(cond) and cond < 1e12
 
     def test_near_singular_system_reported(self):
-        # hand-built real matrix whose restricted I - M is diag(2, 1e-13)
-        from linresp import TransferMatrix
+        # hand-built real matrix whose restricted I - M is diag(2, 1e-13); on
+        # the doubling map its density, the constant 1, passes every gate
         real = np.diag([1.0, -1.0, 1.0 - 1e-13])
-        shaky = TransferMatrix(real, steep_map())
+        shaky = ResponseProblem(real, doubling_map())
         assert shaky.restricted_condition > 1e12
         with pytest.warns(RuntimeWarning, match="condition"):
             solve_zero_mean(shaky, sine(1, 1e-15))
@@ -388,25 +390,25 @@ class TestParitySplit:
     @pytest.mark.parametrize("name", ["doubling", "wavy"])
     @pytest.mark.parametrize("order", [16, 64, 256])
     def test_matches_the_whole_system(self, request, name, order):
-        matrix = galerkin_matrix(request.getfixturevalue(name), order)
+        problem = ResponseProblem.for_map(request.getfixturevalue(name), order)
         cos, sin = slice(0, order), slice(order, None)
-        assert [block for block, _ in matrix._factorization[0]] == [cos, sin]
+        assert [block for block, _ in problem._factorization[0]] == [cos, sin]
         rhs = random_series(np.random.default_rng(order), 12, zero_mean=True)
-        rho, v, condition = whole_restricted_solves(matrix, rhs)
-        for got, want in ((invariant_density(matrix), rho), (solve_zero_mean(matrix, rhs), v)):
+        rho, v, condition = whole_restricted_solves(problem, rhs)
+        for got, want in ((problem.density, rho), (solve_zero_mean(problem, rhs), v)):
             assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
-        assert matrix.restricted_condition == pytest.approx(condition, rel=1e-10)
+        assert problem.restricted_condition == pytest.approx(condition, rel=1e-10)
 
     def test_rounding_level_real_part_takes_the_whole_route(self):
         # a real part of 1e-17 breaks the symmetry, as in control._real_blocks
         nearly = CircleMap(2, sine(1, 0.1) + cosine(1, 2e-17))
-        matrix = galerkin_matrix(nearly, 64)
-        assert [block for block, _ in matrix._factorization[0]] == [slice(None)]
+        problem = ResponseProblem.for_map(nearly, 64)
+        assert [block for block, _ in problem._factorization[0]] == [slice(None)]
         rhs = random_series(np.random.default_rng(61), 20, zero_mean=True)
-        rho, v, condition = whole_restricted_solves(matrix, rhs)
-        assert np.array_equal(invariant_density(matrix).coeffs, rho)
-        assert np.array_equal(solve_zero_mean(matrix, rhs).coeffs, v)
-        assert matrix.restricted_condition == condition
+        rho, v, condition = whole_restricted_solves(problem, rhs)
+        assert np.array_equal(problem.density.coeffs, rho)
+        assert np.array_equal(solve_zero_mean(problem, rhs).coeffs, v)
+        assert problem.restricted_condition == condition
 
 
 class TestConjugacy:

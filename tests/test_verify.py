@@ -28,7 +28,7 @@ class TestUlamBuild:
                              [0.5, 0.0, 0.5, 0.0],
                              [0.0, 0.5, 0.0, 0.5],
                              [0.0, 0.5, 0.0, 0.5]])
-        dense = np.column_stack([model.matrix @ column for column in np.eye(4)])
+        dense = np.column_stack([model @ column for column in np.eye(4)])
         np.testing.assert_allclose(dense, expected, atol=1e-14)
         np.testing.assert_allclose(model.stationary, np.ones(4), atol=1e-13)
 
@@ -38,7 +38,7 @@ class TestUlamBuild:
 
     def test_columns_stochastic(self, wavy):
         model = ulam_build(wavy, 2**12)
-        sums = ulam_products(model.matrix, np.ones(2**12))[1]
+        sums = ulam_products(model, np.ones(2**12))[1]
         assert np.max(np.abs(sums - 1.0)) < 1e-12
 
     def test_stationary_properties(self, wavy):
@@ -46,7 +46,7 @@ class TestUlamBuild:
         v = model.stationary
         assert np.all(v >= 0)
         assert v.sum() == pytest.approx(2**12, rel=1e-12)
-        assert np.mean(np.abs(model.matrix @ v - v)) < 1e-12
+        assert np.mean(np.abs(model @ v - v)) < 1e-12
 
     def test_matches_spectral_density(self, wavy, wavy_problem):
         model = ulam_build(wavy, 2**15)
@@ -66,7 +66,7 @@ class TestUlamBuild:
         # column telescopes to 1; weights from lengths times bins were off by
         # 2.1e-12 here and refused.
         model = ulam_build(request.getfixturevalue(name), 20_000)
-        sums = ulam_products(model.matrix, np.ones(20_000))[1]
+        sums = ulam_products(model, np.ones(20_000))[1]
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
         assert model.stationary.sum() == pytest.approx(20_000, rel=1e-12)
 
@@ -102,7 +102,7 @@ class TestUlamBuild:
         from linresp import CircleMap
         shifted = CircleMap(2, cosine(1, 0.05))
         model = ulam_build(shifted, 2**10)
-        sums = ulam_products(model.matrix, np.ones(2**10))[1]
+        sums = ulam_products(model, np.ones(2**10))[1]
         assert np.max(np.abs(sums - 1.0)) < 1e-12
         assert model.stationary.sum() == pytest.approx(2**10, rel=1e-12)
 
@@ -117,19 +117,21 @@ ORACLE_MAPS = {
 
 
 class TestTransitionOperator:
+    """The Ulam model's transition matrix, through its one product M @ v."""
+
     @pytest.mark.parametrize("bins", [256, 300])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
     def test_products_match_dense_reference(self, name, seed, bins):
         # seed draws the operand: three random vectors per map and bin count
         circle_map = ORACLE_MAPS[name]
-        matrix = ulam_build(circle_map, bins).matrix
+        model = ulam_build(circle_map, bins)
         dense = dense_ulam_matrix(circle_map, bins)
-        assert matrix.shape == dense.shape
+        assert model.shape == dense.shape
         v = np.random.default_rng(seed).uniform(-1.0, 1.0, dense.shape[0])
-        np.testing.assert_allclose(matrix @ v, dense @ v, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(model @ v, dense @ v, rtol=0, atol=1e-14)
         # the column-wise product from the operator's own arrays
-        np.testing.assert_allclose(ulam_products(matrix, v)[1], v @ dense, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ulam_products(model, v)[1], v @ dense, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("name", ["perturbed-wavy", "steep"])
     def test_blocked_products_match_one_pass_reference(self, perturbed_wavy, name):
@@ -137,17 +139,17 @@ class TestTransitionOperator:
         # (the steep map has five runs); the product must equal the
         # unblocked formula bit for bit.
         circle_map = perturbed_wavy if name == "perturbed-wavy" else steep_map()
-        matrix = ulam_build(circle_map, 2**16).matrix
-        assert matrix.source.shape == (matrix.weights.shape[1],)
-        assert matrix.source.size > 2 * (2 * verify.BLOCK)  # blocks of 2 BLOCK segments
-        v = np.random.default_rng(5).uniform(-1.0, 1.0, matrix.bins)
-        assert np.array_equal(matrix @ v, ulam_products(matrix, v)[0])
+        model = ulam_build(circle_map, 2**16)
+        assert model.source.shape == (model.weights.shape[1],)
+        assert model.source.size > 2 * (2 * verify.BLOCK)  # blocks of 2 BLOCK segments
+        v = np.random.default_rng(5).uniform(-1.0, 1.0, model.bins)
+        assert np.array_equal(model @ v, ulam_products(model, v)[0])
 
     def test_refuses_operand_of_wrong_size(self, wavy):
-        matrix = ulam_build(wavy, 16).matrix
+        model = ulam_build(wavy, 16)
         for operand in (np.ones(32), np.ones((16, 2))):
             with pytest.raises(ValueError, match="expected"):
-                matrix @ operand
+                model @ operand
 
 
 class TestFdResponse:
