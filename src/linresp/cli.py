@@ -9,6 +9,9 @@ which hands the values it cannot settle to Python's ``%``, value by value.
 
 Exit codes: 0 success, 1 config error, 2 solver failure, 3 target not
 realizable at the requested truncation, 4 verification budget violation.
+A command removes its result JSON from ``--out`` once its config is read,
+writes its CSV files, and writes the JSON last: a run refused after its
+config is read leaves no result JSON, its own or an earlier run's.
 
 This module imports only what every command runs (``fourier``, ``maps``,
 ``response`` with ``transfer``, and ``_format``).  ``control`` and ``verify``
@@ -25,6 +28,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +50,6 @@ NEGLIGIBLE_RESPONSE = 1e-7
 # bytes per value, 1.2 MB a block) stay bounded however long the file is.
 CSV_BLOCK = 2048
 
-TWO_PI = 2.0 * np.pi
 CONFIG_KEYS = ("map", "N", "grid", "target", "epsilon", "weights", "verify")
 
 
@@ -58,7 +61,7 @@ def _presets() -> dict[str, FourierSeries]:
         "cos2": cosine(2),
         "cos3": cosine(3),
         "mix": cosine(1) + cosine(3, 0.5),
-        "eps_doubling_sin": cosine(2, 1.0 / TWO_PI),
+        "eps_doubling_sin": cosine(2, 0.5 / np.pi),
     }
 
 
@@ -173,15 +176,10 @@ class JobConfig:
         return cls(circle_map, order, grid, target, epsilon, weights, verify)
 
     def to_dict(self) -> dict:
-        out: dict = {"map": self.map.to_dict(), "N": self.order, "grid": self.grid}
-        if self.target is not None:
-            out["target"] = self.target.to_dict()
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon.to_dict()
-        out["weights"] = self.weights.to_dict()
-        if self.verify is not None:
-            out["verify"] = self.verify.to_dict()
-        return out
+        values = {"map": self.map, "N": self.order, "grid": self.grid, "target": self.target,
+                  "epsilon": self.epsilon, "weights": self.weights, "verify": self.verify}
+        return {key: value if isinstance(value, int) else value.to_dict()
+                for key, value in values.items() if value is not None}
 
     @property
     def sha256(self) -> str:
@@ -200,10 +198,6 @@ def load_config(path: str) -> JobConfig:
     return JobConfig.from_dict(data)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(canonical_json(payload) + "\n")
-
-
 def _write_csv(path: Path, header: tuple[str, str], xs, values) -> None:
     with path.open("wb") as fh:
         fh.write(f"{header[0]},{header[1]}\n".encode())
@@ -218,134 +212,90 @@ def _series_csv(path: Path, series: FourierSeries, grid: int) -> None:
     _write_csv(path, ("x", "value"), np.arange(size) / size, grid_values(series, size))
 
 
-def cmd_density(config: JobConfig, out: Path) -> int:
-    problem = ResponseProblem.for_map(config.map, config.order)
-    payload = {
-        "command": "density",
-        "config_sha256": config.sha256,
-        "N": config.order,
-        "residual": problem.galerkin_residual,
-        "pointwise_residual": problem.pointwise_residual,
-        "density": problem.density.to_dict(),
-    }
-    _write_json(out / "density.json", payload)
+# Each command writes its CSV files and returns its result fields, which follow
+# the shared header in the result JSON, and its summary line.
+
+def cmd_density(config: JobConfig, problem: ResponseProblem, out: Path):
     _series_csv(out / "density.csv", problem.density, config.grid)
-    print(f"density: residual {problem.galerkin_residual:.3e} -> {out / 'density.json'}")
-    return EXIT_OK
+    return ({"residual": problem.galerkin_residual,
+             "pointwise_residual": problem.pointwise_residual,
+             "density": problem.density.to_dict()},
+            f"residual {problem.galerkin_residual:.3e}")
 
 
-def cmd_respond(config: JobConfig, out: Path) -> int:
-    if config.epsilon is None:
-        raise ConfigError("respond needs an 'epsilon' entry")
-    problem = ResponseProblem.for_map(config.map, config.order)
+def cmd_respond(config: JobConfig, problem: ResponseProblem, out: Path):
     response = forward_response(problem, config.epsilon)
     magnitude = sup_norm(response)
-    payload = {
-        "command": "respond",
-        "config_sha256": config.sha256,
-        "N": config.order,
-        "density_residual": problem.galerkin_residual,
-        "response_sup_norm": magnitude,
-        "negligible": bool(magnitude < NEGLIGIBLE_RESPONSE),
-        "response": response.to_dict(),
-    }
-    _write_json(out / "response.json", payload)
+    negligible = bool(magnitude < NEGLIGIBLE_RESPONSE)
     _series_csv(out / "response.csv", response, config.grid)
-    note = " (negligible: kernel direction)" if magnitude < NEGLIGIBLE_RESPONSE else ""
-    print(f"respond: sup norm {magnitude:.3e}{note} -> {out / 'response.json'}")
-    return EXIT_OK
+    note = " (negligible: kernel direction)" if negligible else ""
+    return ({"density_residual": problem.galerkin_residual, "response_sup_norm": magnitude,
+             "negligible": negligible, "response": response.to_dict()},
+            f"sup norm {magnitude:.3e}{note}")
 
 
-def cmd_control(config: JobConfig, out: Path) -> int:
+def cmd_control(config: JobConfig, problem: ResponseProblem, out: Path):
     from .control import minimal_norm_control, solve_control, truncation_defect
-    if config.target is None:
-        raise ConfigError("control needs a 'target' entry")
-    problem = ResponseProblem.for_map(config.map, config.order)
     two_step = solve_control(problem, config.target, config.weights)
     minimal = minimal_norm_control(problem, config.target, config.weights)
     defect = truncation_defect(problem, config.target, minimal.epsilon, 2 * config.order)
     roundtrip = sup_norm(forward_response(problem, minimal.epsilon) - config.target)
-    payload = {
-        "command": "control",
-        "config_sha256": config.sha256,
-        "N": config.order,
-        "density_residual": problem.galerkin_residual,
-        "two_step": two_step.to_dict(),
-        "minimal_norm": minimal.to_dict(),
-        "roundtrip_sup_error": roundtrip,
-        "truncation_defect": {"order": defect.order,
-                              "residual": float(np.linalg.norm(defect.coeffs))},
-    }
-    _write_json(out / "control.json", payload)
     _series_csv(out / "epsilon_two_step.csv", two_step.epsilon, config.grid)
     _series_csv(out / "epsilon_minimal_norm.csv", minimal.epsilon, config.grid)
-    print(f"control: minimal norm {minimal.norm:.6g}, residual {minimal.residual:.3e} "
-          f"-> {out / 'control.json'}")
-    return EXIT_OK
+    return ({"density_residual": problem.galerkin_residual, "two_step": two_step.to_dict(),
+             "minimal_norm": minimal.to_dict(), "roundtrip_sup_error": roundtrip,
+             "truncation_defect": {"order": defect.order,
+                                   "residual": float(np.linalg.norm(defect.coeffs))}},
+            f"minimal norm {minimal.norm:.6g}, residual {minimal.residual:.3e}")
 
 
-def cmd_verify(config: JobConfig, out: Path) -> int:
+def cmd_verify(config: JobConfig, problem: ResponseProblem, out: Path):
     from .control import minimal_norm_control
     from .verify import compare_l1, fd_response
-    if config.verify is None:
-        raise ConfigError("verify needs a 'verify' block with delta and bins")
-    if config.target is None:
-        raise ConfigError("verify needs a 'target' entry")
-    settings = config.verify
-    # Bin averages alias modes above bins/2, as fourier.dft's samples do: with
-    # fewer bins a target can average to zero in every bin and pass vacuously.
-    if settings.bins < 2 * config.target.order + 1:
-        raise ConfigError(f"verify.bins {settings.bins} cannot resolve a target of order "
-                          f"{config.target.order}; use at least {2 * config.target.order + 1}")
-    problem = ResponseProblem.for_map(config.map, config.order)
-    if config.epsilon is not None:
-        eps = config.epsilon
-        source = "config"
-        solution_residual = None
-    else:
+    settings, eps, solution_residual = config.verify, config.epsilon, None
+    if eps is None:
         solution = minimal_norm_control(problem, config.target, config.weights)
-        eps = solution.epsilon
-        source = "minimal_norm"
-        solution_residual = solution.residual
-    family = PerturbedFamily(config.map, eps)
+        eps, solution_residual = solution.epsilon, solution.residual
     # Ulam's method meets VERIFY_BUDGET with a wide margin (4.3e-4 on the wavy
     # map at 2^16 bins); it inverts the bin edges in blocks and keeps two
     # weights per segment.  Its first-order discretization error hides the
     # O(delta^2) term, which the tests resolve with collocation_fd_response.
-    binned = fd_response(family, settings.delta, settings.bins)
+    binned = fd_response(PerturbedFamily(config.map, eps), settings.delta, settings.bins)
     discrepancy = compare_l1(binned, config.target)
     passed = bool(discrepancy < VERIFY_BUDGET)
-    payload = {
-        "command": "verify",
-        "config_sha256": config.sha256,
-        "N": config.order,
-        "density_residual": problem.galerkin_residual,
-        "epsilon_source": source,
-        "solution_residual": solution_residual,
-        "delta": settings.delta,
-        "bins": settings.bins,
-        "l1_discrepancy": discrepancy,
-        "budget": VERIFY_BUDGET,
-        "passed": passed,
-    }
-    _write_json(out / "verify.json", payload)
     midpoints = (np.arange(settings.bins) + 0.5) / settings.bins
     _write_csv(out / "fd_response.csv", ("bin_midpoint", "value"), midpoints, binned)
-    verdict = "PASS" if passed else "FAIL"
-    print(f"verify: {verdict} L1 discrepancy {discrepancy:.4g} "
-          f"(budget {VERIFY_BUDGET}) -> {out / 'verify.json'}")
-    return EXIT_OK if passed else EXIT_VERIFY
+    return ({"density_residual": problem.galerkin_residual,
+             "epsilon_source": "config" if config.epsilon is not None else "minimal_norm",
+             "solution_residual": solution_residual, "delta": settings.delta,
+             "bins": settings.bins, "l1_discrepancy": discrepancy, "budget": VERIFY_BUDGET,
+             "passed": passed},
+            f"{'PASS' if passed else 'FAIL'} L1 discrepancy {discrepancy:.4g} "
+            f"(budget {VERIFY_BUDGET})")
 
 
-# Each command, and the solver modules it runs beyond those imported above.
-# main imports them before it reads the config, so that they load before
-# the command allocates any array.
+class _Command(NamedTuple):
+    run: Callable
+    result: str  # the result JSON's file name in --out
+    solvers: tuple[str, ...]  # modules it runs beyond those imported above
+    needs: tuple[str, ...]  # config entries it reads before any solve
+    help: str
+
+
+# main imports a command's solvers before it reads the config, so that they
+# load before the command allocates any array.
 _COMMANDS = {
-    "density": (cmd_density, ()),
-    "respond": (cmd_respond, ()),
-    "control": (cmd_control, ("control",)),
-    "verify": (cmd_verify, ("control", "verify")),
+    "density": _Command(cmd_density, "density.json", (), (),
+                        "invariant density of the configured map"),
+    "respond": _Command(cmd_respond, "response.json", (), ("epsilon",),
+                        "first-order density change for a given perturbation"),
+    "control": _Command(cmd_control, "control.json", ("control",), ("target",),
+                        "two-step and minimal-norm perturbations for a target"),
+    "verify": _Command(cmd_verify, "verify.json", ("control", "verify"), ("verify", "target"),
+                       "Ulam finite-difference check of a control solution"),
 }
+_MISSING = {"epsilon": "an 'epsilon' entry", "target": "a 'target' entry",
+            "verify": "a 'verify' block with delta and bins"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -353,12 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="linresp",
         description="Linear response and density control for expanding circle maps")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("density", "invariant density of the configured map"),
-            ("respond", "first-order density change for a given perturbation"),
-            ("control", "two-step and minimal-norm perturbations for a target"),
-            ("verify", "Ulam finite-difference check of a control solution")):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--config", required=True, help="path to the JSON job config")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--modes", type=int, help="override the truncation order N")
@@ -368,18 +314,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    command, solvers = _COMMANDS[args.command]
-    for name in solvers:
-        importlib.import_module(f".{name}", __package__)
+    name, command = args.command, _COMMANDS[args.command]
+    for solver in command.solvers:
+        importlib.import_module(f".{solver}", __package__)
     try:
         config = load_config(args.config)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        path = out / command.result
+        path.unlink(missing_ok=True)
         if args.modes is not None:
             config.order = _checked(as_integer, "--modes", args.modes, 1)
         if args.grid is not None:
             config.grid = next_pow2(_checked(as_integer, "--grid", args.grid, 1))
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return command(config, out)
+        for entry in command.needs:
+            if getattr(config, entry) is None:
+                raise ConfigError(f"{name} needs {_MISSING[entry]}")
+        # Bin averages alias modes above bins/2, as fourier.dft's samples do: with
+        # fewer bins a target can average to zero in every bin and pass vacuously.
+        if "verify" in command.needs and config.verify.bins < 2 * config.target.order + 1:
+            raise ConfigError(f"verify.bins {config.verify.bins} cannot resolve a target of "
+                              f"order {config.target.order}; use at least "
+                              f"{2 * config.target.order + 1}")
+        problem = ResponseProblem.for_map(config.map, config.order)
+        fields, summary = command.run(config, problem, out)
+        payload = {"command": name, "config_sha256": config.sha256, "N": config.order, **fields}
+        path.write_text(canonical_json(payload) + "\n")
+        print(f"{name}: {summary} -> {path}")
+        return EXIT_OK if fields.get("passed", True) else EXIT_VERIFY
     except InfeasibleTargetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import (CHECK_GRID, FourierSeries, SobolevWeights, antiderivative, as_integer,
-                      dft, differentiate, exact_size, from_real_basis, grid_values, next_pow2,
+                      dft, differentiate, from_real_basis, grid_values, next_pow2,
                       require_zero_mean, sobolev_norm, sup_norm, to_real_basis)
 from .maps import CircleMap
-from .response import InfeasibleTargetError, ResponseProblem, derivative_operator
+from .response import (InfeasibleTargetError, ResponseProblem, _compact_form,
+                       derivative_operator)
 from .transfer import (_galerkin_rows, apply_transfer, apply_transfer_pointwise,
                        quadrature_size, real_matrix_from_rows, solve_zero_mean)
 
@@ -336,17 +337,11 @@ def truncation_defect(problem: ResponseProblem, target: FourierSeries, eps: Four
                       order: int) -> FourierSeries:
     """The defect A eps - r at modes |j| <= ``order`` (an integer >= 1), assembling no A.
 
-    (L0 w)' = L0((w/T0')'), so A eps = -L0((eps rho/T0')') = -(L0(rho eps))':
-    one ``apply_transfer`` of the product rho eps, exact on ``exact_size(K)``
-    points for its order K.  The derivative's 2 pi j amplifies rounding, so
-    the defect's floor grows with ``order``.  A target beyond ``order``
-    raises InfeasibleTargetError.
+    A eps = -L0((eps rho/T0')') is formed as ``derivative_operator`` forms it,
+    the product padded to PAD_FACTOR * ``order`` modes, with no cross-check.
+    A target beyond ``order`` raises InfeasibleTargetError.
     """
     order = as_integer("order", order, 1)
     r = _constraint_rhs(problem, target, order)
-    rho = problem.density
-    product_order = rho.order + eps.order
-    size = exact_size(product_order)
-    product = dft(grid_values(rho, size) * grid_values(eps, size), product_order)
-    image = apply_transfer(problem.map, product, out_order=order)
-    return FourierSeries(-differentiate(image).coeffs - r)
+    image, _ = _compact_form(problem, eps, problem.density, order)
+    return FourierSeries(image.coeffs - r)

@@ -423,7 +423,7 @@ class TestControl:
         # the order-N eps checked against the order-2N equations, with no second solve
         assert "truncation_norms" not in payload
         assert payload["truncation_defect"]["order"] == 128
-        # rounding only, amplified by the derivative's 2 pi j (1.8e-12 here)
+        # rounding only (9.3e-14 here)
         assert payload["truncation_defect"]["residual"] < 1e-11
 
     def test_zero_target(self, tmp_path):
@@ -488,6 +488,24 @@ class TestControl:
         if code == EXIT_INFEASIBLE:
             raise InfeasibleTargetError(err)
         assert code == 0, err
+
+    @pytest.mark.parametrize("modes, code, error", [("2", EXIT_INFEASIBLE, "infeasible:"),
+                                                    ("0", cli.EXIT_CONFIG, "config error:")],
+                             ids=["infeasible", "bad-modes"])
+    def test_refused_rerun_removes_the_earlier_result(self, tmp_path, capsys, modes, code,
+                                                      error):
+        # A rerun into the same --out that is refused (target order 3 above
+        # N=2, or a bad --modes) leaves no control.json from the run before it
+        # to be read as its own.
+        path = write_config(tmp_path, target="cos3", N=16)
+        out = tmp_path / "o"
+        assert main(["control", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "control.json").exists()
+        capsys.readouterr()
+        assert main(["control", "--config", str(path), "--out", str(out),
+                     "--modes", modes]) == code
+        assert capsys.readouterr().err.startswith(error)
+        assert not (out / "control.json").exists()
 
     def test_modes_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, target="sin2", N=64)
@@ -622,18 +640,25 @@ class TestDeterminism:
                      str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("solver failure:")
 
-    def test_memory_error_is_config_error(self, tmp_path, monkeypatch, capsys):
-        # A grid or order too large for the host ends in numpy's MemoryError.
+    @pytest.mark.parametrize("command, result", [("density", "density.json"),
+                                                 ("respond", "response.json"),
+                                                 ("control", "control.json")],
+                             ids=["density", "respond", "control"])
+    def test_memory_error_is_config_error(self, tmp_path, monkeypatch, capsys, command,
+                                          result):
+        # A grid or order too large for the host ends in numpy's MemoryError;
+        # raised while the CSV files are written, it leaves no result JSON.
         def boom(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 TiB for an array")
 
         monkeypatch.setattr(cli, "_series_csv", boom)
-        path = write_config(tmp_path)
-        assert main(["density", "--config", str(path), "--out",
-                     str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        path = write_config(tmp_path, epsilon="sin", target="sin")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: Unable to allocate 8.00 TiB")
         assert "Traceback" not in err
+        assert not (out / result).exists()
 
     @pytest.mark.parametrize("command, order", [("control", 64), ("verify", 16)])
     def test_sobolev_weights_that_overflow_are_config_errors(self, tmp_path, capsys,

@@ -406,13 +406,14 @@ SIZE_ORDERS = [0, 1, 2, 3, 31, 32, 33, 63, 64, 96, 255, 256, 257, 511, 512, 1023
 @pytest.mark.parametrize("order", SIZE_ORDERS)
 def test_size_rules_keep_the_sizes_they_replace(wavy, monkeypatch, order):
     """Each grid and block size rule gives the value of its closed formula."""
-    # truncation_defect (at least 2), the CLI's default CSV grid (512), sup_norm
-    # and the density's positivity check (DENSE_GRID)
+    # the product grid's default (at least 2), the CLI's default CSV grid (512),
+    # sup_norm and the density's positivity check (DENSE_GRID)
     for at_least in (2, 512, DENSE_GRID):
         assert exact_size(order, at_least) == next_pow2(max(at_least, 2 * order + 2))
     assert DENSE_GRID == 4096
-    # derivative_operator: one grid for the orders of the padded product,
-    # the direction and w
+    # derivative_operator at N and truncation_defect at 2N share one product
+    # grid (response._compact_form) for the orders of the padded product, the
+    # direction and w
     for pad, others in ((4 * order, (order, 1)), (4, (order, 0)), (0, (1, order))):
         assert exact_size(max(pad, *others)) == next_pow2(
             max(2 * pad + 2, *(2 * k + 2 for k in others)))
