@@ -9,9 +9,10 @@ which hands the values it cannot settle to Python's ``%``, value by value.
 
 Exit codes: 0 success, 1 config error, 2 solver failure, 3 target not
 realizable at the requested truncation, 4 verification budget violation.
-A command removes its result JSON from ``--out`` once its config is read,
-writes its CSV files, and writes the JSON last: a run refused after its
-config is read leaves no result JSON, its own or an earlier run's.
+A command removes its result JSON and its CSV files from ``--out`` once its
+config is read, writes the CSV files, and writes the JSON last: a run
+refused after its config is read leaves no result file, its own or an
+earlier run's.
 
 This module imports only what every command runs (``fourier``, ``maps``,
 ``response`` with ``transfer``, and ``_format``).  ``control`` and ``verify``
@@ -257,9 +258,10 @@ def cmd_verify(config: JobConfig, problem: ResponseProblem, out: Path):
         solution = minimal_norm_control(problem, config.target, config.weights)
         eps, solution_residual = solution.epsilon, solution.residual
     # Ulam's method meets VERIFY_BUDGET with a wide margin (4.3e-4 on the wavy
-    # map at 2^16 bins); it inverts the bin edges in blocks and keeps two
-    # weights per segment.  Its first-order discretization error hides the
-    # O(delta^2) term, which the tests resolve with collocation_fd_response.
+    # map at 2^16 bins); it inverts the bin edges by spectral interpolation
+    # of Newton nodes and keeps two weights per segment.  Its first-order
+    # discretization error hides the O(delta^2) term, which the tests
+    # resolve with the collocation reference of tests/conftest.py.
     binned = fd_response(PerturbedFamily(config.map, eps), settings.delta, settings.bins)
     discrepancy = compare_l1(binned, config.target)
     passed = bool(discrepancy < VERIFY_BUDGET)
@@ -277,6 +279,7 @@ def cmd_verify(config: JobConfig, problem: ResponseProblem, out: Path):
 class _Command(NamedTuple):
     run: Callable
     result: str  # the result JSON's file name in --out
+    csvs: tuple[str, ...]  # the CSV files it writes there
     solvers: tuple[str, ...]  # modules it runs beyond those imported above
     needs: tuple[str, ...]  # config entries it reads before any solve
     help: str
@@ -285,14 +288,16 @@ class _Command(NamedTuple):
 # main imports a command's solvers before it reads the config, so that they
 # load before the command allocates any array.
 _COMMANDS = {
-    "density": _Command(cmd_density, "density.json", (), (),
+    "density": _Command(cmd_density, "density.json", ("density.csv",), (), (),
                         "invariant density of the configured map"),
-    "respond": _Command(cmd_respond, "response.json", (), ("epsilon",),
+    "respond": _Command(cmd_respond, "response.json", ("response.csv",), (), ("epsilon",),
                         "first-order density change for a given perturbation"),
-    "control": _Command(cmd_control, "control.json", ("control",), ("target",),
+    "control": _Command(cmd_control, "control.json",
+                        ("epsilon_two_step.csv", "epsilon_minimal_norm.csv"),
+                        ("control",), ("target",),
                         "two-step and minimal-norm perturbations for a target"),
-    "verify": _Command(cmd_verify, "verify.json", ("control", "verify"), ("verify", "target"),
-                       "Ulam finite-difference check of a control solution"),
+    "verify": _Command(cmd_verify, "verify.json", ("fd_response.csv",), ("control", "verify"),
+                       ("verify", "target"), "Ulam finite-difference check of a control solution"),
 }
 _MISSING = {"epsilon": "an 'epsilon' entry", "target": "a 'target' entry",
             "verify": "a 'verify' block with delta and bins"}
@@ -321,8 +326,9 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        for stale in (*command.csvs, command.result):
+            (out / stale).unlink(missing_ok=True)
         path = out / command.result
-        path.unlink(missing_ok=True)
         if args.modes is not None:
             config.order = _checked(as_integer, "--modes", args.modes, 1)
         if args.grid is not None:

@@ -7,10 +7,12 @@ the lift's inverse, whose values and slopes are known at the images of the
 uniform grid that the construction checks sample; on smooth maps the seed
 already meets the tolerance, so the first residual sweep ends the iteration.
 The targets go through in blocks of ``fourier.BLOCK``, so an inversion of many
-points holds temporaries the size of one block.  That inverter is the only
-one in the package, and only the pointwise checks and the Ulam oracle call
-it.  One-parameter families T_delta = T0 + delta*eps model first-order
-perturbations of the dynamics.
+points holds temporaries the size of one block.  A lattice of equispaced
+targets, such as the Ulam oracle's bin edges, is inverted by spectral
+interpolation instead: Newton solves a few hundred nodes, and one FFT
+carries them to every target.  Only the pointwise checks and the Ulam
+oracle invert the lift.  One-parameter families T_delta = T0 + delta*eps
+model first-order perturbations of the dynamics.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ EXPANSIVITY_MARGIN = 1e-9
 FAMILY_MARGIN = 0.05
 NEWTON_TOL = 1e-13
 NEWTON_MAXIT = 100
+# M, the count of even nodes and of odd ones at ``invert_lattice``'s first check.
+LATTICE_NODES = 256
 
 
 class NotExpandingError(ValueError):
@@ -223,6 +227,67 @@ class CircleMap:
             y[start:start + BLOCK] = (
                 _solve_increasing(self._lift_value, base, seed, lo, hi) + shift)
         return float(y[0]) if t.ndim == 0 else y.reshape(t.shape)
+
+    def _polished_inverse(self, targets: np.ndarray) -> np.ndarray:
+        """``invert_lift`` and one more Newton step, block by block.
+
+        ``invert_lift`` accepts a residual below NEWTON_TOL, which leaves y
+        up to 1.8e-14 from the root on a degree-3 map; the step brings it to
+        rounding level.
+        """
+        y = self.invert_lift(targets)
+        for start in range(0, y.size, BLOCK):
+            block, t = y[start:start + BLOCK], targets[start:start + BLOCK]
+            value, slope = self._lift_value(block)
+            block -= (value - t) / slope()
+        return y
+
+    def invert_lattice(self, lo: int, bins: int, out: np.ndarray) -> np.ndarray:
+        """Solve L(y) = k/bins for k = lo, lo + 1, ... into ``out``, by spectral interpolation.
+
+        The targets span one period of the lift: ``out`` holds n = d bins
+        values, or n + 1 with the point that closes the period.  Writing
+        s = (t - L(0))/d, h(s) = y - s has period 1 and is analytic, so its
+        trigonometric interpolant on equispaced nodes converges
+        geometrically.  The nodes s = j/(2M) are solved by Newton with one
+        polishing step; M starts at LATTICE_NODES and doubles until the
+        interpolant of the even nodes meets the odd ones to
+        NEWTON_TOL / max T'.  One rfft of the 2M nodes, shifted to the
+        lattice and zero-padded, and one irfft of length n then give h on
+        the lattice, and s is added in place.  Once 2M reaches n, every
+        target is solved by Newton with the polishing step, so a map whose
+        inverse is hard to resolve costs time, never accuracy.
+        """
+        d, lift0 = self.degree, self._inversion.lift0
+        n = d * bins
+        if out.size not in (n, n + 1):
+            raise ValueError(f"{out.size} targets; one period of the lattice holds {n} or {n + 1}")
+
+        def h(s):
+            return self._polished_inverse(lift0 + d * s) - s
+
+        m = LATTICE_NODES
+        nodes = h(np.arange(m) / m) if 2 * m < n else None
+        while 2 * m < n:
+            odd = h((np.arange(m) + 0.5) / m)
+            spectrum = np.fft.rfft(nodes, norm="forward")
+            spectrum *= np.exp(1j * np.pi / m * np.arange(spectrum.size))
+            gap = np.max(np.abs(np.fft.irfft(spectrum, m, norm="forward") - odd))
+            nodes = np.stack((nodes, odd), axis=1).ravel()
+            if gap <= NEWTON_TOL / self.max_derivative:
+                spectrum = np.zeros(n // 2 + 1, dtype=complex)
+                spectrum[:m + 1] = np.fft.rfft(nodes, norm="forward")
+                spectrum[m] *= 0.5  # the nodes' Nyquist mode, split between +-m
+                spectrum[:m + 1] *= np.exp(2j * np.pi * (lo / bins - lift0) / d
+                                           * np.arange(m + 1))
+                np.fft.irfft(spectrum, n, norm="forward", out=out[:n])
+                del spectrum
+                out[n:] = out[:1]  # h(s + 1) = h(s) at the closing point
+                out += (np.arange(lo, lo + out.size) / bins - lift0) / d
+                return out
+            m *= 2
+        out[:] = self._polished_inverse(np.arange(lo, lo + out.size) / bins)
+        return out
 
     def preimages(self, x):
         """All d preimages of x, ordered by branch: L(y_i) = x + k_i, y_i in [0,1).

@@ -1,19 +1,20 @@
-"""Independent verification oracles: Ulam's method and spectral collocation.
+"""Independent verification oracle: Ulam's method.
 
 Ulam's matrix[a, b] is the fraction of bin b that the map sends into bin a,
 from exact interval-image intersections of the monotone branches (no
-sampling), so it is column-stochastic.  A ``UlamModel`` stores it as the
-preimage segments of the image bins, two weights and one source bin per
-segment (the second weight's bin is the next one), beside its stationary
-vector, iterated to once on construction; ``M @ v``, the one product that
-iteration needs, works through fixed-size blocks of segments.
-``linresp verify`` checks the spectral solvers against central
-differences of its stationary bin averages.  Its first-order error in the
-bin width hides the O(delta^2) term of a central difference; the
-collocation reference, trigonometric collocation on M = 2K+1 equispaced
-points, resolves it and meets the Galerkin density to about 1e-13 on
-smooth maps.  Both share only the map's lift and its Newton inversion
-with the spectral path.
+sampling), so it is column-stochastic.  The preimages of the bin edges, a
+lattice of equispaced targets on the lift, come from
+``CircleMap.invert_lattice``: Newton at a few hundred nodes and one FFT.
+A ``UlamModel`` stores the matrix as the preimage segments of the image
+bins, two weights and one source bin per segment (the second weight's bin
+is the next one), beside its stationary vector, iterated to once on
+construction; ``M @ v``, the one product that iteration needs, works
+through fixed-size blocks of segments.  ``linresp verify`` checks the
+spectral solvers against central differences of its stationary bin
+averages.  Their first-order error in the bin width hides the O(delta^2)
+term of a central difference, which the tests resolve with a collocation
+reference of their own.  The oracle shares only the map's lift and its
+Newton inversion with the spectral path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from .fourier import BLOCK, FourierSeries, as_integer
 from .maps import CircleMap, PerturbedFamily
-from .response import CROSS_CHECK_TOL, UnderResolvedError
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAXIT = 20_000
@@ -119,17 +119,16 @@ def _pieces(circle_map: CircleMap, bins: int) -> tuple[np.ndarray, np.ndarray, i
     start = float(circle_map.lift(0.0))
     lo = int(np.ceil(start * bins - 1e-9))
     hi = int(np.floor((start + d) * bins + 1e-9))
-    targets = np.arange(lo, hi + 1) / bins
-    if targets[0] > start + 1e-15:
-        targets = np.concatenate(([start], targets))
-    if targets[-1] < start + d - 1e-15:
-        targets = np.concatenate((targets, [start + d]))
-    first = int(np.floor(0.5 * (targets[0] + targets[1]) * bins))
-    y = circle_map.invert_lift(targets)
-    del targets
-    # L(0) = start and L(1) = start + d hold identically; pin the endpoints
-    # so the preimage segments tile [0, 1] exactly and columns sum to one.
+    # The lattice k/bins, k = lo..hi, framed by L(0) and L(1) = L(0) + d
+    # where those are off it.  L(0) and L(1) hold identically, so the ends
+    # are pinned and the preimage segments tile [0, 1] exactly.
+    lead, trail = int(lo / bins > start + 1e-15), int(hi / bins < start + d - 1e-15)
+    y = np.empty(lead + hi - lo + 1 + trail)
+    circle_map.invert_lattice(lo, bins, y[lead:y.size - trail])
     y[0], y[-1] = 0.0, 1.0
+    if not np.all(y[1:] > y[:-1]):
+        raise RuntimeError("bin-edge preimages do not rise strictly")
+    first = lo - lead
 
     # Written in place, with no copies of the segment arrays: slot 1's
     # weight holds the source-bin edge until that weight replaces it.
@@ -159,76 +158,15 @@ def ulam_build(circle_map: CircleMap, bins: int) -> UlamModel:
     return UlamModel(bins, first % bins, source, weights)
 
 
-def _central_difference(family: PerturbedFamily, delta: float, density) -> np.ndarray:
-    """(density(T + delta eps) - density(T - delta eps)) / (2 delta), for a step delta > 0."""
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    return (density(family.member(delta)) - density(family.member(-delta))) / (2.0 * delta)
-
-
 def fd_response(family: PerturbedFamily, delta: float, bins: int) -> np.ndarray:
     """Central-difference derivative of Ulam's stationary bin averages.
 
     A step that is not positive, or ``bins`` not an integer >= 2, is a ValueError.
     """
-    return _central_difference(family, delta, lambda m: ulam_build(m, bins).stationary)
-
-
-def _dirichlet(t: np.ndarray, points: int) -> np.ndarray:
-    """D_M(t) = sin(pi M t) / (M sin(pi t)) with D_M(0) = 1, for odd M = ``points``.
-
-    D_M has period 1, so t is first reduced to [-1/2, 1/2]: exactly, and
-    away from the cancellation of sin(pi t) near t = +-1.
-    """
-    t = t - np.round(t)
-    denominator = points * np.sin(np.pi * t)
-    return np.divide(np.sin(np.pi * points * t), denominator, out=np.ones_like(t),
-                     where=denominator != 0.0)
-
-
-def _collocation_rows(circle_map: CircleMap, x: np.ndarray, points: int) -> np.ndarray:
-    """(L phi_m)(x_k) = sum_b D_M(y_b(x_k) - m/M) / T'(y_b(x_k)), phi_m the cardinal functions."""
-    nodes = np.arange(points) / points
-    preimages = circle_map.preimages(x)
-    rows = np.zeros((x.size, points))
-    for y, slope in zip(preimages, circle_map.evaluate(preimages, 1)):
-        rows += _dirichlet(y[:, None] - nodes, points) / slope[:, None]
-    return rows
-
-
-def collocation_density(circle_map: CircleMap, points: int) -> np.ndarray:
-    """The invariant density at x_k = k/M by trigonometric collocation, M = ``points``.
-
-    C[k, m] = sum_b D_M(y_b(x_k) - x_m) / T'(y_b(x_k)) is the transfer
-    operator on the degree-K trigonometric interpolants, M = 2K+1, and the
-    density is the null vector of I - C with mean 1.  Its interpolant must
-    meet L rho = rho to 1e-9 at the midpoints (k + 1/2)/M, or
-    UnderResolvedError is raised.  An even M, or M < 3, is a ValueError.
-    """
-    points = as_integer("collocation points", points, 3)
-    if points % 2 == 0:
-        raise ValueError(f"collocation points must be odd, got {points}")
-    nodes = np.arange(points) / points
-    # (I - C + 1 1^T / M) rho = 1 holds for the null vector with mean 1.
-    system = np.eye(points) - _collocation_rows(circle_map, nodes, points) + 1.0 / points
-    rho = np.linalg.solve(system, np.ones(points))
-    midpoints = nodes + 0.5 / points
-    residual = float(np.max(np.abs(
-        (_collocation_rows(circle_map, midpoints, points)
-         - _dirichlet(midpoints[:, None] - nodes, points)) @ rho)))
-    if residual > CROSS_CHECK_TOL:
-        raise UnderResolvedError(
-            f"collocation density at M = {points} has midpoint residual {residual:.3e} > "
-            f"{CROSS_CHECK_TOL:.0e}; take more points")
-    return rho
-
-
-def collocation_fd_response(family: PerturbedFamily, delta: float, points: int) -> np.ndarray:
-    """Central-difference derivative of the collocation density at x_k = k/M.
-
-    A step that is not positive is a ValueError, as in ``fd_response``.
-    """
-    return _central_difference(family, delta, lambda m: collocation_density(m, points))
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+    plus, minus = (ulam_build(family.member(s), bins).stationary for s in (delta, -delta))
+    return (plus - minus) / (2.0 * delta)
 
 
 def bin_averages(series: FourierSeries, bins: int) -> np.ndarray:

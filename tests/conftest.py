@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from linresp import (CircleMap, FourierSeries, PerturbedFamily, ResponseProblem, SobolevWeights,
-                     antiderivative, apply_transfer_pointwise, cosine, dft, forward_response,
-                     grid_values, next_pow2, sine, zeros)
+                     UnderResolvedError, antiderivative, apply_transfer_pointwise, cosine, dft,
+                     forward_response, grid_values, next_pow2, sine, zeros)
 from linresp.fourier import as_integer, differentiate, from_real_basis, to_real_basis
+from linresp.response import CROSS_CHECK_TOL
 from linresp.transfer import real_matrix_from_rows
 
 
@@ -321,11 +322,13 @@ def horner_values(coeffs, x):
     return acc
 
 
-def reference_invert_lift(circle_map, targets):
+def reference_invert_lift(circle_map, targets, polish=False):
     """Branch inversion by full-spectrum complex Horner pairs: the reference Newton.
 
     Newton starts from the doubling-map seed (t - L(0))/d and shares only
     ``_solve_increasing`` and its bracket with ``CircleMap.invert_lift``.
+    With ``polish``, one more Newton step takes the root past the residual
+    NEWTON_TOL that the iteration accepts, to rounding level.
     """
     from linresp.maps import _solve_increasing
 
@@ -343,7 +346,11 @@ def reference_invert_lift(circle_map, targets):
     base = t - d * shift
     lo = (base - circle_map._inversion.p_hi) / d
     hi = (base - circle_map._inversion.p_lo) / d
-    return _solve_increasing(lift_value, base, (base - lift0) / d, lo, hi) + shift
+    y = _solve_increasing(lift_value, base, (base - lift0) / d, lo, hi) + shift
+    if polish:
+        value, slope = lift_value(y)
+        y = y - (value - t) / slope()
+    return y
 
 
 def dense_ulam_matrix(circle_map, bins):
@@ -352,7 +359,9 @@ def dense_ulam_matrix(circle_map, bins):
     Pieces are the preimages of the image bins, each cut at a source-bin edge,
     concatenated into one list; a piece's entry is its length in bin units
     (preimages times bins, where bin edges are integers), and np.add.at sums
-    the entries of pieces that share a row and column.  Meant for
+    the entries of pieces that share a row and column.  The preimages of the
+    lattice edges come from ``invert_lattice``, as the model's do, so this
+    checks the pieces and their sums, not the inversion.  Meant for
     bins <= 1024.
     """
     d = circle_map.degree
@@ -360,11 +369,11 @@ def dense_ulam_matrix(circle_map, bins):
     lo = int(np.ceil(start * bins - 1e-9))
     hi = int(np.floor((start + d) * bins + 1e-9))
     targets = np.arange(lo, hi + 1) / bins
+    y = circle_map.invert_lattice(lo, bins, np.empty(targets.size))
     if targets[0] > start + 1e-15:
-        targets = np.concatenate(([start], targets))
+        targets, y = np.concatenate(([start], targets)), np.concatenate(([0.0], y))
     if targets[-1] < start + d - 1e-15:
-        targets = np.concatenate((targets, [start + d]))
-    y = circle_map.invert_lift(targets)
+        targets, y = np.concatenate((targets, [start + d])), np.concatenate((y, [1.0]))
     y[0], y[-1] = 0.0, 1.0
     u_lo, u_hi = y[:-1] * bins, y[1:] * bins
     image_edge = np.floor(0.5 * (targets[:-1] + targets[1:]) * bins).astype(int)
@@ -378,6 +387,68 @@ def dense_ulam_matrix(circle_map, bins):
     dense = np.zeros((bins, bins))
     np.add.at(dense, (image_edge % bins, source), length)
     return dense
+
+
+def _dirichlet(t, points):
+    """D_M(t) = sin(pi M t) / (M sin(pi t)) with D_M(0) = 1, for odd M = ``points``.
+
+    D_M has period 1, so t is first reduced to [-1/2, 1/2]: exactly, and
+    away from the cancellation of sin(pi t) near t = +-1.
+    """
+    t = t - np.round(t)
+    denominator = points * np.sin(np.pi * t)
+    return np.divide(np.sin(np.pi * points * t), denominator, out=np.ones_like(t),
+                     where=denominator != 0.0)
+
+
+def _collocation_rows(circle_map, x, points):
+    """(L phi_m)(x_k) = sum_b D_M(y_b(x_k) - m/M) / T'(y_b(x_k)), phi_m the cardinal functions."""
+    nodes = np.arange(points) / points
+    preimages = circle_map.preimages(x)
+    rows = np.zeros((x.size, points))
+    for y, slope in zip(preimages, circle_map.evaluate(preimages, 1)):
+        rows += _dirichlet(y[:, None] - nodes, points) / slope[:, None]
+    return rows
+
+
+def collocation_density(circle_map, points):
+    """The invariant density at x_k = k/M by trigonometric collocation, M = ``points``.
+
+    The tests' sharp reference: C[k, m] = sum_b D_M(y_b(x_k) - x_m) /
+    T'(y_b(x_k)) is the transfer operator on the degree-K trigonometric
+    interpolants, M = 2K+1, and the density is the null vector of I - C
+    with mean 1.  It shares only the lift and its Newton inversion with the
+    package's solvers.  Its interpolant must meet L rho = rho to 1e-9 at
+    the midpoints (k + 1/2)/M, or UnderResolvedError is raised.  An even M,
+    or M < 3, is a ValueError.
+    """
+    points = as_integer("collocation points", points, 3)
+    if points % 2 == 0:
+        raise ValueError(f"collocation points must be odd, got {points}")
+    nodes = np.arange(points) / points
+    # (I - C + 1 1^T / M) rho = 1 holds for the null vector with mean 1.
+    system = np.eye(points) - _collocation_rows(circle_map, nodes, points) + 1.0 / points
+    rho = np.linalg.solve(system, np.ones(points))
+    midpoints = nodes + 0.5 / points
+    residual = float(np.max(np.abs(
+        (_collocation_rows(circle_map, midpoints, points)
+         - _dirichlet(midpoints[:, None] - nodes, points)) @ rho)))
+    if residual > CROSS_CHECK_TOL:
+        raise UnderResolvedError(
+            f"collocation density at M = {points} has midpoint residual {residual:.3e} > "
+            f"{CROSS_CHECK_TOL:.0e}; take more points")
+    return rho
+
+
+def collocation_fd_response(family, delta, points):
+    """Central-difference derivative of the collocation density at x_k = k/M.
+
+    A step that is not positive is a ValueError, as in ``fd_response``.
+    """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+    plus, minus = (collocation_density(family.member(s), points) for s in (delta, -delta))
+    return (plus - minus) / (2.0 * delta)
 
 
 def ulam_products(model, v):

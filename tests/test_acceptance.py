@@ -14,10 +14,10 @@ from linresp import (PerturbedFamily, SobolevWeights, apply_transfer,
                      differentiate, exact_control, fd_response, fixed_point_residual,
                      forward_response, minimal_norm_control,
                      next_pow2, sine, sobolev_norm, solve_control, sup_norm)
-from linresp.verify import collocation_fd_response
 
-from conftest import (CircleDiffeo, build_conjugate, constant, kernel_directions, preimage_shift,
-                      random_series, transfer_conjugacy_check, weighted_inner_product)
+from conftest import (CircleDiffeo, build_conjugate, collocation_fd_response, constant,
+                      kernel_directions, preimage_shift, random_series, transfer_conjugacy_check,
+                      weighted_inner_product)
 
 TWO_PI = 2 * np.pi
 EPS0 = cosine(2, 1 / TWO_PI)  # the doubling map's distinguished solution

@@ -495,17 +495,18 @@ class TestControl:
     def test_refused_rerun_removes_the_earlier_result(self, tmp_path, capsys, modes, code,
                                                       error):
         # A rerun into the same --out that is refused (target order 3 above
-        # N=2, or a bad --modes) leaves no control.json from the run before it
-        # to be read as its own.
+        # N=2, or a bad --modes) leaves no control.json and no CSV file from
+        # the run before it to be read as its own.
         path = write_config(tmp_path, target="cos3", N=16)
         out = tmp_path / "o"
+        written = ["control.json", "epsilon_minimal_norm.csv", "epsilon_two_step.csv"]
         assert main(["control", "--config", str(path), "--out", str(out)]) == 0
-        assert (out / "control.json").exists()
+        assert sorted(f.name for f in out.iterdir()) == written
         capsys.readouterr()
         assert main(["control", "--config", str(path), "--out", str(out),
                      "--modes", modes]) == code
         assert capsys.readouterr().err.startswith(error)
-        assert not (out / "control.json").exists()
+        assert list(out.iterdir()) == []
 
     def test_modes_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, target="sin2", N=64)
@@ -571,7 +572,7 @@ class TestVerify:
         # at 2.3e-4, so the two oracles cannot be mistaken for each other.
         from linresp import (PerturbedFamily, ResponseProblem, compare_l1,
                              fd_response, minimal_norm_control)
-        from linresp.verify import collocation_fd_response
+        from conftest import collocation_fd_response
         path = write_config(tmp_path, map=WAVY, target="sin",
                             weights={"a": 0.5, "b": 0.0, "c": 0.0, "d": 1.0},
                             verify={"delta": 1e-3, "bins": 1024})
@@ -607,6 +608,18 @@ class TestVerify:
         path = write_config(tmp_path, target="sin")
         assert main(["verify", "--config", str(path), "--out",
                      str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_command_table_names_every_file_written(tmp_path, name):
+    # main removes exactly the files the table names before a run, so they
+    # must be all that a run writes.
+    path = write_config(tmp_path, N=16, target="sin", epsilon="eps_doubling_sin",
+                        verify={"delta": 1e-3, "bins": 1024})
+    out = tmp_path / "o"
+    assert main([name, "--config", str(path), "--out", str(out)]) == 0
+    command = cli._COMMANDS[name]
+    assert sorted(f.name for f in out.iterdir()) == sorted((command.result, *command.csvs))
 
 
 class TestDeterminism:

@@ -344,9 +344,9 @@ class TestNewtonSweeps:
                    for values, slopes in newton_calls), newton_calls
 
     def test_one_pass_on_ulam_edges(self, perturbed_wavy, newton_calls, monkeypatch):
-        # the 2^17 + 1 bin edges of a 2^16-bin Ulam build go through in blocks
-        # that cover them all; in each, one value pass both seeds and checks,
-        # and no slope is taken
+        # 2^17 + 1 targets, the bin edges of a 2^16-bin Ulam build, go through
+        # in blocks that cover them all; in each, one value pass both seeds
+        # and checks, and no slope is taken
         sizes = []
         counting = maps._solve_increasing
         monkeypatch.setattr(maps, "_solve_increasing", lambda value, target, *args:

@@ -31,15 +31,18 @@ EXPORTS = [
 # Test-only helpers moved to tests/conftest.py or deleted, the second
 # uniform-grid route (grid_values is the only one), the oddness rule
 # that is now CircleMap.is_odd, the N/2N norm report that
-# truncation_defect replaced, the private step 1 that step1_g now is, and
-# the wrappers that ResponseProblem (the Galerkin matrix and its density)
-# and UlamModel (the Ulam operator) now are.
+# truncation_defect replaced, the private step 1 that step1_g now is, the
+# wrappers that ResponseProblem (the Galerkin matrix and its density) and
+# UlamModel (the Ulam operator) now are, and the collocation reference that
+# only tests run, with the central difference it shared with fd_response.
 REMOVED = ["CircleDiffeo", "build_conjugate", "transfer_conjugacy_check",
            "finite_difference_response_check", "multiply", "weighted_inner_product",
            "l1_norm", "l2_norm", "GridFunction", "idft", "_is_odd",
            "minimal_norm_truncation_report", "kernel_directions", "_weighted_system",
            "constant", "doubling_map", "_step1_g", "_real_scalar",
-           "TransferMatrix", "invariant_density", "TransitionOperator"]
+           "TransferMatrix", "invariant_density", "TransitionOperator",
+           "collocation_density", "collocation_fd_response", "_collocation_rows",
+           "_dirichlet", "_central_difference"]
 
 
 def test_every_exported_name_resolves():

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 import linresp
+import linresp.maps as maps
 import linresp.verify as verify
 
-from conftest import (constant, dense_ulam_matrix, doubling_map, seeded_maps, steep_map,
-                      ulam_products)
+from conftest import (collocation_density, collocation_fd_response, constant, dense_ulam_matrix,
+                      doubling_map, reference_invert_lift, seeded_maps, steep_map, ulam_products)
 from linresp import (CircleMap, PerturbedFamily, ResponseProblem, UnderResolvedError,
                      bin_averages, compare_l1, cosine, exact_forward, fd_response,
                      forward_response, sine, ulam_build, zeros)
-from linresp.verify import collocation_density, collocation_fd_response
 
 TWO_PI = 2 * np.pi
 
@@ -81,12 +81,13 @@ class TestUlamBuild:
 
     def test_degree_zero_memory(self, wavy_family, perturbed_wavy):
         # The verify-bins64k build and response: the 2^17 + 1 edges are
-        # inverted in blocks and freed, the operator holds one source row
-        # beside its two weight rows, and a product's temporaries are one
-        # block of segments long.  Measured at 5.25 MB for the build and
-        # 5.91 MB for the response (7.34 and 8.01 MB with a stored second
-        # source row and full-length product temporaries); each bound leaves
-        # half of one more 2^17-point float array, 0.52 MB.
+        # interpolated through one spectrum of their size, freed before the
+        # linear part is added, the operator holds one source row beside its
+        # two weight rows, and a product's temporaries are one block of
+        # segments long.  Measured at 5.25 MB for the build and 5.91 MB for
+        # the response (7.34 and 8.01 MB with a stored second source row and
+        # full-length product temporaries); each bound leaves half of one
+        # more 2^17-point float array, 0.52 MB.
         for run, bound in ((lambda: ulam_build(perturbed_wavy, 2**16), 5.8e6),
                            (lambda: fd_response(wavy_family, 1e-3, 2**16), 6.45e6)):
             tracemalloc.start()
@@ -96,6 +97,18 @@ class TestUlamBuild:
             finally:
                 tracemalloc.stop()
             assert peak <= bound
+
+    def test_edges_that_do_not_rise_are_refused(self, wavy, monkeypatch):
+        original = CircleMap.invert_lattice
+
+        def swapped(self, lo, bins, out):
+            original(self, lo, bins, out)
+            out[[5, 6]] = out[[6, 5]]
+            return out
+
+        monkeypatch.setattr(CircleMap, "invert_lattice", swapped)
+        with pytest.raises(RuntimeError, match="do not rise strictly"):
+            ulam_build(wavy, 64)
 
     def test_nonzero_lift_at_origin(self):
         # branch windows shift when p(0) != 0; columns must still tile
@@ -114,6 +127,68 @@ ORACLE_MAPS = {
     "steep": steep_map(),
     "seeded-degree-3": seeded_maps()[1],
 }
+
+
+# CI's non-odd map 3x + 0.15 sin 2 pi x + 0.05 cos 4 pi x, whose Newton
+# roots sit up to 1.8e-14 from the polished ones.
+LATTICE_MAPS = {**ORACLE_MAPS, "non-odd-degree-3": CircleMap(3, sine(1, 0.15) + cosine(2, 0.05))}
+
+
+@pytest.fixture
+def inverted_points(monkeypatch):
+    """The number of targets of every ``CircleMap.invert_lift`` call, in order."""
+    points = []
+    original = CircleMap.invert_lift
+
+    def counted(self, targets):
+        points.append(np.size(targets))
+        return original(self, targets)
+
+    monkeypatch.setattr(CircleMap, "invert_lift", counted)
+    return points
+
+
+class TestInvertLattice:
+    """The bin-edge preimages by spectral interpolation, against the polished reference Newton."""
+
+    @pytest.mark.parametrize("bins", [2**16, 20_000, 65_521, 4])
+    @pytest.mark.parametrize("name", list(LATTICE_MAPS))
+    def test_meets_polished_reference_and_rises(self, name, bins, inverted_points):
+        # Measured: at most 6.1e-16 (steep, 65,521 bins), and 0 on the
+        # doubling map; the bound is 1e-15, under NEWTON_TOL / max T' on
+        # every map.  At 4 bins 2M = 512 nodes exceed the d bins targets, so
+        # every target is solved by Newton.
+        circle_map = LATTICE_MAPS[name]
+        start = float(circle_map.lift(0.0))
+        lo = int(np.ceil(start * bins - 1e-9))
+        hi = int(np.floor((start + circle_map.degree) * bins + 1e-9))
+        targets = np.arange(lo, hi + 1) / bins
+        y = circle_map.invert_lattice(lo, bins, np.empty(targets.size))
+        assert 1e-15 < maps.NEWTON_TOL / circle_map.max_derivative
+        reference = reference_invert_lift(circle_map, targets, polish=True)
+        assert np.max(np.abs(y - reference)) <= 1e-15
+        assert np.all(y[1:] > y[:-1])
+        if bins == 4:
+            assert inverted_points == [targets.size]
+        else:
+            assert sum(inverted_points) < targets.size // 10
+
+    @pytest.mark.parametrize("size", [2**11 - 1, 2**11 + 2])
+    def test_refuses_more_or_less_than_one_period(self, wavy, size):
+        with pytest.raises(ValueError, match="one period of the lattice"):
+            wavy.invert_lattice(0, 2**10, np.empty(size))
+
+
+@pytest.mark.parametrize("name, nodes", [("perturbed-wavy", 2 * maps.LATTICE_NODES),
+                                         ("steep", 8 * maps.LATTICE_NODES)])
+def test_ulam_edges_take_newton_at_a_few_hundred_nodes(perturbed_wavy, inverted_points,
+                                                       name, nodes):
+    # A 2^16-bin build inverts d 2^16 + 1 edges (131,073 on the wavy member)
+    # from Newton at 2M nodes: M = 256 passes the first check on the wavy
+    # member, and M grows to 1024 on the steep map.
+    circle_map = perturbed_wavy if name == "perturbed-wavy" else steep_map()
+    ulam_build(circle_map, 2**16)
+    assert sum(inverted_points) == nodes
 
 
 class TestTransitionOperator:
